@@ -165,19 +165,23 @@ def _batch_coefficients(problem: SdepcaProblem):
                     [problem.drift_jacobian_x(x[i], y[i]) for i in range(x.shape[0])]
                 )
 
-    if jac is None:
-        def jac(x, y, _drift=drift):
-            # central differences, step scaled with the state magnitude
-            n, d = x.shape
-            h = 1e-7 * (1.0 + np.linalg.norm(x, axis=1))
-            J = np.empty((n, d, d))
-            for j in range(d):
-                step = np.zeros((n, d))
-                step[:, j] = h
-                J[:, :, j] = (_drift(x + step, y) - _drift(x - step, y)) / (2.0 * h)[:, None]
-            return J
+    return drift, diffusion, _fd_jacobian(drift) if jac is None else jac
 
-    return drift, diffusion, jac
+
+def _fd_jacobian(drift):
+    """Central-difference Jacobian of a batched drift, step scaled with |x|."""
+
+    def jac(x, y):
+        n, d = x.shape
+        h = 1e-7 * (1.0 + np.linalg.norm(x, axis=1))
+        J = np.empty((n, d, d))
+        for j in range(d):
+            step = np.zeros((n, d))
+            step[:, j] = h
+            J[:, :, j] = (drift(x + step, y) - drift(x - step, y)) / (2.0 * h)[:, None]
+        return J
+
+    return jac
 
 
 def _row_norm(res: np.ndarray) -> np.ndarray:
@@ -312,7 +316,7 @@ def _newton_batch(drift, jac, y, delta, rhs, cfg: BeConfig):
         dx = np.full_like(xa, np.nan)
         finite = _rows(np.isfinite(ra).all(axis=1))
         A = np.eye(d) - delta * jac(xa[finite], ya[finite])
-        solvable = _rows(np.isfinite(A.reshape(A.shape[0], -1)).all(axis=1))
+        solvable = _rows(np.isfinite(A).all(axis=(1, 2)))
         A = A[solvable]
         if A.shape[0]:
             rows = solvable if isinstance(finite, slice) else finite[solvable]
@@ -389,22 +393,11 @@ def solve_implicit(
     """
     y_block = np.asarray(y_block, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    d = rhs.shape[-1] if rhs.ndim else 1
     if jac is None:
-        def jac_b(x, y, _drift=drift):
-            n = x.shape[0]
-            h = 1e-7 * (1.0 + np.linalg.norm(x, axis=1))
-            J = np.empty((n, d, d))
-            for j in range(d):
-                step = np.zeros((n, d))
-                step[:, j] = h
-                J[:, :, j] = (_drift(x + step, y) - _drift(x - step, y)) / (2.0 * h)[:, None]
-            return J
-    else:
-        jac_b = jac
+        jac = _fd_jacobian(drift)
     with np.errstate(over="ignore", invalid="ignore"):
         x, status, rnorm = _newton_batch(
-            drift, jac_b, y_block[None, :], float(delta), rhs[None, :], cfg
+            drift, jac, y_block[None, :], float(delta), rhs[None, :], cfg
         )
     if status[0] == _STATUS_NON_FINITE:
         raise NonFiniteError()
@@ -452,7 +445,13 @@ def run_scheme_batch(
     """Advance a batch of paths through K unit blocks of m steps each.
 
     ``increments`` has shape (n_paths, >= K*m, r) at step size 1/m; ``x0`` is
-    one start (d,) shared by all rows or per-row starts (n_paths, d).
+    one start (d,) shared by all rows, per-row starts (n_paths, d), or
+    several starts per row (n_starts, n_paths, d).  In the last case every
+    start runs on every row's increments, and the batch holds
+    n = n_starts * n_paths rows in start-major order: row s * n_paths + i
+    is start s on noise row i.  ``finals`` (n, d), ``anchors``, ``states``
+    and the row index of each failure all follow that order.  The
+    increments are repeated across the starts one unit block at a time.
     ``record`` selects what is kept: "final", "anchors" (shape (K+1, n, d))
     or "full" ((n, K*m+1, d)).  A row whose state, coefficient or implicit
     solve goes bad is frozen at NaN and reported in ``failures`` as
@@ -477,25 +476,30 @@ def run_scheme_batch(
         raise ValueError(f"noise dimension mismatch: {increments.shape[2]} != {r}")
 
     x0 = np.asarray(x0, dtype=float)
-    x = np.broadcast_to(x0, (n_paths, d)).astype(float).copy()
+    n_starts = x0.shape[0] if x0.ndim == 3 else 1
+    n_rows = n_starts * n_paths
+    x = np.broadcast_to(x0, (n_starts, n_paths, d)).reshape(n_rows, d).copy()
 
     drift, diffusion, jac = _batch_coefficients(problem)
     delta = cfg.delta
-    anchors = np.full((K + 1, n_paths, d), np.nan) if record == "anchors" else None
-    states = np.full((n_paths, K * m + 1, d), np.nan) if record == "full" else None
+    anchors = np.full((K + 1, n_rows, d), np.nan) if record == "anchors" else None
+    states = np.full((n_rows, K * m + 1, d), np.nan) if record == "full" else None
     if anchors is not None:
         anchors[0] = x
     if states is not None:
         states[:, 0] = x
 
     failures: list[tuple[int, int, int, str]] = []
-    alive = np.ones(n_paths, dtype=bool)
+    alive = np.ones(n_rows, dtype=bool)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             y_full = x.copy()
-            # the block's increments step-major, so each step reads one contiguous slab
-            block = np.ascontiguousarray(increments[:, k * m : (k + 1) * m].swapaxes(0, 1))
+            # the block's increments step-major, so each step reads one contiguous
+            # slab, and repeated for each start
+            block = np.empty((m, n_starts, n_paths, r))
+            block[:] = increments[:, k * m : (k + 1) * m].swapaxes(0, 1)[:, None]
+            block = block.reshape(m, n_rows, r)
             for l in range(m):
                 idx = _rows(alive)
                 xa = x[idx]
@@ -525,7 +529,7 @@ def run_scheme_batch(
                 bad = reason != _STATUS_OK
                 bad |= ~np.isfinite(x_new).all(axis=1)
                 if bad.any():
-                    rows = np.arange(n_paths)[idx]
+                    rows = np.arange(n_rows)[idx]
                     for j in np.flatnonzero(bad):
                         kind = "nonconvergence" if reason[j] == _STATUS_NO_CONVERGENCE else "nonfinite"
                         failures.append((int(rows[j]), k, l, kind))

@@ -24,12 +24,13 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .brownian import coarsen_array, generate_increments
+from .brownian import _is_power_of_two, coarsen_array, generate_increments
 from .integrators import BeConfig, Trajectory, run_scheme_batch
 from .linear_analytic import LinearAdditiveParams, exact_finals_batch
 from .model import DissipativityParams, SdepcaProblem, check_moment_condition
@@ -125,6 +126,24 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _path_means(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Means and standard errors over the paths, the last axis of ``values``.
+
+    A path with any non-finite entry is dropped from every mean.  Returns
+    ``(means, standard_errors, n_failed)``; raises :class:`MonteCarloFailure`
+    when every path failed.
+    """
+    ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
+    if not ok.any():
+        raise MonteCarloFailure([{"reason": "all paths failed"}], ok.size)
+    kept = values[..., ok]
+    means = np.empty(values.shape[:-1])
+    ses = np.empty(values.shape[:-1])
+    for index in np.ndindex(means.shape):
+        means[index], ses[index] = _mean_se(kept[index])
+    return means, ses, int(ok.size - ok.sum())
+
+
 def _run_chunked(n_total: int, chunk_size: int, n_workers: int, worker) -> list:
     """``((lo, hi), worker(lo, hi))`` over consecutive path spans, in span order.
 
@@ -169,9 +188,44 @@ def _call_chunk_worker(span: tuple[int, int]):
     return _CHUNK_WORKER(*span)
 
 
-def _is_power_of_two_fraction(delta: float) -> bool:
-    mantissa, _ = math.frexp(delta)
-    return delta > 0.0 and mantissa == 0.5
+def _chain_worker(
+    problem: SdepcaProblem,
+    cfg: BeConfig,
+    starts: np.ndarray,
+    K: int,
+    master_seed: int,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Block anchors (K+1, n_starts, hi-lo, d) of BE chains on paths lo..hi-1.
+
+    Each path's increments at step 1/m are regenerated from
+    ``(master_seed, path_index)`` and drive every start, and all starts run
+    in one batch.
+    """
+    n_starts, d = starts.shape
+    r = problem.dim_noise
+    if K > 0:
+        incs = np.stack(
+            [generate_increments(master_seed, i, float(K), cfg.delta, r) for i in range(lo, hi)]
+        )
+    else:
+        incs = np.zeros((hi - lo, 0, r))
+    x0 = np.broadcast_to(starts[:, None, :], (n_starts, hi - lo, d))
+    run = run_scheme_batch("be", problem, cfg, incs, x0, K, record="anchors")
+    return run.anchors.reshape(K + 1, n_starts, hi - lo, d)
+
+
+def _chain_anchors(
+    problem, cfg, starts, K, n_paths, master_seed, n_workers, chunk_size
+) -> np.ndarray:
+    """Block anchors (K+1, n_starts, n_paths, d) of BE chains from each of ``starts``."""
+    starts = np.asarray(starts, dtype=float)
+    anchors = np.empty((K + 1, starts.shape[0], n_paths, starts.shape[1]))
+    worker = partial(_chain_worker, problem, cfg, starts, K, master_seed)
+    for (lo, hi), out in _run_chunked(n_paths, chunk_size, n_workers, worker):
+        anchors[:, :, lo:hi] = out
+    return anchors
 
 
 def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, float]:
@@ -339,7 +393,7 @@ def estimate_weak_errors(
     ms = []
     factors = []
     for d in deltas:
-        if not _is_power_of_two_fraction(d):
+        if not _is_power_of_two(d):
             raise ValueError(f"step size {d} is not dyadic")
         if d <= fine_step:
             raise ValueError(f"step size {d} must exceed the fine step {fine_step}")
@@ -528,35 +582,11 @@ def ergodic_mean_trace(
         initial_arr = np.asarray(initials, dtype=float)[:, None]
     if not np.all(np.isfinite(initial_arr)):
         raise ValueError("initial values must be finite")
-    n_init = initial_arr.shape[0]
-    r = problem.dim_noise
-    delta = cfg.delta
-
-    phis_all = np.full((n_init, K + 1, n_paths), np.nan)
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        incs = np.stack(
-            [generate_increments(master_seed, i, float(K), delta, r) for i in range(lo, hi)]
-        ) if K > 0 else np.zeros((hi - lo, 0, r))
-        out = np.empty((n_init, K + 1, hi - lo))
-        for i0 in range(n_init):
-            run = run_scheme_batch(
-                "be", problem, cfg, incs, initial_arr[i0], K, record="anchors"
-            )
-            out[i0] = phi(run.anchors)
-        return out
-
-    for (lo, hi), out in _run_chunked(n_paths, chunk_size, n_workers, worker):
-        phis_all[:, :, lo:hi] = out
-
-    ok = np.all(np.isfinite(phis_all), axis=(0, 1))
-    n_failed = int(n_paths - ok.sum())
-
-    traces = np.empty((n_init, K + 1))
-    ses = np.empty((n_init, K + 1))
-    for i0 in range(n_init):
-        for k in range(K + 1):
-            traces[i0, k], ses[i0, k] = _mean_se(phis_all[i0, k, ok])
+    anchors = _chain_anchors(
+        problem, cfg, initial_arr, K, n_paths, master_seed, n_workers, chunk_size
+    )
+    # (initial, k, path)
+    traces, ses, n_failed = _path_means(phi(anchors).transpose(1, 0, 2))
     spread = traces.max(axis=0) - traces.min(axis=0)
     pooled = np.sqrt(2.0 * np.mean(ses**2, axis=0))
 
@@ -650,32 +680,13 @@ def contraction_estimate(
         raise ValueError("initial values x and y must differ")
     if K < 1:
         raise ValueError("K must be >= 1")
-    r = problem.dim_noise
-    delta = cfg.delta
 
-    sq_diffs = np.full((K + 1, n_paths), np.nan)
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        incs = np.stack(
-            [generate_increments(master_seed, i, float(K), delta, r) for i in range(lo, hi)]
-        )
-        run_x = run_scheme_batch("be", problem, cfg, incs, x_arr, K, record="anchors")
-        run_y = run_scheme_batch("be", problem, cfg, incs, y_arr, K, record="anchors")
-        diff = run_x.anchors - run_y.anchors
-        return np.sum(diff * diff, axis=-1)
-
-    for (lo, hi), out in _run_chunked(n_paths, chunk_size, n_workers, worker):
-        sq_diffs[:, lo:hi] = out
-
-    ok = np.all(np.isfinite(sq_diffs), axis=0)
-    n_failed = int(n_paths - ok.sum())
-
-    msd = np.empty(K + 1)
-    hw = np.empty(K + 1)
-    for k in range(K + 1):
-        mean, se = _mean_se(sq_diffs[k, ok])
-        msd[k] = mean
-        hw[k] = _Z95 * se
+    anchors = _chain_anchors(
+        problem, cfg, np.stack([x_arr, y_arr]), K, n_paths, master_seed, n_workers, chunk_size
+    )
+    diff = anchors[:, 0] - anchors[:, 1]
+    msd, ses, n_failed = _path_means(np.sum(diff * diff, axis=-1))
+    hw = _Z95 * ses
 
     usable = np.flatnonzero(np.isfinite(msd) & (msd > _DECAY_FLOOR))
     factor = factor_se = None
@@ -694,7 +705,7 @@ def contraction_estimate(
     if params is not None:
         from .model import contraction_rates
 
-        bound = contraction_rates(params, delta, cfg.m).rbar1_block
+        bound = contraction_rates(params, cfg.delta, cfg.m).rbar1_block
 
     return ContractionReport(
         x=x_arr.tolist(),
@@ -766,34 +777,11 @@ def moment_estimate(
         warnings.warn(
             f"moment condition fails for p={p}; the 2p-th moment may be unbounded"
         )
-    r = problem.dim_noise
-    delta = cfg.delta
-    vals = np.full((K + 1, n_paths), np.nan)
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        incs = np.stack(
-            [generate_increments(master_seed, i, float(K), delta, r) for i in range(lo, hi)]
-        )
-        run = run_scheme_batch(
-            "be", problem, cfg, incs, problem.initial_state, K, record="anchors"
-        )
-        norm_sq = np.sum(run.anchors**2, axis=-1)
-        return norm_sq**p
-
-    for (lo, hi), out in _run_chunked(n_paths, chunk_size, n_workers, worker):
-        vals[:, lo:hi] = out
-
-    ok = np.all(np.isfinite(vals), axis=0)
-    n_failed = int(n_paths - ok.sum())
-    if not ok.any():
-        raise MonteCarloFailure([{"reason": "all paths failed"}], n_paths)
-
-    moments = np.empty(K + 1)
-    hw = np.empty(K + 1)
-    for k in range(K + 1):
-        mean, se = _mean_se(vals[k, ok])
-        moments[k] = mean
-        hw[k] = _Z95 * se
+    anchors = _chain_anchors(
+        problem, cfg, [problem.initial_state], K, n_paths, master_seed, n_workers, chunk_size
+    )
+    moments, ses, n_failed = _path_means(np.sum(anchors[:, 0] ** 2, axis=-1) ** p)
+    hw = _Z95 * ses
 
     window_start = K - K // 2
     window = moments[window_start:]

@@ -91,6 +91,33 @@ class TestValidation:
         assert code == 3
         assert capsys.readouterr().err.startswith("error_code=numerical_failure")
 
+    # The two commands below fail only because the implicit solve stops at an
+    # absolute residual of 1e-12, which a state of 1e6 cannot meet in double
+    # precision (ROADMAP open item 3); every path fails, and the estimators
+    # must report that as a numerical failure rather than divide by zero.
+    def test_contraction_with_every_path_failed_is_exit_3(self, tmp_path, capsys):
+        code = run_cli(
+            "contraction",
+            "--problem", "cubic-multiplicative",
+            "--x", "1e6",
+            "--y", "1",
+            "--n-paths", "20",
+            "--K", "3",
+            "--output", str(tmp_path / "c.csv"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error_code=numerical_failure")
+
+    def test_ergodicity_with_every_path_failed_is_exit_3(self, tmp_path, capsys):
+        code = run_cli(
+            "ergodicity",
+            "--problem", "cubic-multiplicative",
+            "--initials", "1e6",
+            "--output", str(tmp_path / "e.csv"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error_code=numerical_failure")
+
 
 class TestMoments:
     def test_matches_analytic_law(self, tmp_path):

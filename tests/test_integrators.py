@@ -17,6 +17,7 @@ from sdepca.integrators import (
     simulate_ssbe,
     solve_implicit,
 )
+from sdepca.model import SdepcaProblem
 from sdepca.problems import cubic_multiplicative, linear_additive
 
 
@@ -127,6 +128,15 @@ class TestSolveImplicit:
                 np.array([0.0]),
                 0.5,
                 np.array([np.nan]),
+                cfg,
+            )
+
+    def test_drift_nan_everywhere_raises_non_finite(self):
+        # no row has a finite residual, so the Newton step has no rows to solve
+        cfg = BeConfig(m=2)
+        with pytest.raises(NonFiniteError):
+            solve_implicit(
+                lambda x, y: np.full_like(x, np.nan), None, np.array([0.0]), 0.5, np.array([1.0]),
                 cfg,
             )
 
@@ -348,6 +358,54 @@ class TestBatchEngine:
             for i in (0, 2, 3):
                 solo = run_scheme_batch(scheme, problem, cfg, increments[i : i + 1], x0[i], 3, record="full")
                 assert run.states[i].tobytes() == solo.states[0].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["be", "ssbe"])
+    @pytest.mark.parametrize("record", ["full", "anchors"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_starts_match_solo_runs(self, scheme, record, dim):
+        if dim == 1:
+            problem = cubic_multiplicative(1.0, 1.0)
+        else:
+            # a 2-d cubic without an analytic Jacobian: finite differences
+            def drift(x, y):
+                return -x * x * x - x + 0.5 * x[:, ::-1] + 0.2 * y
+
+            def diffusion(x, y):
+                g = np.zeros((x.shape[0], 2, 2))
+                g[:, 0, 0] = 0.3 + 0.1 * y[:, 0]
+                g[:, 1, 1] = 0.2 * x[:, 1]
+                g[:, 0, 1] = 0.1
+                return g
+
+            problem = SdepcaProblem(
+                dim_state=2, dim_noise=2, drift=drift, diffusion=diffusion, initial_state=[1, -1]
+            )
+        cfg, K, n = BeConfig(m=8), 3, 5
+        increments = np.stack(
+            [generate_path(21, i, 3.0, 2.0**-3, dim).increments for i in range(n)]
+        )
+        rng = np.random.default_rng(7)
+        x0 = rng.uniform(-2.0, 2.0, (3, n, dim))
+        x0[1] = np.nan  # a start that fails on every row
+        x0[2, [1, 3]] = 1e6  # rows the implicit solve cannot resolve to 1e-12
+        run = run_scheme_batch(scheme, problem, cfg, increments, x0, K, record=record)
+        expected_failures = []
+        for s in range(3):
+            solo = run_scheme_batch(scheme, problem, cfg, increments, x0[s], K, record=record)
+            expected_failures += [(s * n + row, k, l, kind) for row, k, l, kind in solo.failures]
+            assert run.ok[s * n : (s + 1) * n].tolist() == solo.ok.tolist()
+            for i in np.flatnonzero(solo.ok):
+                row = s * n + i
+                assert run.finals[row].tobytes() == solo.finals[i].tobytes()
+                if record == "full":
+                    assert run.states[row].tobytes() == solo.states[i].tobytes()
+                else:
+                    assert run.anchors[:, row].tobytes() == solo.anchors[:, i].tobytes()
+        assert not run.ok[n : 2 * n].any()
+        assert run.ok[2 * n : 3 * n].tolist() == [True, False, True, False, True]
+        # failures carry start-major row indices, in step order
+        assert sorted(run.failures) == sorted(expected_failures)
+        assert [f[1:3] for f in run.failures] == sorted(f[1:3] for f in run.failures)
 
     def test_anchor_record_shape(self):
         problem = linear_additive(3.0, 1.0)

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sdepca.brownian import generate_path
-from sdepca.integrators import BeConfig, Trajectory, be_mean_multiplier, simulate_be
+from sdepca.brownian import generate_increments, generate_path
+from sdepca.integrators import (
+    BeConfig,
+    Trajectory,
+    be_mean_multiplier,
+    run_scheme_batch,
+    simulate_be,
+)
 from sdepca.linear_analytic import (
     LinearAdditiveParams,
     exact_mean,
@@ -16,6 +22,7 @@ from sdepca.model import SdepcaProblem
 from sdepca.montecarlo import (
     MonteCarloFailure,
     TestFunction,
+    _mean_se,
     check_recursion_bound,
     contraction_estimate,
     ergodic_mean_trace,
@@ -383,6 +390,99 @@ class TestContraction:
         )
         assert a.mean_sq_diffs == b.mean_sq_diffs
         assert a.fitted_decay_factor == b.fitted_decay_factor
+
+
+def solo_anchors(problem, cfg, start, K, n_paths, master_seed):
+    """Anchors (K+1, n_paths, d) of one start's own run on the estimators' noise."""
+    incs = np.stack(
+        [
+            generate_increments(master_seed, i, float(K), cfg.delta, problem.dim_noise)
+            for i in range(n_paths)
+        ]
+    )
+    return run_scheme_batch("be", problem, cfg, incs, start, K, record="anchors").anchors
+
+
+def hand_means(values):
+    """Per-row means and standard errors of a (rows, n_paths) array, every path finite."""
+    assert np.isfinite(values).all()
+    pairs = [_mean_se(row) for row in values]
+    return [m for m, _ in pairs], [se for _, se in pairs]
+
+
+class TestStackedStartsMatchSoloRuns:
+    """The estimators run every start in one batch; each report must equal a
+    reduction of separate per-start runs, so a transposed start-major
+    reshape shows here even though every worker count runs the same code."""
+
+    def test_ergodic_trace(self):
+        problem = cubic_multiplicative(1.0, 1.0)
+        cfg, K, n, phi = BeConfig(m=4), 5, 13, TestFunction.SIN_SQ
+        initials = [-1.5, 0.25, 2.0]
+        report = ergodic_mean_trace(problem, cfg, initials, K, n, phi, 11, chunk_size=5)
+        traces, ses = [], []
+        for x0 in initials:
+            means, errs = hand_means(phi(solo_anchors(problem, cfg, [x0], K, n, 11)))
+            traces.append(means)
+            ses.append(errs)
+        ses_arr = np.array(ses)
+        assert report.as_dict() == {
+            "initials": [[x0] for x0 in initials],
+            "traces": traces,
+            "standard_errors": ses,
+            "spread": (np.max(traces, axis=0) - np.min(traces, axis=0)).tolist(),
+            "pooled_se": np.sqrt(2.0 * np.mean(ses_arr**2, axis=0)).tolist(),
+            "n_paths": n,
+            "n_failed": 0,
+            "phi": phi.value,
+        }
+
+    def test_contraction(self):
+        problem = cubic_multiplicative(1.0, 1.0)
+        cfg, K, n = BeConfig(m=4), 6, 13
+        report = contraction_estimate(problem, cfg, 1.5, -0.5, n, K, 11, chunk_size=5)
+        diff = solo_anchors(problem, cfg, [1.5], K, n, 11)
+        diff -= solo_anchors(problem, cfg, [-0.5], K, n, 11)
+        msd, ses = hand_means(np.sum(diff * diff, axis=-1))
+        ks = np.arange(K + 1, dtype=float)
+        kc = ks - ks.mean()
+        ly = np.log(msd)
+        slope = float(np.dot(kc, ly - ly.mean()) / np.dot(kc, kc))
+        resid = ly - (ly.mean() + slope * kc)
+        slope_se = math.sqrt(float(np.dot(resid, resid)) / (K - 1) / float(np.dot(kc, kc)))
+        assert report.as_dict() == {
+            "x": [1.5],
+            "y": [-0.5],
+            "mean_sq_diffs": msd,
+            "half_widths": [1.96 * se for se in ses],
+            "fitted_decay_factor": math.exp(slope),
+            "decay_factor_se": math.exp(slope) * slope_se,
+            "bound": None,
+            "n_paths": n,
+            "n_failed": 0,
+        }
+
+
+class TestEmptySample:
+    """When every path fails, the estimators raise instead of dividing by zero."""
+
+    nan_drift = SdepcaProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda x, y: np.full_like(x, np.nan),
+        diffusion=lambda x, y: np.ones(np.shape(x)[:-1] + (1, 1)),
+        initial_state=[1.0],
+    )
+
+    def test_ergodic_trace(self):
+        with pytest.raises(MonteCarloFailure, match="all paths failed"):
+            ergodic_mean_trace(
+                self.nan_drift, BeConfig(m=4), [-1.0, 1.0], 3, 10, TestFunction.COS_ABS, 1
+            )
+
+    def test_contraction(self):
+        with pytest.raises(MonteCarloFailure, match="all paths failed"):
+            contraction_estimate(self.nan_drift, BeConfig(m=4), 1.0, -1.0, 10, 3, master_seed=1)
 
 
 class TestMomentEstimate:
