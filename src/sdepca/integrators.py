@@ -32,6 +32,8 @@ from .model import SdepcaProblem
 
 _MAX_HALVINGS = 30
 _FALLBACKS = ("bisection-1d", "damped-newton")
+#: Multiple of the unit roundoff in the implicit solve's rounding floor.
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 _STATUS_OK = 0
 _STATUS_NO_CONVERGENCE = 1
@@ -184,24 +186,46 @@ def _fd_jacobian(drift):
     return jac
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of an (n, d) array; for d = 1 the column itself."""
+    return a[:, 0] if a.shape[1] == 1 else np.add.reduce(a, axis=1)
+
+
 def _row_norm(res: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.sum(res * res, axis=1))
-    norms[~np.isfinite(res).all(axis=1)] = np.inf
-    return norms
+    """Euclidean norm of each row; inf for a row with a NaN or inf entry."""
+    # a non-finite entry leaves the sum inf or NaN; fmin turns NaN into inf
+    return np.fmin(np.sqrt(_row_sum(res * res)), np.inf)
 
 
-def _rows(mask: np.ndarray):
-    """Indexer for the True rows of ``mask``; a slice (views, no copies) if all are."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
+def _residual(drift, x, y, delta, rhs):
+    """Residual of x - delta*drift(x, y) = rhs and its row norms."""
+    res = x - delta * drift(x, y) - rhs
+    return res, _row_norm(res)
+
+
+def _rounding_floor(drift, jac, x, y, delta, rhs):
+    """Rounding level of the residual of x - delta*drift(x, y) = rhs, per row.
+
+    ``_ROUNDING * (|x| + |rhs| + delta*(|f(x, y)| + |J(x, y)| |x|))`` in
+    1-norms.  The first three terms bound the rounding of the sum; the
+    Jacobian term bounds the change of the residual when x moves by one
+    rounding, and it also covers a drift whose terms cancel, such as
+    ``-x**3 + 2*y`` near its root with y = 1e6.  The floor passes 1e-12 only
+    once these terms sum past about 1e3.
+    """
+    spread = np.einsum("nij,nj->ni", np.abs(jac(x, y)), np.abs(x))
+    size = np.abs(x) + np.abs(rhs) + delta * (np.abs(drift(x, y)) + spread)
+    return _ROUNDING * _row_sum(size)
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise solutions of A[i] x[i] = b[i]; rows LAPACK rejects are NaN."""
     if A.shape[1] == 1:
         # a 1x1 solve is one correctly rounded division, the same double
-        # LAPACK returns, without its per-matrix call overhead
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return b / A[:, :, 0]
+        # LAPACK returns, without its per-matrix call overhead; a zero or
+        # non-finite A gives a non-finite row, and the callers of the solver
+        # silence the division's warnings
+        return b / A[:, :, 0]
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -285,8 +309,16 @@ def _newton_batch(drift, jac, y, delta, rhs, cfg: BeConfig):
     """Row-wise solve of x - delta*drift(x, y) = rhs from the guess x = rhs.
 
     Returns (x, status, resnorm) where status is 0/1/2 for
-    converged / not converged / non-finite.  Each row is damped and frozen
-    independently, so its iterates do not depend on the rest of the batch.
+    converged / not converged / non-finite.  A row has converged once its
+    residual norm is within ``cfg.newton_tol``, or, when Newton can lower it
+    no further, within its rounding floor (:func:`_rounding_floor`).
+
+    Each Newton iteration evaluates the whole batch; only the rows still
+    above the tolerance take the new iterate, so converged rows stay frozen.
+    A row whose step does not lower its residual is halved on its own, and a
+    row that cannot progress leaves the loop for the per-row fallback.
+    Every row's arithmetic is elementwise, so its iterates do not depend on
+    the rest of the batch.
     """
     n, d = rhs.shape
     status = np.zeros(n, dtype=np.int8)
@@ -294,70 +326,65 @@ def _newton_batch(drift, jac, y, delta, rhs, cfg: BeConfig):
         return rhs.copy(), status, np.zeros(n)
 
     x = rhs.copy()
-    bad_input = ~np.isfinite(rhs).all(axis=1)
-    if not bad_input.any():
-        res = x - delta * drift(x, y) - rhs
-    else:
-        res = np.zeros_like(x)
-        good = ~bad_input
-        if good.any():
-            res[good] = x[good] - delta * drift(x[good], y[good]) - rhs[good]
-    rnorm = _row_norm(res)
-    rnorm[bad_input] = np.inf
-    status[bad_input] = _STATUS_NON_FINITE
-    x[bad_input] = np.nan
+    tol = cfg.newton_tol
+    res, rnorm = _residual(drift, x, y, delta, rhs)
+    # rows still iterating or converged; a row whose residual is not finite
+    # cannot take a Newton step and goes straight to the fallback
+    open_rows = rnorm < np.inf
+    if np.count_nonzero(open_rows) < n:
+        bad_input = ~np.isfinite(rhs).all(axis=1)
+        status[bad_input] = _STATUS_NON_FINITE
+        x[bad_input] = np.nan
 
-    needs_fallback = np.zeros(n, dtype=bool)
+    identity = np.eye(d)
     for _ in range(cfg.newton_max_iter):
-        ia = _rows((rnorm > cfg.newton_tol) & (status == _STATUS_OK) & ~needs_fallback)
-        xa, ya, ra = x[ia], y[ia], res[ia]
-        if xa.shape[0] == 0:
+        active = open_rows & (rnorm > tol)
+        n_active = np.count_nonzero(active)
+        if not n_active:
             break
-        dx = np.full_like(xa, np.nan)
-        finite = _rows(np.isfinite(ra).all(axis=1))
-        A = np.eye(d) - delta * jac(xa[finite], ya[finite])
-        solvable = _rows(np.isfinite(A).all(axis=(1, 2)))
-        A = A[solvable]
-        if A.shape[0]:
-            rows = solvable if isinstance(finite, slice) else finite[solvable]
-            dx[rows] = _solve_rows(A, -ra[rows])
-        broken = ~np.isfinite(dx).all(axis=1)
-        if broken.any():
-            ia = np.arange(n)[ia]
-            needs_fallback[ia[broken]] = True
-            keep = ~broken
-            if not keep.any():
-                continue
-            iw, xw, dw, yw = ia[keep], xa[keep], dx[keep], ya[keep]
-        else:
-            iw, xw, dw, yw = ia, xa, dx, ya
-        rw = rhs[iw]
-        rn_old = rnorm[iw]
-        scale = np.ones((xw.shape[0], 1))
-        x_new = xw + dw
-        r_new = x_new - delta * drift(x_new, yw) - rw
-        rn_new = _row_norm(r_new)
-        for _ in range(_MAX_HALVINGS):
-            worse = rn_new >= rn_old
-            if not worse.any():
-                break
-            scale[worse] *= 0.5
-            x_new[worse] = xw[worse] + scale[worse] * dw[worse]
-            r_new[worse] = x_new[worse] - delta * drift(x_new[worse], yw[worse]) - rw[worse]
-            rn_new[worse] = _row_norm(r_new[worse])
-        progressed = rn_new < rn_old
-        if progressed.all():
-            x[iw], res[iw], rnorm[iw] = x_new, r_new, rn_new
-        else:
-            iw = np.arange(n)[iw]
-            ip = iw[progressed]
-            x[ip] = x_new[progressed]
-            res[ip] = r_new[progressed]
-            rnorm[ip] = rn_new[progressed]
-            needs_fallback[iw[~progressed]] = True
+        # a non-finite step leaves a non-finite residual, which the halvings
+        # below cannot lower, so such a row leaves the loop
+        dx = _solve_rows(identity - delta * jac(x, y), -res)
+        x_new = x + dx
+        r_new, rn_new = _residual(drift, x_new, y, delta, rhs)
+        take = active & (rn_new < rnorm)
+        if np.count_nonzero(take) < n_active:
+            # the rows whose residual did not fall: halve their steps
+            iw = np.flatnonzero(active & ~take)
+            xw, dw, yw, rw, rn_old = x[iw], dx[iw], y[iw], rhs[iw], rnorm[iw]
+            xh, rh, rnh = x_new[iw], r_new[iw], rn_new[iw]
+            scale = np.ones((iw.size, 1))
+            for _ in range(_MAX_HALVINGS):
+                still = rnh >= rn_old
+                if not still.any():
+                    break
+                scale[still] *= 0.5
+                xh[still] = xw[still] + scale[still] * dw[still]
+                rh[still], rnh[still] = _residual(drift, xh[still], yw[still], delta, rw[still])
+            x_new[iw], r_new[iw], rn_new[iw] = xh, rh, rnh
+            take[iw] = rnh < rn_old
+        # an active row that made no progress leaves the loop
+        np.copyto(open_rows, take, where=active)
+        keep = take[:, None]
+        np.copyto(x, x_new, where=keep)
+        np.copyto(res, r_new, where=keep)
+        np.copyto(rnorm, rn_new, where=take)
+    else:
+        # out of iterations: the rows still above the tolerance leave the loop
+        open_rows &= rnorm <= tol
 
-    unresolved = (rnorm > cfg.newton_tol) & (status == _STATUS_OK)
-    for i in np.flatnonzero(unresolved):
+    if np.count_nonzero(open_rows) == n:  # every row has converged
+        return x, status, rnorm
+    # A row that left the loop, because its residual stopped falling or it
+    # ran out of iterations, has converged as far as double precision allows
+    # if its residual is within its rounding floor; otherwise it goes to the
+    # per-row fallback.
+    unresolved = np.flatnonzero(~open_rows & (status == _STATUS_OK))
+    if unresolved.size:
+        floor = _rounding_floor(drift, jac, x[unresolved], y[unresolved], delta, rhs[unresolved])
+        left = rnorm[unresolved]
+        unresolved = unresolved[~((left <= floor) & (left < np.inf))]
+    for i in unresolved:
         root = None
         if cfg.fallback == "bisection-1d" and d == 1:
             v = _bisect_root_1d(drift, y[i], delta, float(rhs[i, 0]), cfg.newton_tol)
@@ -383,7 +410,8 @@ def solve_implicit(
     rhs: np.ndarray,
     cfg: BeConfig,
 ) -> np.ndarray:
-    """Solve x - delta*drift(x, y_block) = rhs to ``cfg.newton_tol``.
+    """Solve x - delta*drift(x, y_block) = rhs to ``cfg.newton_tol``, or at
+    a large state to the residual's rounding floor.
 
     ``drift`` must be one-sided Lipschitz (monotone) in x, which guarantees a
     unique solution for every step size, and must accept batched ``(n, d)``
@@ -395,7 +423,7 @@ def solve_implicit(
     rhs = np.asarray(rhs, dtype=float)
     if jac is None:
         jac = _fd_jacobian(drift)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x, status, rnorm = _newton_batch(
             drift, jac, y_block[None, :], float(delta), rhs[None, :], cfg
         )
@@ -419,18 +447,7 @@ def be_step(
     dB = np.asarray(dB, dtype=float).reshape(problem.dim_noise)
     drift, diffusion, jac = _batch_coefficients(problem)
     g = np.asarray(diffusion(x_prev[None, :], y_block[None, :]), dtype=float)[0]
-    rhs = x_prev + g @ dB
-    if not np.all(np.isfinite(rhs)):
-        raise NonFiniteError()
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, status, rnorm = _newton_batch(
-            drift, jac, y_block[None, :], cfg.delta, rhs[None, :], cfg
-        )
-    if status[0] == _STATUS_NON_FINITE:
-        raise NonFiniteError()
-    if status[0] == _STATUS_NO_CONVERGENCE:
-        raise NonConvergenceError(float(rnorm[0]))
-    return x[0]
+    return solve_implicit(drift, jac, y_block, cfg.delta, x_prev + g @ dB, cfg)
 
 
 def run_scheme_batch(
@@ -492,7 +509,7 @@ def run_scheme_batch(
     failures: list[tuple[int, int, int, str]] = []
     alive = np.ones(n_rows, dtype=bool)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(K):
             y_full = x.copy()
             # the block's increments step-major, so each step reads one contiguous
@@ -501,34 +518,32 @@ def run_scheme_batch(
             block[:] = increments[:, k * m : (k + 1) * m].swapaxes(0, 1)[:, None]
             block = block.reshape(m, n_rows, r)
             for l in range(m):
-                idx = _rows(alive)
+                # while every row is alive the step works on the whole arrays
+                idx = slice(None) if not failures else np.flatnonzero(alive)
                 xa = x[idx]
                 if xa.shape[0] == 0:
                     break
                 ya = y_full[idx]
                 dB = block[l][idx]
-                reason = np.zeros(xa.shape[0], dtype=np.int8)
                 if scheme == "em":
                     x_new = xa + delta * drift(xa, ya) + np.einsum("ndr,nr->nd", diffusion(xa, ya), dB)
-                    reason[~np.isfinite(x_new).all(axis=1)] = _STATUS_NON_FINITE
+                    reason = np.zeros(xa.shape[0], dtype=np.int8)
                 elif scheme == "be":
                     rhs = xa + np.einsum("ndr,nr->nd", diffusion(xa, ya), dB)
                     x_new, reason, _ = _newton_batch(drift, jac, ya, delta, rhs, cfg)
                 else:  # ssbe: implicit drift update, then explicit diffusion
                     x_star, reason, _ = _newton_batch(drift, jac, ya, delta, xa, cfg)
-                    ok = reason == _STATUS_OK
-                    if ok.all():
+                    if not np.count_nonzero(reason):
                         x_new = x_star + np.einsum("ndr,nr->nd", diffusion(x_star, ya), dB)
                     else:
+                        ok = reason == _STATUS_OK
                         x_new = np.full_like(xa, np.nan)
                         if ok.any():
                             g_star = diffusion(x_star[ok], ya[ok])
                             x_new[ok] = x_star[ok] + np.einsum("ndr,nr->nd", g_star, dB[ok])
-                    fresh_bad = ok & ~np.isfinite(x_new).all(axis=1)
-                    reason[fresh_bad] = _STATUS_NON_FINITE
-                bad = reason != _STATUS_OK
-                bad |= ~np.isfinite(x_new).all(axis=1)
-                if bad.any():
+                if np.count_nonzero(reason) or not np.isfinite(x_new).all():
+                    # a row that solved but went non-finite is reported as "nonfinite"
+                    bad = (reason != _STATUS_OK) | ~np.isfinite(x_new).all(axis=1)
                     rows = np.arange(n_rows)[idx]
                     for j in np.flatnonzero(bad):
                         kind = "nonconvergence" if reason[j] == _STATUS_NO_CONVERGENCE else "nonfinite"

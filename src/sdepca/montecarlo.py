@@ -46,8 +46,10 @@ class MonteCarloFailure(RuntimeError):
 
     def __init__(self, failures, n_paths):
         self.failures = failures
+        # a path can fail at several step sizes, so count paths, not entries
+        n_failed = len({entry["path"] for entry in failures})
         super().__init__(
-            f"{len(failures)} path failures out of {n_paths} exceed the budget; "
+            f"{n_failed} path failures out of {n_paths} exceed the budget; "
             f"first: {failures[0] if failures else None}"
         )
 
@@ -135,7 +137,8 @@ def _path_means(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """
     ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
     if not ok.any():
-        raise MonteCarloFailure([{"reason": "all paths failed"}], ok.size)
+        log = [{"path": path, "reason": "all paths failed"} for path in range(ok.size)]
+        raise MonteCarloFailure(log, ok.size)
     kept = values[..., ok]
     means = np.empty(values.shape[:-1])
     ses = np.empty(values.shape[:-1])

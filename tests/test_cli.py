@@ -91,32 +91,36 @@ class TestValidation:
         assert code == 3
         assert capsys.readouterr().err.startswith("error_code=numerical_failure")
 
-    # The two commands below fail only because the implicit solve stops at an
-    # absolute residual of 1e-12, which a state of 1e6 cannot meet in double
-    # precision (ROADMAP open item 3); every path fails, and the estimators
-    # must report that as a numerical failure rather than divide by zero.
+    # In the two commands below every path starts at 1e200, whose cube
+    # overflows, so the implicit solve fails on every path whatever its
+    # tolerance.  The estimators must report that as a numerical failure,
+    # counting every failed path, rather than divide by zero.
     def test_contraction_with_every_path_failed_is_exit_3(self, tmp_path, capsys):
         code = run_cli(
             "contraction",
             "--problem", "cubic-multiplicative",
-            "--x", "1e6",
+            "--x", "1e200",
             "--y", "1",
             "--n-paths", "20",
             "--K", "3",
             "--output", str(tmp_path / "c.csv"),
         )
         assert code == 3
-        assert capsys.readouterr().err.startswith("error_code=numerical_failure")
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=numerical_failure")
+        assert "20 path failures out of 20 exceed the budget" in err
 
     def test_ergodicity_with_every_path_failed_is_exit_3(self, tmp_path, capsys):
         code = run_cli(
             "ergodicity",
             "--problem", "cubic-multiplicative",
-            "--initials", "1e6",
+            "--initials", "1e200",
             "--output", str(tmp_path / "e.csv"),
         )
         assert code == 3
-        assert capsys.readouterr().err.startswith("error_code=numerical_failure")
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=numerical_failure")
+        assert "2000 path failures out of 2000 exceed the budget" in err
 
 
 class TestMoments:
@@ -165,6 +169,35 @@ class TestSimulate:
     def test_json_format_rejected(self, tmp_path):
         code = run_cli("simulate", "--format", "json", "--output", str(tmp_path / "t.json"))
         assert code == 2
+
+    def test_large_start_solves_to_the_rounding_floor(self, tmp_path):
+        # From 1e6 the first block's anchor makes -x^3 and 2y cancel near
+        # 2e6, so some states cannot meet an absolute residual of 1e-12;
+        # each must meet the BE equation at least to its rounding floor.
+        out, dump = tmp_path / "run.csv", tmp_path / "path.spca"
+        code = run_cli(
+            "simulate",
+            "--problem", "cubic-multiplicative",
+            "--x0", "1e6",
+            "--dump-path", str(dump),
+            "--output", str(out),
+        )
+        assert code == 0
+        x = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        _, increments = read_path(dump)
+        m, delta, eps = 16, 1.0 / 16, np.finfo(float).eps
+        assert x.shape == (5 * m + 1,)
+        beyond_tol = 0
+        for n in range(5 * m):
+            x_new, y = x[n + 1], x[n // m * m]
+            rhs = x[n] + (x[n] + y) * increments[n, 0]
+            f = -(x_new * x_new * x_new) - 10.0 * x_new + 2.0 * y + 1.0
+            jac = -3.0 * x_new**2 - 10.0
+            residual = abs(x_new - delta * f - rhs)
+            floor = 4.0 * eps * (abs(x_new) + abs(rhs) + delta * (abs(f) + abs(jac * x_new)))
+            assert residual <= max(1e-12, floor), (n, x_new, residual, floor)
+            beyond_tol += residual > 1e-12
+        assert beyond_tol > 0  # the floor, not the absolute tolerance, decided
 
 
 class TestWeakOrder:

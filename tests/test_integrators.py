@@ -149,6 +149,64 @@ class TestSolveImplicit:
         res = x[0] - 0.25 * (-(x[0] ** 3) - 10.0 * x[0] + 2.0 + 1.0) - 5.0
         assert abs(res) <= 1e-12
 
+    @pytest.mark.parametrize("max_iter", [4, 50])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_rows_match_solo_solves(self, dim, max_iter):
+        # The batch solve evaluates every row in every Newton iteration and
+        # freezes the converged ones; each row must still come out exactly as
+        # when it is solved alone.  The rows converge at iteration 0, 1 or
+        # after several; overshoot and need halvings; start NaN; overflow;
+        # or, with 4 iterations, run out and go to the fallback.
+        from sdepca.integrators import _fd_jacobian, _newton_batch
+
+        if dim == 1:
+            problem = cubic_multiplicative(1.0, 1.0)
+            drift, jac = problem.drift, problem.drift_jacobian_x
+            rows = [
+                ([1.0], [5.0]),  # f(1, 5) = 0: converged at the start
+                ([1.0 + 1e-9], [5.0]),  # one step
+                ([5.0], [0.0]),
+                ([-3.0], [2.0]),
+                ([0.0], [1e3]),  # the first step overshoots the root near 12.3
+                ([np.nan], [0.0]),
+                ([1e200], [0.0]),  # the cube overflows
+                ([1e4], [0.0]),
+                ([1e6], [1e6]),  # -x^3 and 2y cancel: the rounding floor decides
+            ]
+        else:
+            def drift(x, y):
+                return -x * x * x - x + 0.5 * x[:, ::-1] + 0.2 * y
+
+            jac = _fd_jacobian(drift)
+            rows = [
+                ([0.0, 0.0], [0.0, 0.0]),
+                ([1e-9, 0.0], [0.0, 0.0]),
+                ([3.0, -2.0], [0.0, 0.0]),
+                ([0.0, 0.0], [5e3, 0.0]),
+                ([np.nan, 0.0], [0.0, 0.0]),
+                ([1e200, 0.0], [0.0, 0.0]),
+                ([1e3, 1e3], [0.0, 0.0]),
+                ([1e5, -1e5], [0.0, 0.0]),
+            ]
+        cfg, delta = BeConfig(m=2, newton_max_iter=max_iter), 0.5
+        rhs = np.array([r for r, _ in rows])
+        y = np.array([v for _, v in rows])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x, status, _ = _newton_batch(drift, jac, y, delta, rhs, cfg)
+        codes = {NonConvergenceError: 1, NonFiniteError: 2}
+        for i in range(len(rows)):
+            try:
+                solo = solve_implicit(drift, jac, y[i], delta, rhs[i], cfg)
+            except (NonConvergenceError, NonFiniteError) as exc:
+                assert status[i] == codes[type(exc)], i
+                assert np.isnan(x[i]).all()
+            else:
+                assert status[i] == 0, i
+                assert x[i].tobytes() == solo.tobytes(), i
+        assert 0 in status and 2 in status
+        if max_iter == 4:
+            assert 1 in status  # some row ran out and its fallback failed
+
 
 class TestBeStep:
     def test_linear_example(self):
@@ -387,7 +445,7 @@ class TestBatchEngine:
         rng = np.random.default_rng(7)
         x0 = rng.uniform(-2.0, 2.0, (3, n, dim))
         x0[1] = np.nan  # a start that fails on every row
-        x0[2, [1, 3]] = 1e6  # rows the implicit solve cannot resolve to 1e-12
+        x0[2, [1, 3]] = 1e200  # rows whose cubed state overflows, so no solve resolves them
         run = run_scheme_batch(scheme, problem, cfg, increments, x0, K, record=record)
         expected_failures = []
         for s in range(3):

@@ -221,6 +221,33 @@ class TestWeakError:
         paths = [entry["path"] for entry in logs[0]]
         assert paths == sorted(paths)
 
+    def test_failure_message_counts_paths(self):
+        # a path that fails at both step sizes has two log entries but is
+        # one failed path
+        problem = SdepcaProblem(
+            dim_state=1,
+            dim_noise=1,
+            drift=lambda x, y: np.where(x > 0.3, np.nan, -x),
+            diffusion=lambda x, y: np.ones(x.shape + (1,)),
+            drift_jacobian_x=lambda x, y: np.full(x.shape + (1,), -1.0),
+            initial_state=[0.0],
+        )
+        with pytest.raises(MonteCarloFailure) as info:
+            estimate_weak_error(
+                problem,
+                linear_exact_reference(LIN),
+                [2.0**-3, 2.0**-4],
+                30,
+                1,
+                TestFunction.COS_ABS,
+                master_seed=5,
+                fine_step=2.0**-5,
+            )
+        log = info.value.failures
+        n_failed = len({entry["path"] for entry in log})
+        assert len(log) > n_failed
+        assert str(info.value).startswith(f"{n_failed} path failures out of 30 ")
+
     def test_validations(self):
         problem = linear_additive(3.0, 1.0)
         reference = linear_exact_reference(LIN)
