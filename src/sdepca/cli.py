@@ -17,6 +17,7 @@ independent of ``--threads``, the number of worker processes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -386,21 +387,7 @@ def _cmd_check(cfg: dict) -> int:
     }
     if ergodic:
         rates = contraction_rates(params, 1.0 / cfg["m"], cfg["m"])
-        result["contraction_rates"] = {
-            "alpha": rates.alpha,
-            "beta": rates.beta,
-            "gamma": rates.gamma,
-            "r_one": rates.r_one,
-            "rbar_one": rates.rbar_one,
-            "alpha1": rates.alpha1,
-            "beta1": rates.beta1,
-            "gamma1": rates.gamma1,
-            "alpha2": rates.alpha2,
-            "beta2": rates.beta2,
-            "rbar1_block": rates.rbar1_block,
-            "delta": rates.delta,
-            "m": rates.m,
-        }
+        result["contraction_rates"] = dataclasses.asdict(rates)
     path = _output_path(cfg, "check")
     if cfg["format"] == "json":
         path.write_text(json.dumps(result, indent=2) + "\n")

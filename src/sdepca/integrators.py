@@ -7,8 +7,7 @@ The primary scheme is backward Euler: each step solves
 where ``anchor`` is the state frozen at the start of the current unit block
 (the piecewise-constant argument).  Monotonicity of the drift makes the
 implicit map strongly monotone, so the solve has a unique solution for every
-step size; Newton from the explicit part with damping is the workhorse, with
-a safeguarded 1-d bisection (or a line-searched Newton) as fallback.
+step size, and one damped Newton solve from the explicit part finds it.
 
 Explicit Euler and split-step backward Euler are provided as references.  All
 schemes run either on a single path (``simulate_be`` and friends, returning a
@@ -31,7 +30,9 @@ from .brownian import BrownianGrid, coarsen_array
 from .model import SdepcaProblem
 
 _MAX_HALVINGS = 30
-_FALLBACKS = ("bisection-1d", "damped-newton")
+#: Absolute residual tolerance and iteration budget of the implicit solve.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 200
 #: Multiple of the unit roundoff in the implicit solve's rounding floor.
 _ROUNDING = 4.0 * np.finfo(float).eps
 
@@ -41,7 +42,7 @@ _STATUS_NON_FINITE = 2
 
 
 class NonConvergenceError(RuntimeError):
-    """Implicit solve exhausted its iterations and the fallback failed."""
+    """Implicit solve ended above both its tolerance and its rounding floor."""
 
     def __init__(self, residual: float, message: str = ""):
         self.residual = residual
@@ -61,22 +62,13 @@ class NonFiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class BeConfig:
-    """Step-size and implicit-solve settings; ``m`` steps per unit interval."""
+    """Step size of the schemes: ``m`` steps per unit interval."""
 
     m: int
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    fallback: str = "bisection-1d"
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be positive")
-        if self.fallback not in _FALLBACKS:
-            raise ValueError(f"fallback must be one of {_FALLBACKS}, got {self.fallback!r}")
 
     @property
     def delta(self) -> float:
@@ -238,87 +230,20 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _bisect_root_1d(drift, y_row: np.ndarray, delta: float, rhs: float, tol: float) -> float:
-    """Safeguarded bisection for x - delta*f(x, y) = rhs, f monotone in x."""
-
-    def res(v: float) -> float:
-        value = drift(np.array([[v]]), y_row[None, :])
-        return v - delta * float(np.asarray(value).reshape(1)[0]) - rhs
-
-    width = 1.0 + abs(rhs)
-    lo, hi = rhs - width, rhs + width
-    r_lo, r_hi = res(lo), res(hi)
-    for _ in range(80):
-        if math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo <= 0.0 <= r_hi:
-            break
-        width *= 2.0
-        lo, hi = rhs - width, rhs + width
-        r_lo, r_hi = res(lo), res(hi)
-    else:
-        return math.nan
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = res(mid)
-        if abs(r_mid) <= tol:
-            return mid
-        if r_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
-            return mid if abs(res(mid)) <= 10.0 * tol else math.nan
-    return mid if abs(res(mid)) <= tol else math.nan
-
-
-def _armijo_newton_row(drift, jac, y_row, delta, rhs_row, cfg: BeConfig) -> np.ndarray | None:
-    """Line-searched Newton on the merit 0.5*|residual|^2 for one row.
-
-    Runs with its own iteration budget: the fallback exists to rescue rows
-    the main loop gave up on, however small ``newton_max_iter`` is.
-    """
-    x = rhs_row.copy()
-    for _ in range(200):
-        f = drift(x[None, :], y_row[None, :])[0]
-        res = x - delta * f - rhs_row
-        rnorm = np.linalg.norm(res)
-        if not np.isfinite(rnorm):
-            return None
-        if rnorm <= cfg.newton_tol:
-            return x
-        A = np.eye(x.shape[0]) - delta * jac(x[None, :], y_row[None, :])[0]
-        try:
-            dx = np.linalg.solve(A, -res)
-        except np.linalg.LinAlgError:
-            return None
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            x_try = x + scale * dx
-            f_try = drift(x_try[None, :], y_row[None, :])[0]
-            r_try = np.linalg.norm(x_try - delta * f_try - rhs_row)
-            if np.isfinite(r_try) and r_try < rnorm:
-                x = x_try
-                break
-            scale *= 0.5
-        else:
-            return None
-    return None
-
-
-def _newton_batch(drift, jac, y, delta, rhs, cfg: BeConfig):
+def _newton_batch(drift, jac, y, delta, rhs):
     """Row-wise solve of x - delta*drift(x, y) = rhs from the guess x = rhs.
 
     Returns (x, status, resnorm) where status is 0/1/2 for
     converged / not converged / non-finite.  A row has converged once its
-    residual norm is within ``cfg.newton_tol``, or, when Newton can lower it
+    residual norm is within ``_NEWTON_TOL``, or, when Newton can lower it
     no further, within its rounding floor (:func:`_rounding_floor`).
 
     Each Newton iteration evaluates the whole batch; only the rows still
     above the tolerance take the new iterate, so converged rows stay frozen.
     A row whose step does not lower its residual is halved on its own, and a
-    row that cannot progress leaves the loop for the per-row fallback.
-    Every row's arithmetic is elementwise, so its iterates do not depend on
-    the rest of the batch.
+    row that cannot progress leaves the loop.  A row that leaves it above
+    its rounding floor has failed and is NaN.  Every row's arithmetic is
+    elementwise, so its iterates do not depend on the rest of the batch.
     """
     n, d = rhs.shape
     status = np.zeros(n, dtype=np.int8)
@@ -326,19 +251,14 @@ def _newton_batch(drift, jac, y, delta, rhs, cfg: BeConfig):
         return rhs.copy(), status, np.zeros(n)
 
     x = rhs.copy()
-    tol = cfg.newton_tol
     res, rnorm = _residual(drift, x, y, delta, rhs)
     # rows still iterating or converged; a row whose residual is not finite
-    # cannot take a Newton step and goes straight to the fallback
+    # cannot take a Newton step and has failed
     open_rows = rnorm < np.inf
-    if np.count_nonzero(open_rows) < n:
-        bad_input = ~np.isfinite(rhs).all(axis=1)
-        status[bad_input] = _STATUS_NON_FINITE
-        x[bad_input] = np.nan
 
     identity = np.eye(d)
-    for _ in range(cfg.newton_max_iter):
-        active = open_rows & (rnorm > tol)
+    for _ in range(_NEWTON_MAX_ITER):
+        active = open_rows & (rnorm > _NEWTON_TOL)
         n_active = np.count_nonzero(active)
         if not n_active:
             break
@@ -371,34 +291,18 @@ def _newton_batch(drift, jac, y, delta, rhs, cfg: BeConfig):
         np.copyto(rnorm, rn_new, where=take)
     else:
         # out of iterations: the rows still above the tolerance leave the loop
-        open_rows &= rnorm <= tol
+        open_rows &= rnorm <= _NEWTON_TOL
 
     if np.count_nonzero(open_rows) == n:  # every row has converged
         return x, status, rnorm
     # A row that left the loop, because its residual stopped falling or it
     # ran out of iterations, has converged as far as double precision allows
-    # if its residual is within its rounding floor; otherwise it goes to the
-    # per-row fallback.
-    unresolved = np.flatnonzero(~open_rows & (status == _STATUS_OK))
-    if unresolved.size:
-        floor = _rounding_floor(drift, jac, x[unresolved], y[unresolved], delta, rhs[unresolved])
-        left = rnorm[unresolved]
-        unresolved = unresolved[~((left <= floor) & (left < np.inf))]
-    for i in unresolved:
-        root = None
-        if cfg.fallback == "bisection-1d" and d == 1:
-            v = _bisect_root_1d(drift, y[i], delta, float(rhs[i, 0]), cfg.newton_tol)
-            if math.isfinite(v):
-                root = np.array([v])
-        else:
-            root = _armijo_newton_row(drift, jac, y[i], delta, rhs[i], cfg)
-        if root is None:
-            status[i] = _STATUS_NO_CONVERGENCE if math.isfinite(rnorm[i]) else _STATUS_NON_FINITE
-            x[i] = np.nan
-        else:
-            x[i] = root
-            f = drift(root[None, :], y[i][None, :])[0]
-            rnorm[i] = float(np.linalg.norm(root - delta * f - rhs[i]))
+    # if its residual is within its rounding floor; otherwise it has failed.
+    left = np.flatnonzero(~open_rows)
+    floor = _rounding_floor(drift, jac, x[left], y[left], delta, rhs[left])
+    failed = left[~((rnorm[left] <= floor) & (rnorm[left] < np.inf))]
+    status[failed] = np.where(rnorm[failed] < np.inf, _STATUS_NO_CONVERGENCE, _STATUS_NON_FINITE)
+    x[failed] = np.nan
     return x, status, rnorm
 
 
@@ -408,10 +312,9 @@ def solve_implicit(
     y_block: np.ndarray,
     delta: float,
     rhs: np.ndarray,
-    cfg: BeConfig,
 ) -> np.ndarray:
-    """Solve x - delta*drift(x, y_block) = rhs to ``cfg.newton_tol``, or at
-    a large state to the residual's rounding floor.
+    """Solve x - delta*drift(x, y_block) = rhs to ``_NEWTON_TOL``, or at a
+    large state to the residual's rounding floor.
 
     ``drift`` must be one-sided Lipschitz (monotone) in x, which guarantees a
     unique solution for every step size, and must accept batched ``(n, d)``
@@ -424,9 +327,7 @@ def solve_implicit(
     if jac is None:
         jac = _fd_jacobian(drift)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, status, rnorm = _newton_batch(
-            drift, jac, y_block[None, :], float(delta), rhs[None, :], cfg
-        )
+        x, status, rnorm = _newton_batch(drift, jac, y_block[None, :], float(delta), rhs[None, :])
     if status[0] == _STATUS_NON_FINITE:
         raise NonFiniteError()
     if status[0] == _STATUS_NO_CONVERGENCE:
@@ -447,7 +348,7 @@ def be_step(
     dB = np.asarray(dB, dtype=float).reshape(problem.dim_noise)
     drift, diffusion, jac = _batch_coefficients(problem)
     g = np.asarray(diffusion(x_prev[None, :], y_block[None, :]), dtype=float)[0]
-    return solve_implicit(drift, jac, y_block, cfg.delta, x_prev + g @ dB, cfg)
+    return solve_implicit(drift, jac, y_block, cfg.delta, x_prev + g @ dB)
 
 
 def run_scheme_batch(
@@ -530,9 +431,9 @@ def run_scheme_batch(
                     reason = np.zeros(xa.shape[0], dtype=np.int8)
                 elif scheme == "be":
                     rhs = xa + np.einsum("ndr,nr->nd", diffusion(xa, ya), dB)
-                    x_new, reason, _ = _newton_batch(drift, jac, ya, delta, rhs, cfg)
+                    x_new, reason, _ = _newton_batch(drift, jac, ya, delta, rhs)
                 else:  # ssbe: implicit drift update, then explicit diffusion
-                    x_star, reason, _ = _newton_batch(drift, jac, ya, delta, xa, cfg)
+                    x_star, reason, _ = _newton_batch(drift, jac, ya, delta, xa)
                     if not np.count_nonzero(reason):
                         x_new = x_star + np.einsum("ndr,nr->nd", diffusion(x_star, ya), dB)
                     else:

@@ -340,7 +340,6 @@ class TestCriterion5:
 
     def test_cubic_solver_oracle(self):
         problem = cubic_multiplicative(1.0, 1.0)
-        cfg = BeConfig(m=4)
         rng = np.random.default_rng(MASTER_SEED + 1)
         worst = 0.0
         for _ in range(1000):
@@ -356,8 +355,7 @@ class TestCriterion5:
                 width *= 2.0
             root = _bisect(residual, rhs - width, rhs + width)
             got = solve_implicit(
-                problem.drift, problem.drift_jacobian_x, np.array([y]), delta,
-                np.array([rhs]), cfg,
+                problem.drift, problem.drift_jacobian_x, np.array([y]), delta, np.array([rhs])
             )[0]
             worst = max(worst, abs(got - root))
         ok = worst <= 1e-10

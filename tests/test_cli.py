@@ -170,15 +170,18 @@ class TestSimulate:
         code = run_cli("simulate", "--format", "json", "--output", str(tmp_path / "t.json"))
         assert code == 2
 
-    def test_large_start_solves_to_the_rounding_floor(self, tmp_path):
+    @pytest.mark.parametrize("x0", ["1e6", "1e15", "1e30"])
+    def test_large_start_solves_to_the_rounding_floor(self, tmp_path, x0):
         # From 1e6 the first block's anchor makes -x^3 and 2y cancel near
         # 2e6, so some states cannot meet an absolute residual of 1e-12;
         # each must meet the BE equation at least to its rounding floor.
+        # From 1e15 and 1e30 the first solve needs about 60 and 115 Newton
+        # iterations.
         out, dump = tmp_path / "run.csv", tmp_path / "path.spca"
         code = run_cli(
             "simulate",
             "--problem", "cubic-multiplicative",
-            "--x0", "1e6",
+            "--x0", x0,
             "--dump-path", str(dump),
             "--output", str(out),
         )

@@ -52,25 +52,22 @@ def bisect_oracle(residual, lo, hi, tol=1e-13):
 class TestSolveImplicit:
     def test_linear_closed_form(self):
         problem = linear_additive(3.0, 1.0)
-        cfg = BeConfig(m=2)
         x = solve_implicit(
-            problem.drift, problem.drift_jacobian_x, np.array([1.0]), 0.5, np.array([1.0]), cfg
+            problem.drift, problem.drift_jacobian_x, np.array([1.0]), 0.5, np.array([1.0])
         )
         # (rhs + delta*theta2*y) / (1 + delta*theta1)
         assert x[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_zero_delta_is_identity(self):
         problem = cubic_multiplicative(1.0, 1.0)
-        cfg = BeConfig(m=1)
         rhs = np.array([1.7])
-        x = solve_implicit(problem.drift, problem.drift_jacobian_x, np.array([0.3]), 0.0, rhs, cfg)
+        x = solve_implicit(problem.drift, problem.drift_jacobian_x, np.array([0.3]), 0.0, rhs)
         assert np.array_equal(x, rhs)
 
     def test_cubic_against_bisection_oracle(self):
         problem = cubic_multiplicative(1.0, 1.0)
-        cfg = BeConfig(m=10)
         x = solve_implicit(
-            problem.drift, problem.drift_jacobian_x, np.array([0.0]), 0.1, np.array([0.0]), cfg
+            problem.drift, problem.drift_jacobian_x, np.array([0.0]), 0.1, np.array([0.0])
         )
         root = bisect_oracle(lambda v: 0.1 * v**3 + 2.0 * v - 0.1, -1.0, 1.0)
         assert x[0] == pytest.approx(root, abs=1e-12)
@@ -78,7 +75,6 @@ class TestSolveImplicit:
 
     def test_randomized_cubic_solves_match_oracle(self):
         problem = cubic_multiplicative(1.0, 1.0)
-        cfg = BeConfig(m=4)
         rng = np.random.default_rng(17)
         for _ in range(1000):
             delta = float(rng.choice([0.5, 0.25, 0.0625]))
@@ -93,7 +89,7 @@ class TestSolveImplicit:
                 width *= 2.0
             root = bisect_oracle(res, rhs - width, rhs + width)
             x = solve_implicit(
-                problem.drift, problem.drift_jacobian_x, np.array([y]), delta, np.array([rhs]), cfg
+                problem.drift, problem.drift_jacobian_x, np.array([y]), delta, np.array([rhs])
             )
             assert x[0] == pytest.approx(root, abs=1e-10)
 
@@ -108,56 +104,41 @@ class TestSolveImplicit:
 
     def test_finite_difference_jacobian_path(self):
         problem = cubic_multiplicative(1.0, 1.0)
-        cfg = BeConfig(m=10)
-        x = solve_implicit(problem.drift, None, np.array([0.0]), 0.1, np.array([0.0]), cfg)
+        x = solve_implicit(problem.drift, None, np.array([0.0]), 0.1, np.array([0.0]))
         assert x[0] == pytest.approx(0.0499938, abs=1e-6)
 
     def test_unsolvable_system_raises(self):
         # x - delta*x = rhs with delta = 1 has no solution for rhs != 0
-        cfg = BeConfig(m=1, newton_max_iter=5)
         with pytest.raises(NonConvergenceError):
-            solve_implicit(lambda x, y: x, None, np.array([0.0]), 1.0, np.array([1.0]), cfg)
+            solve_implicit(lambda x, y: x, None, np.array([0.0]), 1.0, np.array([1.0]))
 
     def test_non_finite_rhs_raises(self):
         problem = cubic_multiplicative(1.0, 1.0)
-        cfg = BeConfig(m=2)
         with pytest.raises(NonFiniteError):
             solve_implicit(
-                problem.drift,
-                problem.drift_jacobian_x,
-                np.array([0.0]),
-                0.5,
-                np.array([np.nan]),
-                cfg,
+                problem.drift, problem.drift_jacobian_x, np.array([0.0]), 0.5, np.array([np.nan])
             )
 
     def test_drift_nan_everywhere_raises_non_finite(self):
         # no row has a finite residual, so the Newton step has no rows to solve
-        cfg = BeConfig(m=2)
         with pytest.raises(NonFiniteError):
             solve_implicit(
-                lambda x, y: np.full_like(x, np.nan), None, np.array([0.0]), 0.5, np.array([1.0]),
-                cfg,
+                lambda x, y: np.full_like(x, np.nan), None, np.array([0.0]), 0.5, np.array([1.0])
             )
 
-    def test_damped_newton_fallback_mode(self):
-        problem = cubic_multiplicative(1.0, 1.0)
-        cfg = BeConfig(m=4, newton_max_iter=1, fallback="damped-newton")
-        x = solve_implicit(
-            problem.drift, problem.drift_jacobian_x, np.array([1.0]), 0.25, np.array([5.0]), cfg
-        )
-        res = x[0] - 0.25 * (-(x[0] ** 3) - 10.0 * x[0] + 2.0 + 1.0) - 5.0
-        assert abs(res) <= 1e-12
-
-    @pytest.mark.parametrize("max_iter", [4, 50])
+    @pytest.mark.parametrize("max_iter", [4, None])  # None: the solver's own budget
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_batch_rows_match_solo_solves(self, dim, max_iter):
+    def test_batch_rows_match_solo_solves(self, dim, max_iter, monkeypatch):
         # The batch solve evaluates every row in every Newton iteration and
         # freezes the converged ones; each row must still come out exactly as
         # when it is solved alone.  The rows converge at iteration 0, 1 or
         # after several; overshoot and need halvings; start NaN; overflow;
-        # or, with 4 iterations, run out and go to the fallback.
+        # or, with a budget of 4 iterations, run out and fail.
+        from sdepca import integrators
         from sdepca.integrators import _fd_jacobian, _newton_batch
+
+        if max_iter is not None:
+            monkeypatch.setattr(integrators, "_NEWTON_MAX_ITER", max_iter)
 
         if dim == 1:
             problem = cubic_multiplicative(1.0, 1.0)
@@ -188,15 +169,15 @@ class TestSolveImplicit:
                 ([1e3, 1e3], [0.0, 0.0]),
                 ([1e5, -1e5], [0.0, 0.0]),
             ]
-        cfg, delta = BeConfig(m=2, newton_max_iter=max_iter), 0.5
+        delta = 0.5
         rhs = np.array([r for r, _ in rows])
         y = np.array([v for _, v in rows])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x, status, _ = _newton_batch(drift, jac, y, delta, rhs, cfg)
+            x, status, _ = _newton_batch(drift, jac, y, delta, rhs)
         codes = {NonConvergenceError: 1, NonFiniteError: 2}
         for i in range(len(rows)):
             try:
-                solo = solve_implicit(drift, jac, y[i], delta, rhs[i], cfg)
+                solo = solve_implicit(drift, jac, y[i], delta, rhs[i])
             except (NonConvergenceError, NonFiniteError) as exc:
                 assert status[i] == codes[type(exc)], i
                 assert np.isnan(x[i]).all()
@@ -205,7 +186,7 @@ class TestSolveImplicit:
                 assert x[i].tobytes() == solo.tobytes(), i
         assert 0 in status and 2 in status
         if max_iter == 4:
-            assert 1 in status  # some row ran out and its fallback failed
+            assert 1 in status  # some row ran out of iterations
 
 
 class TestBeStep:
@@ -491,10 +472,9 @@ class TestBatchEngine:
         t_single = simulate_be(single, cfg, grid, 2)
         t_batch = simulate_be(batch, cfg, grid, 2)
         np.testing.assert_allclose(t_single.states, t_batch.states, rtol=1e-12, atol=1e-14)
-        # bisection fallback path with single-state coefficients
         step = be_step(
             single,
-            BeConfig(m=4, newton_max_iter=1, fallback="bisection-1d"),
+            BeConfig(m=4),
             np.array([2.0]),
             np.array([2.0]),
             np.array([0.3]),
@@ -528,7 +508,3 @@ class TestTrajectory:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BeConfig(m=0)
-        with pytest.raises(ValueError):
-            BeConfig(m=2, newton_tol=0.0)
-        with pytest.raises(ValueError):
-            BeConfig(m=2, fallback="magic")
