@@ -44,6 +44,7 @@ from .montecarlo import (
     estimate_weak_errors,
     linear_exact_reference,
     ssbe_reference,
+    write_csv,
 )
 from .problems import default_dissipativity, make_problem
 
@@ -235,14 +236,12 @@ def _output_path(cfg: dict, command: str, suffix: str = "") -> Path:
     return Path(name)
 
 
-def _write_table(path: Path, header: str, rows: list[list[float]], fmt: str, json_obj: dict) -> None:
+def _write_report(report, path: Path, fmt: str) -> None:
+    """An estimator's report as ``fmt``, csv or json."""
     if fmt == "json":
-        path.write_text(json.dumps(json_obj, indent=2) + "\n")
+        report.to_json(path)
     else:
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        path.write_text("\n".join(lines) + "\n")
+        report.to_csv(path)
 
 
 def _cmd_moments(cfg: dict) -> int:
@@ -256,13 +255,11 @@ def _cmd_moments(cfg: dict) -> int:
     means = [exact_mean(params, t) for t in ts]
     variances = [exact_variance(params, t) for t in ts]
     path = _output_path(cfg, "moments")
-    _write_table(
-        path,
-        "t,mean,variance",
-        [[t, mu, v] for t, mu, v in zip(ts, means, variances)],
-        cfg["format"],
-        {"t": ts, "mean": means, "variance": variances},
-    )
+    if cfg["format"] == "json":
+        table = {"t": ts, "mean": means, "variance": variances}
+        path.write_text(json.dumps(table, indent=2) + "\n")
+    else:
+        write_csv(path, "t,mean,variance", ts, means, variances)
     lw = law(params)
     print(f"moments: wrote {path} (mu(1)={lw.mu_one:.6g}, stationary={lw.is_stationary})")
     return EXIT_OK
@@ -296,10 +293,7 @@ def _cmd_weak_order(cfg: dict) -> int:
         report = reports[phi]
         suffix = phi.value if len(phis) > 1 else ""
         path = _output_path(cfg, "weak-order", suffix)
-        if cfg["format"] == "json":
-            report.to_json(path)
-        else:
-            report.to_csv(path)
+        _write_report(report, path, cfg["format"])
         slope = "nan" if report.fitted_slope is None else f"{report.fitted_slope:.4f}"
         print(f"weak-order[{phi.value}]: slope={slope} -> {path}")
     return EXIT_OK
@@ -318,10 +312,7 @@ def _cmd_ergodicity(cfg: dict) -> int:
         n_workers=cfg["threads"],
     )
     path = _output_path(cfg, "ergodicity")
-    if cfg["format"] == "json":
-        report.to_json(path)
-    else:
-        report.to_csv(path)
+    _write_report(report, path, cfg["format"])
     print(
         f"ergodicity[{cfg['phi'].value}]: spread(K)={report.spread[-1]:.3e} "
         f"pooled_se={report.pooled_se[-1]:.3e} -> {path}"
@@ -349,10 +340,7 @@ def _cmd_contraction(cfg: dict) -> int:
         n_workers=cfg["threads"],
     )
     path = _output_path(cfg, "contraction")
-    if cfg["format"] == "json":
-        report.to_json(path)
-    else:
-        report.to_csv(path)
+    _write_report(report, path, cfg["format"])
     factor = "nan" if report.fitted_decay_factor is None else f"{report.fitted_decay_factor:.4e}"
     bound = "n/a" if report.bound is None else f"{report.bound:.4e}"
     print(f"contraction: decay_factor={factor} bound={bound} -> {path}")

@@ -141,25 +141,10 @@ class BatchRun:
 
 
 def _batch_coefficients(problem: SdepcaProblem):
-    """Batch-capable (drift, diffusion, jacobian) callables for a problem."""
-    if problem.batchable:
-        drift, diffusion, jac = problem.drift, problem.diffusion, problem.drift_jacobian_x
-    else:
-        def drift(x, y):
-            return np.stack([problem.drift(x[i], y[i]) for i in range(x.shape[0])])
-
-        def diffusion(x, y):
-            return np.stack([problem.diffusion(x[i], y[i]) for i in range(x.shape[0])])
-
-        if problem.drift_jacobian_x is None:
-            jac = None
-        else:
-            def jac(x, y):
-                return np.stack(
-                    [problem.drift_jacobian_x(x[i], y[i]) for i in range(x.shape[0])]
-                )
-
-    return drift, diffusion, _fd_jacobian(drift) if jac is None else jac
+    """(drift, diffusion, jacobian) of a problem; finite differences when it
+    has no Jacobian."""
+    drift, jac = problem.drift, problem.drift_jacobian_x
+    return drift, problem.diffusion, _fd_jacobian(drift) if jac is None else jac
 
 
 def _fd_jacobian(drift):
@@ -184,9 +169,17 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _row_norm(res: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; inf for a row with a NaN or inf entry."""
-    # a non-finite entry leaves the sum inf or NaN; fmin turns NaN into inf
-    return np.fmin(np.sqrt(_row_sum(res * res)), np.inf)
+    """Euclidean norm of each row; inf for a row with a NaN or inf entry.
+
+    The norm never squares an entry unscaled, so it stays finite up to the
+    largest double: a squared residual past about 1.3e154 would overflow.
+    """
+    # a non-finite entry leaves the norm inf or NaN; fmin turns NaN into inf
+    if res.shape[1] == 1:
+        return np.fmin(np.abs(res[:, 0]), np.inf)
+    scale = np.max(np.abs(res), axis=1)
+    unit = res / np.where(scale > 0.0, scale, 1.0)[:, None]
+    return np.fmin(scale * np.sqrt(_row_sum(unit * unit)), np.inf)
 
 
 def _residual(drift, x, y, delta, rhs):
@@ -318,8 +311,8 @@ def solve_implicit(
 
     ``drift`` must be one-sided Lipschitz (monotone) in x, which guarantees a
     unique solution for every step size, and must accept batched ``(n, d)``
-    states like the coefficients of a batchable problem (``be_step`` adapts
-    single-state coefficients automatically).  Raises
+    states like the coefficients of a :class:`~sdepca.model.SdepcaProblem`.
+    Raises
     :class:`NonConvergenceError` or :class:`NonFiniteError` on failure.
     """
     y_block = np.asarray(y_block, dtype=float)

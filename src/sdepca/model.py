@@ -11,7 +11,7 @@ plus a randomized falsification probe for user-supplied constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,10 +28,8 @@ class SdepcaProblem:
     """The equation being solved: state-and-anchor drift/diffusion plus start.
 
     ``drift(x, y)`` maps arrays of shape ``(..., d)`` to ``(..., d)`` and
-    ``diffusion(x, y)`` to ``(..., d, r)``.  Leading batch axes are required
-    by the vectorized Monte Carlo layer; set ``batchable=False`` for
-    coefficients that only accept single states, and the estimators fall back
-    to per-path loops.  ``drift_jacobian_x``, when given, maps to
+    ``diffusion(x, y)`` to ``(..., d, r)``; the solvers and estimators call
+    them on whole batches of states.  ``drift_jacobian_x``, when given, maps to
     ``(..., d, d)`` and is used by the implicit solver in place of finite
     differences.
     """
@@ -43,7 +41,6 @@ class SdepcaProblem:
     initial_state: np.ndarray
     drift_jacobian_x: Optional[Coefficient] = None
     tag: str = "custom"
-    batchable: bool = True
 
     def __post_init__(self) -> None:
         if self.dim_state < 1:
@@ -208,19 +205,7 @@ class ProbeReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_probes": self.n_probes,
-            "radius": self.radius,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "monotone_violations": self.monotone_violations,
-            "drift_anchor_violations": self.drift_anchor_violations,
-            "diffusion_violations": self.diffusion_violations,
-            "worst_monotone_margin": self.worst_monotone_margin,
-            "worst_drift_anchor_margin": self.worst_drift_anchor_margin,
-            "worst_diffusion_margin": self.worst_diffusion_margin,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -259,18 +244,11 @@ def probe_dissipativity(
     y1 = _uniform_ball(rng, n_probes, d, radius)
     y2 = _uniform_ball(rng, n_probes, d, radius)
 
-    if problem.batchable:
-        f_x1_y1 = np.asarray(problem.drift(x1, y1))
-        f_x2_y1 = np.asarray(problem.drift(x2, y1))
-        f_x1_y2 = np.asarray(problem.drift(x1, y2))
-        g_x1_y1 = np.asarray(problem.diffusion(x1, y1))
-        g_x2_y2 = np.asarray(problem.diffusion(x2, y2))
-    else:
-        f_x1_y1 = np.stack([problem.drift(x1[i], y1[i]) for i in range(n_probes)])
-        f_x2_y1 = np.stack([problem.drift(x2[i], y1[i]) for i in range(n_probes)])
-        f_x1_y2 = np.stack([problem.drift(x1[i], y2[i]) for i in range(n_probes)])
-        g_x1_y1 = np.stack([problem.diffusion(x1[i], y1[i]) for i in range(n_probes)])
-        g_x2_y2 = np.stack([problem.diffusion(x2[i], y2[i]) for i in range(n_probes)])
+    f_x1_y1 = np.asarray(problem.drift(x1, y1))
+    f_x2_y1 = np.asarray(problem.drift(x2, y1))
+    f_x1_y2 = np.asarray(problem.drift(x1, y2))
+    g_x1_y1 = np.asarray(problem.diffusion(x1, y1))
+    g_x2_y2 = np.asarray(problem.diffusion(x2, y2))
 
     dx = x1 - x2
     dy = y1 - y2

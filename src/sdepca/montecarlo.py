@@ -23,7 +23,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -39,6 +39,8 @@ _Z95 = 1.96
 #: Mean-square differences below this floor are treated as fully decayed when
 #: fitting contraction rates (coupled chains underflow after enough blocks).
 _DECAY_FLOOR = 1e-280
+#: Share of paths that may fail before an estimate is abandoned.
+_MAX_FAILURE_FRACTION = 1e-3
 
 
 class MonteCarloFailure(RuntimeError):
@@ -128,23 +130,38 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _path_means(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _count_failed(ok: np.ndarray, failures: list) -> int:
+    """Number of failed paths, those False in ``ok``, within the failure budget.
+
+    Raises :class:`MonteCarloFailure` with ``failures``, the run's failure
+    records, once more than ``_MAX_FAILURE_FRACTION`` of the paths failed.
+    A failed path with no record, such as one whose reference or observable
+    went non-finite, is logged by its index alone.
+    """
+    n_failed = int(ok.size - np.count_nonzero(ok))
+    if n_failed > _MAX_FAILURE_FRACTION * ok.size:
+        logged = {e["path"] for e in failures}
+        unlogged = [{"path": int(p)} for p in np.flatnonzero(~ok) if p not in logged]
+        # by path, so the log does not depend on the chunking
+        raise MonteCarloFailure(sorted(failures + unlogged, key=lambda e: e["path"]), ok.size)
+    return n_failed
+
+
+def _path_means(values: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndarray, int]:
     """Means and standard errors over the paths, the last axis of ``values``.
 
     A path with any non-finite entry is dropped from every mean.  Returns
-    ``(means, standard_errors, n_failed)``; raises :class:`MonteCarloFailure`
-    when every path failed.
+    ``(means, standard_errors, n_failed)``; ``failures`` are the run's
+    failure records for :func:`_count_failed`.
     """
     ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
-    if not ok.any():
-        log = [{"path": path, "reason": "all paths failed"} for path in range(ok.size)]
-        raise MonteCarloFailure(log, ok.size)
+    n_failed = _count_failed(ok, failures)
     kept = values[..., ok]
     means = np.empty(values.shape[:-1])
     ses = np.empty(values.shape[:-1])
     for index in np.ndindex(means.shape):
         means[index], ses[index] = _mean_se(kept[index])
-    return means, ses, int(ok.size - ok.sum())
+    return means, ses, n_failed
 
 
 def _run_chunked(n_total: int, chunk_size: int, n_workers: int, worker) -> list:
@@ -199,8 +216,9 @@ def _chain_worker(
     master_seed: int,
     lo: int,
     hi: int,
-) -> np.ndarray:
-    """Block anchors (K+1, n_starts, hi-lo, d) of BE chains on paths lo..hi-1.
+) -> tuple[np.ndarray, list]:
+    """Block anchors (K+1, n_starts, hi-lo, d) of BE chains on paths lo..hi-1,
+    and the run's failure records ``{"path", "start", "k", "l", "kind"}``.
 
     Each path's increments at step 1/m are regenerated from
     ``(master_seed, path_index)`` and drive every start, and all starts run
@@ -216,19 +234,27 @@ def _chain_worker(
         incs = np.zeros((hi - lo, 0, r))
     x0 = np.broadcast_to(starts[:, None, :], (n_starts, hi - lo, d))
     run = run_scheme_batch("be", problem, cfg, incs, x0, K, record="anchors")
-    return run.anchors.reshape(K + 1, n_starts, hi - lo, d)
+    # batch rows are start-major: row s * (hi - lo) + i is start s on path lo + i
+    failures = [
+        {"path": lo + row % (hi - lo), "start": row // (hi - lo), "k": k, "l": l, "kind": kind}
+        for row, k, l, kind in run.failures
+    ]
+    return run.anchors.reshape(K + 1, n_starts, hi - lo, d), failures
 
 
 def _chain_anchors(
     problem, cfg, starts, K, n_paths, master_seed, n_workers, chunk_size
-) -> np.ndarray:
-    """Block anchors (K+1, n_starts, n_paths, d) of BE chains from each of ``starts``."""
+) -> tuple[np.ndarray, list]:
+    """Block anchors (K+1, n_starts, n_paths, d) of BE chains from each of
+    ``starts``, and their failure records."""
     starts = np.asarray(starts, dtype=float)
     anchors = np.empty((K + 1, starts.shape[0], n_paths, starts.shape[1]))
+    failures: list = []
     worker = partial(_chain_worker, problem, cfg, starts, K, master_seed)
-    for (lo, hi), out in _run_chunked(n_paths, chunk_size, n_workers, worker):
+    for (lo, hi), (out, records) in _run_chunked(n_paths, chunk_size, n_workers, worker):
         anchors[:, :, lo:hi] = out
-    return anchors
+        failures += records
+    return anchors, failures
 
 
 def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, float]:
@@ -247,8 +273,24 @@ def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, 
     return slope, intercept
 
 
+class _Report:
+    """JSON and CSV writers shared by the estimators' report dataclasses."""
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
+
+
+def write_csv(path: str | Path, header: str, *columns) -> None:
+    """One row per index of the equally long ``columns``, as round-trip f64 text."""
+    rows = (",".join(f"{v:.17g}" for v in row) for row in zip(*columns))
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
+
+
 @dataclass
-class WeakErrorReport:
+class WeakErrorReport(_Report):
     """Per-step-size coupled errors E|phi(X(T)) - phi(Y_T)| and weak errors.
 
     ``errors`` is the pathwise metric, coupled on shared Brownian paths with
@@ -258,9 +300,10 @@ class WeakErrorReport:
     estimated on the same runs, with 95% half-widths
     ``mean_gap_half_widths`` from the signed per-path differences and
     ``mean_gap_slope`` its own log-log fit.  It is the pure weak error only
-    if the reference's own weak bias is small against the scheme's: exact
-    for the linear sampler, O(h^2) for the extrapolated split-step
-    reference (see :func:`ssbe_reference`).
+    if the reference's own weak bias is small against the scheme's: far
+    below the Monte Carlo error for the linear sampler (see
+    :func:`~sdepca.linear_analytic.exact_finals_batch`), O(h^2) for the
+    extrapolated split-step reference (see :func:`ssbe_reference`).
     """
 
     deltas: list
@@ -276,32 +319,8 @@ class WeakErrorReport:
     phi: str
     T: int
 
-    def as_dict(self) -> dict:
-        return {
-            "deltas": [float(v) for v in self.deltas],
-            "errors": [float(v) for v in self.errors],
-            "half_widths": [float(v) for v in self.half_widths],
-            "n_paths": self.n_paths,
-            "fitted_slope": None if self.fitted_slope is None else float(self.fitted_slope),
-            "fitted_intercept": None
-            if self.fitted_intercept is None
-            else float(self.fitted_intercept),
-            "mean_gaps": [float(v) for v in self.mean_gaps],
-            "mean_gap_half_widths": [float(v) for v in self.mean_gap_half_widths],
-            "mean_gap_slope": None if self.mean_gap_slope is None else float(self.mean_gap_slope),
-            "n_failed": self.n_failed,
-            "phi": self.phi,
-            "T": self.T,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
-
     def to_csv(self, path: str | Path) -> None:
-        lines = ["delta,error,ci_half_width"]
-        for d, e, h in zip(self.deltas, self.errors, self.half_widths):
-            lines.append(f"{d:.17g},{e:.17g},{h:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, "delta,error,ci_half_width", self.deltas, self.errors, self.half_widths)
 
 
 def linear_exact_reference(params: LinearAdditiveParams):
@@ -370,7 +389,6 @@ def estimate_weak_errors(
     fine_step: float = 2.0**-11,
     n_workers: int = 1,
     chunk_size: int = 512,
-    max_failure_fraction: float = 1e-3,
 ) -> dict[TestFunction, WeakErrorReport]:
     """Coupled weak-error tables for several test functions on shared paths.
 
@@ -380,8 +398,8 @@ def estimate_weak_errors(
     on the same simulated endpoints.  An :class:`ExtrapolatedReference`
     also runs on the pairwise sums of the lattice, and its extrapolated
     values stand for E phi(X(T)) in ``mean_gaps``.  Paths that fail anywhere
-    are dropped pairwise across all step sizes; more than
-    ``max_failure_fraction`` of failures aborts the estimate.
+    are dropped pairwise across all step sizes, within the failure budget of
+    :func:`_count_failed`.
     """
     if int(T) != T or T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
@@ -446,12 +464,7 @@ def estimate_weak_errors(
     )
     if extrapolated:
         ok &= np.all(np.isfinite(ref_coarse), axis=-1)
-    n_failed = int(n_paths - ok.sum())
-    if n_failed > max_failure_fraction * n_paths:
-        bad = sorted(set(range(n_paths)) - set(np.flatnonzero(ok)))
-        # by path, so the log does not depend on the chunking
-        log = sorted(failure_log, key=lambda e: e["path"]) or [{"path": int(b)} for b in bad]
-        raise MonteCarloFailure(log, n_paths)
+    n_failed = _count_failed(ok, failure_log)
 
     reports: dict[TestFunction, WeakErrorReport] = {}
     for phi in phis:
@@ -513,7 +526,7 @@ def estimate_weak_error(
 
 
 @dataclass
-class ErgodicityReport:
+class ErgodicityReport(_Report):
     """Mean traces of phi(Y_k) from several initial values, plus their spread.
 
     ``pooled_se[k]`` is sqrt(2) times the root-mean-square standard error
@@ -531,30 +544,9 @@ class ErgodicityReport:
     n_failed: int
     phi: str
 
-    def as_dict(self) -> dict:
-        return {
-            "initials": self.initials,
-            "traces": self.traces,
-            "standard_errors": self.standard_errors,
-            "spread": self.spread,
-            "pooled_se": self.pooled_se,
-            "n_paths": self.n_paths,
-            "n_failed": self.n_failed,
-            "phi": self.phi,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
-
     def to_csv(self, path: str | Path) -> None:
-        n_init = len(self.initials)
-        header = "k," + ",".join(f"trace_{i}" for i in range(n_init)) + ",spread"
-        lines = [header]
-        for k in range(len(self.spread)):
-            row = [str(k)] + [f"{self.traces[i][k]:.17g}" for i in range(n_init)]
-            row.append(f"{self.spread[k]:.17g}")
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        header = "k," + "".join(f"trace_{i}," for i in range(len(self.initials))) + "spread"
+        write_csv(path, header, range(len(self.spread)), *self.traces, self.spread)
 
 
 def ergodic_mean_trace(
@@ -582,14 +574,14 @@ def ergodic_mean_trace(
         initial_arr = np.asarray(initials, dtype=float)[:, None]
     if not np.all(np.isfinite(initial_arr)):
         raise ValueError("initial values must be finite")
-    anchors = _chain_anchors(
+    anchors, failures = _chain_anchors(
         problem, cfg, initial_arr, K, n_paths, master_seed, n_workers, chunk_size
     )
-    # a huge state overflows phi; _path_means drops such a path as non-finite
+    # a huge state overflows phi; _path_means counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
         values = phi(anchors)
     # (initial, k, path)
-    traces, ses, n_failed = _path_means(values.transpose(1, 0, 2))
+    traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures)
     spread = traces.max(axis=0) - traces.min(axis=0)
     pooled = np.sqrt(2.0 * np.mean(ses**2, axis=0))
 
@@ -621,7 +613,7 @@ def time_average(trajectory: Trajectory, phi: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
-class ContractionReport:
+class ContractionReport(_Report):
     """Empirical mean-square distance of coupled chains, with a decay fit."""
 
     x: list
@@ -634,27 +626,9 @@ class ContractionReport:
     n_paths: int
     n_failed: int
 
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "mean_sq_diffs": self.mean_sq_diffs,
-            "half_widths": self.half_widths,
-            "fitted_decay_factor": self.fitted_decay_factor,
-            "decay_factor_se": self.decay_factor_se,
-            "bound": self.bound,
-            "n_paths": self.n_paths,
-            "n_failed": self.n_failed,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
-
     def to_csv(self, path: str | Path) -> None:
-        lines = ["k,mean_sq_diff,ci_half_width"]
-        for k, (v, h) in enumerate(zip(self.mean_sq_diffs, self.half_widths)):
-            lines.append(f"{k},{v:.17g},{h:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        k = range(len(self.mean_sq_diffs))
+        write_csv(path, "k,mean_sq_diff,ci_half_width", k, self.mean_sq_diffs, self.half_widths)
 
 
 def contraction_estimate(
@@ -684,14 +658,14 @@ def contraction_estimate(
     if K < 1:
         raise ValueError("K must be >= 1")
 
-    anchors = _chain_anchors(
+    anchors, failures = _chain_anchors(
         problem, cfg, np.stack([x_arr, y_arr]), K, n_paths, master_seed, n_workers, chunk_size
     )
-    # a huge state overflows the square; _path_means drops such a path as non-finite
+    # a huge state overflows the square; _path_means counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
         diff = anchors[:, 0] - anchors[:, 1]
         sq_diffs = np.sum(diff * diff, axis=-1)
-    msd, ses, n_failed = _path_means(sq_diffs)
+    msd, ses, n_failed = _path_means(sq_diffs, failures)
     hw = _Z95 * ses
 
     usable = np.flatnonzero(np.isfinite(msd) & (msd > _DECAY_FLOOR))
@@ -727,7 +701,7 @@ def contraction_estimate(
 
 
 @dataclass
-class MomentReport:
+class MomentReport(_Report):
     """Per-block estimates of E|Y_k|^(2p) with a monotone-growth flag.
 
     The flag fires when the trace increases strictly at every step over the
@@ -742,24 +716,9 @@ class MomentReport:
     n_paths: int
     n_failed: int
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "moments": self.moments,
-            "half_widths": self.half_widths,
-            "growth_flag": self.growth_flag,
-            "n_paths": self.n_paths,
-            "n_failed": self.n_failed,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
-
     def to_csv(self, path: str | Path) -> None:
-        lines = ["k,moment,ci_half_width"]
-        for k, (v, h) in enumerate(zip(self.moments, self.half_widths)):
-            lines.append(f"{k},{v:.17g},{h:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        k = range(len(self.moments))
+        write_csv(path, "k,moment,ci_half_width", k, self.moments, self.half_widths)
 
 
 def moment_estimate(
@@ -783,13 +742,13 @@ def moment_estimate(
         warnings.warn(
             f"moment condition fails for p={p}; the 2p-th moment may be unbounded"
         )
-    anchors = _chain_anchors(
+    anchors, failures = _chain_anchors(
         problem, cfg, [problem.initial_state], K, n_paths, master_seed, n_workers, chunk_size
     )
-    # a huge state overflows the power; _path_means drops such a path as non-finite
+    # a huge state overflows the power; _path_means counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.sum(anchors[:, 0] ** 2, axis=-1) ** p
-    moments, ses, n_failed = _path_means(powers)
+    moments, ses, n_failed = _path_means(powers, failures)
     hw = _Z95 * ses
 
     window_start = K - K // 2

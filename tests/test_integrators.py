@@ -454,33 +454,6 @@ class TestBatchEngine:
         assert run.anchors.shape == (3, 2, 1)
         assert np.all(run.anchors[0] == 1.0)
 
-    def test_non_batchable_problem_matches_batchable(self):
-        from sdepca.model import SdepcaProblem
-
-        a, b = 1.0, 1.0
-        single = SdepcaProblem(
-            dim_state=1,
-            dim_noise=1,
-            drift=lambda x, y: np.array([-(x[0] ** 3) - 10.0 * x[0] + 2.0 * y[0] + 1.0]),
-            diffusion=lambda x, y: np.array([[a * x[0] + b * y[0]]]),
-            initial_state=[2.0],
-            batchable=False,
-        )
-        batch = cubic_multiplicative(a, b)
-        grid = generate_path(6, 0, 2.0, 2.0**-4, 1)
-        cfg = BeConfig(m=16)
-        t_single = simulate_be(single, cfg, grid, 2)
-        t_batch = simulate_be(batch, cfg, grid, 2)
-        np.testing.assert_allclose(t_single.states, t_batch.states, rtol=1e-12, atol=1e-14)
-        step = be_step(
-            single,
-            BeConfig(m=4),
-            np.array([2.0]),
-            np.array([2.0]),
-            np.array([0.3]),
-        )
-        assert np.isfinite(step[0])
-
 
 class TestTrajectory:
     def test_csv_round_trip_exact(self, tmp_path):

@@ -174,8 +174,8 @@ class TestExactSamplers:
             )
 
     def test_path_sampler_quadrature_variance(self):
-        # theta2 = 0 reduces to discretized mean reversion; the left-point
-        # quadrature variance at t=1 approaches sigma(1) at rate O(fine_step)
+        # theta2 = 0 reduces to discretized mean reversion; the sampled
+        # variance at t=1 is within Monte Carlo error of sigma(1)
         pure = LinearAdditiveParams(3.0, 0.0, x0=0.0)
         n_paths = 4000
         finals = np.empty(n_paths)
@@ -202,6 +202,15 @@ class TestExactSamplers:
         integers = np.array([exact_sample_integer(PARAMS, rng, 5)[-1] for _ in range(n)])
         result = ks_2samp(anchors, integers)
         assert result.pvalue > 0.01
+
+    def test_batch_finals_carry_the_block_noise_variance(self):
+        # with theta2 = 0 and x0 = 0, X(1) is sum_j w_j dB_j; unit increments
+        # fed one per path read off the weights w_j, and h * sum w_j^2 must
+        # equal sigma(1) up to a relative (theta1 h)^2 / 12 = 1.8e-7
+        pure = LinearAdditiveParams(3.0, 0.0, x0=0.0)
+        weights = exact_finals_batch(pure, np.eye(2048), 2.0**-11, 1)
+        variance = 2.0**-11 * np.sum(weights**2)
+        assert variance == pytest.approx(law(pure).sigma_one, rel=1e-6)
 
     def test_batch_finals_match_path_sampler_bitwise(self):
         grid = generate_path(99, 0, 5.0, 2.0**-11, 1)

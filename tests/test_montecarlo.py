@@ -42,6 +42,19 @@ from sdepca.problems import (
 LIN = LinearAdditiveParams(3.0, 1.0, 1.0)
 
 
+def nan_above(threshold):
+    """Mean reversion with unit noise whose drift turns NaN above ``threshold``,
+    so BE fails on the paths that get there."""
+    return SdepcaProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda x, y: np.where(x > threshold, np.nan, -x),
+        diffusion=lambda x, y: np.ones(x.shape + (1,)),
+        drift_jacobian_x=lambda x, y: np.full(x.shape + (1,), -1.0),
+        initial_state=[0.0],
+    )
+
+
 class TestTestFunctions:
     def test_values(self):
         x = np.array([2.0])
@@ -189,17 +202,7 @@ class TestWeakError:
             )
 
     def test_failure_log_identical_across_workers(self):
-        from sdepca.model import SdepcaProblem
-
-        # the drift turns NaN above 0.3, so BE fails on the paths that get there
-        problem = SdepcaProblem(
-            dim_state=1,
-            dim_noise=1,
-            drift=lambda x, y: np.where(x > 0.3, np.nan, -x),
-            diffusion=lambda x, y: np.ones(x.shape + (1,)),
-            drift_jacobian_x=lambda x, y: np.full(x.shape + (1,), -1.0),
-            initial_state=[0.0],
-        )
+        problem = nan_above(0.3)
         logs = []
         for workers, chunk in ((1, 512), (3, 7)):
             with pytest.raises(MonteCarloFailure) as info:
@@ -224,14 +227,7 @@ class TestWeakError:
     def test_failure_message_counts_paths(self):
         # a path that fails at both step sizes has two log entries but is
         # one failed path
-        problem = SdepcaProblem(
-            dim_state=1,
-            dim_noise=1,
-            drift=lambda x, y: np.where(x > 0.3, np.nan, -x),
-            diffusion=lambda x, y: np.ones(x.shape + (1,)),
-            drift_jacobian_x=lambda x, y: np.full(x.shape + (1,), -1.0),
-            initial_state=[0.0],
-        )
+        problem = nan_above(0.3)
         with pytest.raises(MonteCarloFailure) as info:
             estimate_weak_error(
                 problem,
@@ -247,6 +243,34 @@ class TestWeakError:
         n_failed = len({entry["path"] for entry in log})
         assert len(log) > n_failed
         assert str(info.value).startswith(f"{n_failed} path failures out of 30 ")
+
+    def test_failure_log_lists_paths_without_a_record(self):
+        # a path whose reference went NaN has no solver record; the log and
+        # the count still take it, next to the paths the solver logged
+        problem = nan_above(0.3)
+        reference = linear_exact_reference(LIN)
+
+        def broken_reference(increments, fine_step, T):
+            out = reference(increments, fine_step, T)
+            out[::3] = np.nan
+            return out
+
+        with pytest.raises(MonteCarloFailure) as info:
+            estimate_weak_error(
+                problem,
+                broken_reference,
+                [2.0**-3],
+                30,
+                1,
+                TestFunction.COS_ABS,
+                master_seed=5,
+                fine_step=2.0**-5,
+            )
+        log = info.value.failures
+        paths = {entry["path"] for entry in log}
+        assert set(range(0, 30, 3)) < paths  # the solver failed on other paths too
+        assert [entry["path"] for entry in log] == sorted(entry["path"] for entry in log)
+        assert str(info.value).startswith(f"{len(paths)} path failures out of 30 ")
 
     def test_validations(self):
         problem = linear_additive(3.0, 1.0)
@@ -502,14 +526,49 @@ class TestEmptySample:
     )
 
     def test_ergodic_trace(self):
-        with pytest.raises(MonteCarloFailure, match="all paths failed"):
+        with pytest.raises(MonteCarloFailure, match="10 path failures out of 10") as info:
             ergodic_mean_trace(
                 self.nan_drift, BeConfig(m=4), [-1.0, 1.0], 3, 10, TestFunction.COS_ABS, 1
             )
+        assert info.value.failures[0]["kind"] == "nonfinite"
 
     def test_contraction(self):
-        with pytest.raises(MonteCarloFailure, match="all paths failed"):
+        with pytest.raises(MonteCarloFailure, match="10 path failures out of 10") as info:
             contraction_estimate(self.nan_drift, BeConfig(m=4), 1.0, -1.0, 10, 3, master_seed=1)
+        assert info.value.failures[0]["kind"] == "nonfinite"
+
+
+class TestChainFailureBudget:
+    """The chain estimators abort once a few paths fail, like the weak-error
+    estimator, with the same failure records for any workers and chunks."""
+
+    # few paths get above 1.5
+    problem = nan_above(1.5)
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda problem, **kw: ergodic_mean_trace(
+                problem, BeConfig(m=4), [-0.5, 0.5], 3, 30, TestFunction.COS_ABS, 5, **kw
+            ),
+            lambda problem, **kw: contraction_estimate(
+                problem, BeConfig(m=4), 0.5, -0.5, 30, 3, 5, **kw
+            ),
+            lambda problem, **kw: moment_estimate(problem, BeConfig(m=4), 1, 30, 3, 5, **kw),
+        ],
+        ids=["ergodic", "contraction", "moment"],
+    )
+    def test_failed_paths_past_the_budget_abort(self, estimate):
+        logs = []
+        for workers, chunk in ((1, 512), (3, 7)):
+            with pytest.raises(MonteCarloFailure) as info:
+                estimate(self.problem, n_workers=workers, chunk_size=chunk)
+            logs.append(info.value.failures)
+        paths = [entry["path"] for entry in logs[0]]
+        assert 0 < len(set(paths)) < 30
+        assert paths == sorted(paths)
+        assert all(entry["kind"] == "nonfinite" for entry in logs[0])
+        assert logs[0] == logs[1]
 
 
 class TestMomentEstimate:
