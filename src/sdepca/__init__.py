@@ -43,6 +43,7 @@ from .montecarlo import (
     MomentReport,
     MonteCarloFailure,
     RecursionBoundReport,
+    Reference,
     TestFunction,
     WeakErrorReport,
     check_recursion_bound,

@@ -22,6 +22,10 @@ import numpy as np
 _DUMP_MAGIC = b"SPCA"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<4sIdQI")
+#: Fewest normals per path in a unit block that :func:`increment_blocks`
+#: draws block by block.  One draw costs a few microseconds of fixed cost,
+#: which a smaller block does not repay in memory saved.
+_MIN_STREAMED_BLOCK = 1024
 
 
 def _is_power_of_two(x: float) -> bool:
@@ -81,6 +85,56 @@ def generate_increments(
         raise ValueError(f"dim_noise must be positive, got {dim_noise}")
     rng = path_rng(master_seed, path_index)
     return rng.standard_normal((n, dim_noise)) * math.sqrt(fine_step)
+
+
+def unit_blocks(increments: np.ndarray, m: int, K: int):
+    """Iterator over the first K unit blocks, (n_paths, m, r) views, of a
+    (n_paths, >= K*m, r) lattice at step 1/m."""
+    if increments.shape[1] < K * m:
+        raise ValueError(
+            f"grid too short: need {K * m} steps of size 1/{m}, have {increments.shape[1]}"
+        )
+    return (increments[:, k * m : (k + 1) * m] for k in range(K))
+
+
+def increment_blocks(
+    master_seed: int,
+    lo: int,
+    hi: int,
+    K: int,
+    fine_step: float,
+    dim_noise: int = 1,
+):
+    """Iterator over the increments of paths lo..hi-1, one unit block at a time.
+
+    Yields K fresh arrays (hi - lo, 1/fine_step, dim_noise).  Joined along
+    the step axis they equal each path's :func:`generate_increments` over
+    the horizon K, byte for byte: a path's Philox stream drawn one block at
+    a time continues where the previous draw stopped.  A unit block of
+    fewer than ``_MIN_STREAMED_BLOCK`` normals per path is cut from the
+    whole lattice, drawn at once.
+    """
+    m = _validate_lattice(1.0, fine_step)
+    if dim_noise < 1:
+        raise ValueError(f"dim_noise must be positive, got {dim_noise}")
+    if K < 1:
+        return iter(())
+    if m * dim_noise < _MIN_STREAMED_BLOCK:
+        whole = np.stack(
+            [generate_increments(master_seed, i, float(K), fine_step, dim_noise) for i in range(lo, hi)]
+        )
+        return unit_blocks(whole, m, K)
+    rngs = [path_rng(master_seed, i) for i in range(lo, hi)]
+    return (_draw_block(rngs, m, dim_noise, math.sqrt(fine_step)) for _ in range(K))
+
+
+def _draw_block(rngs, m: int, dim_noise: int, scale: float) -> np.ndarray:
+    """The next unit block of each generator's stream, (len(rngs), m, dim_noise)."""
+    block = np.empty((len(rngs), m, dim_noise))
+    for row, rng in zip(block, rngs):
+        rng.standard_normal(out=row)
+    block *= scale
+    return block
 
 
 def generate_path(

@@ -265,6 +265,10 @@ def _cmd_moments(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _slope_text(slope) -> str:
+    return "nan" if slope is None else f"{slope:.4f}"
+
+
 def _cmd_weak_order(cfg: dict) -> int:
     problem, kwargs = _build_problem(cfg)
     is_linear = cfg["problem"] == "linear-additive"
@@ -294,8 +298,11 @@ def _cmd_weak_order(cfg: dict) -> int:
         suffix = phi.value if len(phis) > 1 else ""
         path = _output_path(cfg, "weak-order", suffix)
         _write_report(report, path, cfg["format"])
-        slope = "nan" if report.fitted_slope is None else f"{report.fitted_slope:.4f}"
-        print(f"weak-order[{phi.value}]: slope={slope} -> {path}")
+        note = "" if report.gap_resolved else " (unresolved: finest mean gap within its 95% half-width)"
+        print(
+            f"weak-order[{phi.value}]: slope={_slope_text(report.fitted_slope)}"
+            f" mean_gap_slope={_slope_text(report.mean_gap_slope)}{note} -> {path}"
+        )
     return EXIT_OK
 
 

@@ -9,12 +9,15 @@ where ``anchor`` is the state frozen at the start of the current unit block
 implicit map strongly monotone, so the solve has a unique solution for every
 step size, and one damped Newton solve from the explicit part finds it.
 
-Explicit Euler and split-step backward Euler are provided as references.  All
-schemes run either on a single path (``simulate_be`` and friends, returning a
-:class:`Trajectory`) or vectorized across a batch of paths
-(:func:`run_scheme_batch`), which is what the Monte Carlo layer uses.  Rows of
-a batch are advanced independently - a row's iterates never depend on the
-other rows - so batched and per-path runs agree.
+Explicit Euler and split-step backward Euler are provided as references.  A
+single path runs through ``simulate_be`` and friends, returning a
+:class:`Trajectory`.  Batches run through :func:`run_lanes`: a :class:`Lane`
+is one scheme at one coarsening of a fine step, over a batch of paths, and
+the runner advances any set of lanes one unit block of fine noise at a
+time.  Lanes that step at the same fine tick share one implicit solve, with
+a step size per row.  Rows are advanced independently - a row's iterates
+never depend on the other rows - so a merged run, a batched run and a
+per-path run agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .brownian import BrownianGrid, coarsen_array
+from .brownian import BrownianGrid, coarsen_array, unit_blocks
 from .model import SdepcaProblem
 
 _MAX_HALVINGS = 30
@@ -39,6 +42,8 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 _STATUS_OK = 0
 _STATUS_NO_CONVERGENCE = 1
 _STATUS_NON_FINITE = 2
+#: The failure kind recorded for each status of a failed row.
+_KINDS = {_STATUS_NO_CONVERGENCE: "nonconvergence", _STATUS_NON_FINITE: "nonfinite"}
 
 
 class NonConvergenceError(RuntimeError):
@@ -58,6 +63,15 @@ class NonFiniteError(RuntimeError):
         self.l = l
         where = f" at path={path_index}, block k={k}, step l={l}" if k is not None else ""
         super().__init__(f"non-finite state encountered{where}")
+
+
+def _failure_error(kind: str, residual: float = math.nan, path=None, k=None, l=None) -> RuntimeError:
+    """The exception for a failure of ``kind``, at (path, k, l) when given."""
+    if kind == "nonfinite":
+        return NonFiniteError(path, k, l)
+    if k is None:
+        return NonConvergenceError(residual)
+    return NonConvergenceError(residual, f"implicit solve failed at path={path}, k={k}, l={l}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +197,8 @@ def _row_norm(res: np.ndarray) -> np.ndarray:
 
 
 def _residual(drift, x, y, delta, rhs):
-    """Residual of x - delta*drift(x, y) = rhs and its row norms."""
+    """Residual of x - delta*drift(x, y) = rhs and its row norms; ``delta``
+    is an (n, 1) column of step sizes."""
     res = x - delta * drift(x, y) - rhs
     return res, _row_norm(res)
 
@@ -192,9 +207,10 @@ def _rounding_floor(drift, jac, x, y, delta, rhs):
     """Rounding level of the residual of x - delta*drift(x, y) = rhs, per row.
 
     ``_ROUNDING * (|x| + |rhs| + delta*(|f(x, y)| + |J(x, y)| |x|))`` in
-    1-norms.  The first three terms bound the rounding of the sum; the
-    Jacobian term bounds the change of the residual when x moves by one
-    rounding, and it also covers a drift whose terms cancel, such as
+    1-norms, with ``delta`` an (n, 1) column.  The first three terms bound
+    the rounding of the sum; the Jacobian term bounds the change of the
+    residual when x moves by one rounding, and it also covers a drift whose
+    terms cancel, such as
     ``-x**3 + 2*y`` near its root with y = 1e6.  The floor passes 1e-12 only
     once these terms sum past about 1e3.
     """
@@ -226,7 +242,8 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _newton_batch(drift, jac, y, delta, rhs):
     """Row-wise solve of x - delta*drift(x, y) = rhs from the guess x = rhs.
 
-    Returns (x, status, resnorm) where status is 0/1/2 for
+    ``delta`` is an (n, 1) column: each row has its own step size.  Returns
+    (x, status, resnorm) where status is 0/1/2 for
     converged / not converged / non-finite.  A row has converged once its
     residual norm is within ``_NEWTON_TOL``, or, when Newton can lower it
     no further, within its rounding floor (:func:`_rounding_floor`).
@@ -240,9 +257,6 @@ def _newton_batch(drift, jac, y, delta, rhs):
     """
     n, d = rhs.shape
     status = np.zeros(n, dtype=np.int8)
-    if delta == 0.0:
-        return rhs.copy(), status, np.zeros(n)
-
     x = rhs.copy()
     res, rnorm = _residual(drift, x, y, delta, rhs)
     # rows still iterating or converged; a row whose residual is not finite
@@ -257,7 +271,7 @@ def _newton_batch(drift, jac, y, delta, rhs):
             break
         # a non-finite step leaves a non-finite residual, which the halvings
         # below cannot lower, so such a row leaves the loop
-        dx = _solve_rows(identity - delta * jac(x, y), -res)
+        dx = _solve_rows(identity - delta[:, :, None] * jac(x, y), -res)
         x_new = x + dx
         r_new, rn_new = _residual(drift, x_new, y, delta, rhs)
         take = active & (rn_new < rnorm)
@@ -265,6 +279,7 @@ def _newton_batch(drift, jac, y, delta, rhs):
             # the rows whose residual did not fall: halve their steps
             iw = np.flatnonzero(active & ~take)
             xw, dw, yw, rw, rn_old = x[iw], dx[iw], y[iw], rhs[iw], rnorm[iw]
+            hw = delta[iw]
             xh, rh, rnh = x_new[iw], r_new[iw], rn_new[iw]
             scale = np.ones((iw.size, 1))
             for _ in range(_MAX_HALVINGS):
@@ -273,7 +288,7 @@ def _newton_batch(drift, jac, y, delta, rhs):
                     break
                 scale[still] *= 0.5
                 xh[still] = xw[still] + scale[still] * dw[still]
-                rh[still], rnh[still] = _residual(drift, xh[still], yw[still], delta, rw[still])
+                rh[still], rnh[still] = _residual(drift, xh[still], yw[still], hw[still], rw[still])
             x_new[iw], r_new[iw], rn_new[iw] = xh, rh, rnh
             take[iw] = rnh < rn_old
         # an active row that made no progress leaves the loop
@@ -292,7 +307,7 @@ def _newton_batch(drift, jac, y, delta, rhs):
     # ran out of iterations, has converged as far as double precision allows
     # if its residual is within its rounding floor; otherwise it has failed.
     left = np.flatnonzero(~open_rows)
-    floor = _rounding_floor(drift, jac, x[left], y[left], delta, rhs[left])
+    floor = _rounding_floor(drift, jac, x[left], y[left], delta[left], rhs[left])
     failed = left[~((rnorm[left] <= floor) & (rnorm[left] < np.inf))]
     status[failed] = np.where(rnorm[failed] < np.inf, _STATUS_NO_CONVERGENCE, _STATUS_NON_FINITE)
     x[failed] = np.nan
@@ -317,14 +332,16 @@ def solve_implicit(
     """
     y_block = np.asarray(y_block, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
+    if delta == 0.0:
+        return rhs.copy()
     if jac is None:
         jac = _fd_jacobian(drift)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, status, rnorm = _newton_batch(drift, jac, y_block[None, :], float(delta), rhs[None, :])
-    if status[0] == _STATUS_NON_FINITE:
-        raise NonFiniteError()
-    if status[0] == _STATUS_NO_CONVERGENCE:
-        raise NonConvergenceError(float(rnorm[0]))
+        x, status, rnorm = _newton_batch(
+            drift, jac, y_block[None, :], np.full((1, 1), float(delta)), rhs[None, :]
+        )
+    if status[0] != _STATUS_OK:
+        raise _failure_error(_KINDS[status[0]], float(rnorm[0]))
     return x[0]
 
 
@@ -344,6 +361,221 @@ def be_step(
     return solve_implicit(drift, jac, y_block, cfg.delta, x_prev + g @ dB)
 
 
+@dataclass(frozen=True)
+class Lane:
+    """One scheme over a batch of paths, stepping every ``factor`` fine steps.
+
+    ``scheme`` is "be", "ssbe" or "em", or a map ``(x, block) -> x`` that
+    advances states (n, d) over a whole unit block from its fine increments
+    (n, m, r), such as an exact solution; a map lane steps once per unit
+    block and ignores ``factor``.  ``x0`` is one start (d,), per-path
+    starts (n_paths, d) or several starts per path (n_starts, n_paths, d),
+    as in :func:`run_scheme_batch`; ``None`` is the problem's initial state.
+    ``record`` selects what the lane's :class:`BatchRun` keeps: "final",
+    "anchors" or "full".
+    """
+
+    scheme: Union[str, Callable]
+    factor: int = 1
+    x0: Optional[np.ndarray] = None
+    record: str = "final"
+
+    def __post_init__(self) -> None:
+        if not callable(self.scheme) and self.scheme not in ("be", "em", "ssbe"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.record not in ("final", "anchors", "full"):
+            raise ValueError(f"unknown record mode {self.record!r}")
+        if int(self.factor) != self.factor or self.factor < 1:
+            raise ValueError(f"factor must be a positive integer, got {self.factor}")
+
+
+class _LaneRun:
+    """A lane's rows, step size and records during :func:`run_lanes`."""
+
+    def __init__(self, lane: Lane, x0, n_paths: int, m: int, K: int):
+        self.lane = lane
+        self.maps = callable(lane.scheme)
+        self.factor = m if self.maps else int(lane.factor)
+        if m % self.factor:
+            raise ValueError(f"factor {self.factor} does not divide the {m} steps of a unit block")
+        self.steps = m // self.factor
+        x0 = np.asarray(x0, dtype=float)
+        d = x0.shape[-1]
+        self.n_starts = x0.shape[0] if x0.ndim == 3 else 1
+        self.n_rows = self.n_starts * n_paths
+        self.x0 = np.broadcast_to(x0, (self.n_starts, n_paths, d)).reshape(self.n_rows, d)
+        self.anchors = self.states = None
+        if lane.record == "anchors":
+            self.anchors = np.full((K + 1, self.n_rows, d), np.nan)
+            self.anchors[0] = self.x0
+        elif lane.record == "full":
+            self.states = np.full((self.n_rows, K * self.steps + 1, d), np.nan)
+            self.states[:, 0] = self.x0
+        self.failures: list[tuple[int, int, int, str]] = []
+        # a stepping lane's states are the rows lo..hi-1 of the runner's; a
+        # map lane keeps its own
+        self.lo = self.hi = 0
+        if self.maps:
+            self.x = self.x0.copy()
+            self.alive = np.ones(self.n_rows, dtype=bool)
+
+    def increments(self, block: np.ndarray) -> np.ndarray:
+        """The lane's increments in ``block``, (steps, n_rows, r): coarsened
+        from the fine block, step-major, repeated for each start."""
+        coarse = block if self.factor == 1 else coarsen_array(block, self.factor)
+        n_paths, _, r = block.shape
+        out = np.empty((self.steps, self.n_starts, n_paths, r))
+        out[:] = coarse.swapaxes(0, 1)[:, None]
+        return out.reshape(self.steps, self.n_rows, r)
+
+    def end_block(self, x: np.ndarray, k: int) -> None:
+        """Keep the states ``x`` at the end of block k."""
+        if self.states is not None:
+            self.states[:, (k + 1) * self.steps] = x
+        if self.anchors is not None:
+            self.anchors[k + 1] = x
+
+    def result(self, finals: np.ndarray) -> BatchRun:
+        return BatchRun(finals, self.anchors, self.states, self.failures)
+
+
+def _kick(diffusion, x, y, dB):
+    return np.einsum("ndr,nr->nd", diffusion(x, y), dB)
+
+
+def run_lanes(
+    problem: Optional[SdepcaProblem],
+    lanes: Sequence[Lane],
+    blocks: Iterable[np.ndarray],
+    n_paths: int,
+    m: int,
+    K: int,
+) -> list[BatchRun]:
+    """Advance every lane through K unit blocks of the same fine noise.
+
+    ``problem`` gives the coefficients of every stepping lane; it may be
+    None when all lanes are maps with starts of their own.
+
+    ``blocks`` yields K arrays (n_paths, m, r): the fine increments of one
+    unit block at step 1/m, such as :func:`~sdepca.brownian.increment_blocks`
+    draws.  A lane with factor f steps at f/m, on the sums of each f
+    consecutive increments of a block, which it coarsens itself; so its
+    numbers equal those of the lane run alone on the coarsened lattice.
+    Returns one :class:`BatchRun` per lane, in the order of ``lanes``.
+
+    The stepping lanes are laid out as consecutive rows ordered by factor;
+    each factor must divide the next.  The lanes that step at fine tick t
+    then form a prefix of the rows, and the tick makes one implicit solve on
+    that prefix with a step size per row.  Explicit Euler has no solve to
+    share, so "em" lanes do not run beside implicit ones.  A map lane
+    advances at the end of each block.  A row whose state, coefficient or
+    implicit solve goes bad is NaN from then on, and its lane records
+    (row, k, l, kind) with the lane's own block and step.
+    """
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    runs = [
+        _LaneRun(lane, problem.initial_state if lane.x0 is None else lane.x0, n_paths, m, K)
+        for lane in lanes
+    ]
+    stepped = sorted((run for run in runs if not run.maps), key=lambda run: run.factor)
+    mapped = [run for run in runs if run.maps]
+    if any(b.factor % a.factor for a, b in zip(stepped, stepped[1:])):
+        raise ValueError(f"lane factors {[run.factor for run in stepped]} must divide one another")
+    explicit = {run.lane.scheme == "em" for run in stepped}
+    if len(explicit) > 1:
+        raise ValueError("explicit Euler lanes cannot share a run with implicit lanes")
+
+    row = 0
+    for run in stepped:
+        run.lo, run.hi = row, row + run.n_rows
+        row = run.hi
+    if stepped:
+        drift, diffusion, jac = _batch_coefficients(problem)
+        x = np.concatenate([run.x0 for run in stepped])
+        delta = np.concatenate([np.full((run.n_rows, 1), 1.0 / run.steps) for run in stepped])
+    else:  # map lanes only
+        x = delta = np.empty((0, 1))
+    alive = np.ones(row, dtype=bool)
+    ends = np.array([run.hi for run in stepped])
+
+    # at fine tick t the lanes stepped[:j] step on the rows [0, stop), lane
+    # i at its own step steps[i]; consecutive lanes of one scheme form one
+    # [scheme, rows] run
+    levels = {}
+    for j in range(1, len(stepped) + 1):
+        lane_runs = []
+        for run in stepped[:j]:
+            if lane_runs and lane_runs[-1][0] == run.lane.scheme:
+                lane_runs[-1][1] = slice(lane_runs[-1][1].start, run.hi)
+            else:
+                lane_runs.append([run.lane.scheme, slice(run.lo, run.hi)])
+        full = [i for i, run in enumerate(stepped[:j]) if run.states is not None]
+        levels[j] = (stepped[j - 1].hi, lane_runs, full)
+    ticks = []
+    for t in range(m):
+        steps = tuple((t + 1) // run.factor - 1 for run in stepped if (t + 1) % run.factor == 0)
+        if steps:
+            ticks.append((steps, *levels[len(steps)]))
+
+    def advance(k: int, block: np.ndarray) -> None:
+        """Step every lane through unit block k of the fine noise."""
+        y = x.copy()
+        incs = [run.increments(block) for run in stepped]
+        for steps, stop, lane_runs, full in ticks:
+            if len(steps) == 1:
+                dB = incs[0][steps[0]]
+            else:
+                dB = np.concatenate([inc[l] for inc, l in zip(incs, steps)])
+            xa, ya, da = x[:stop], y[:stop], delta[:stop]
+            if lane_runs[0][0] == "em":
+                x_new = xa + da * drift(xa, ya) + _kick(diffusion, xa, ya, dB)
+                status = np.zeros(stop, dtype=np.int8)
+            else:
+                parts = [
+                    xa[s] if scheme == "ssbe" else xa[s] + _kick(diffusion, xa[s], ya[s], dB[s])
+                    for scheme, s in lane_runs
+                ]
+                rhs = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                x_new, status, _ = _newton_batch(drift, jac, ya, da, rhs)
+                for scheme, s in lane_runs:
+                    if scheme == "ssbe":  # the diffusion kick after the implicit drift update
+                        x_new[s] += _kick(diffusion, x_new[s], ya[s], dB[s])
+            if np.count_nonzero(status) or not np.isfinite(x_new).all():
+                # a row that solved but went non-finite is recorded as "nonfinite"
+                bad = (status != _STATUS_OK) | ~np.isfinite(x_new).all(axis=1)
+                for i in np.flatnonzero(bad & alive[:stop]):
+                    lane = int(np.searchsorted(ends, i, side="right"))
+                    run = stepped[lane]
+                    kind = _KINDS[int(status[i]) or _STATUS_NON_FINITE]
+                    run.failures.append((int(i) - run.lo, k, steps[lane], kind))
+                alive[:stop] &= ~bad
+                x_new[~alive[:stop]] = np.nan
+            x[:stop] = x_new
+            for i in full:
+                run = stepped[i]
+                run.states[:, k * run.steps + steps[i] + 1] = x[run.lo : run.hi]
+        for run in mapped:
+            repeated = block if run.n_starts == 1 else np.concatenate([block] * run.n_starts)
+            x_map = run.lane.scheme(run.x, repeated)
+            bad = ~np.isfinite(x_map).all(axis=1)
+            for i in np.flatnonzero(bad & run.alive):
+                run.failures.append((int(i), k, 0, "nonfinite"))
+            run.alive &= ~bad
+            x_map[~run.alive] = np.nan
+            run.x = x_map
+        for run in runs:
+            run.end_block(run.x if run.maps else x[run.lo : run.hi], k)
+
+    blocks = iter(blocks)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(K):
+            # one block of noise at a time: the last is freed before the next is drawn
+            advance(k, next(blocks))
+
+    return [run.result(run.x if run.maps else x[run.lo : run.hi].copy()) for run in runs]
+
+
 def run_scheme_batch(
     scheme: str,
     problem: SdepcaProblem,
@@ -361,96 +593,21 @@ def run_scheme_batch(
     start runs on every row's increments, and the batch holds
     n = n_starts * n_paths rows in start-major order: row s * n_paths + i
     is start s on noise row i.  ``finals`` (n, d), ``anchors``, ``states``
-    and the row index of each failure all follow that order.  The
-    increments are repeated across the starts one unit block at a time.
-    ``record`` selects what is kept: "final", "anchors" (shape (K+1, n, d))
-    or "full" ((n, K*m+1, d)).  A row whose state, coefficient or implicit
-    solve goes bad is frozen at NaN and reported in ``failures`` as
-    (row, k, l, reason); the other rows continue unaffected.
+    and the row index of each failure all follow that order.  ``record``
+    selects what is kept: "final", "anchors" (shape (K+1, n, d)) or "full"
+    ((n, K*m+1, d)).  A row whose state, coefficient or implicit solve goes
+    bad is frozen at NaN and reported in ``failures`` as (row, k, l, kind);
+    the other rows continue unaffected.  This is :func:`run_lanes` with one
+    lane.
     """
-    if scheme not in ("be", "em", "ssbe"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if record not in ("final", "anchors", "full"):
-        raise ValueError(f"unknown record mode {record!r}")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    lane = Lane(scheme, x0=x0, record=record)
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3:
         raise ValueError("increments must have shape (n_paths, n_steps, r)")
-    n_paths = increments.shape[0]
-    m, d, r = cfg.m, problem.dim_state, problem.dim_noise
-    if increments.shape[1] < K * m:
-        raise ValueError(
-            f"grid too short: need {K * m} steps of size 1/{m}, have {increments.shape[1]}"
-        )
-    if increments.shape[2] != r:
-        raise ValueError(f"noise dimension mismatch: {increments.shape[2]} != {r}")
-
-    x0 = np.asarray(x0, dtype=float)
-    n_starts = x0.shape[0] if x0.ndim == 3 else 1
-    n_rows = n_starts * n_paths
-    x = np.broadcast_to(x0, (n_starts, n_paths, d)).reshape(n_rows, d).copy()
-
-    drift, diffusion, jac = _batch_coefficients(problem)
-    delta = cfg.delta
-    anchors = np.full((K + 1, n_rows, d), np.nan) if record == "anchors" else None
-    states = np.full((n_rows, K * m + 1, d), np.nan) if record == "full" else None
-    if anchors is not None:
-        anchors[0] = x
-    if states is not None:
-        states[:, 0] = x
-
-    failures: list[tuple[int, int, int, str]] = []
-    alive = np.ones(n_rows, dtype=bool)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(K):
-            y_full = x.copy()
-            # the block's increments step-major, so each step reads one contiguous
-            # slab, and repeated for each start
-            block = np.empty((m, n_starts, n_paths, r))
-            block[:] = increments[:, k * m : (k + 1) * m].swapaxes(0, 1)[:, None]
-            block = block.reshape(m, n_rows, r)
-            for l in range(m):
-                # while every row is alive the step works on the whole arrays
-                idx = slice(None) if not failures else np.flatnonzero(alive)
-                xa = x[idx]
-                if xa.shape[0] == 0:
-                    break
-                ya = y_full[idx]
-                dB = block[l][idx]
-                if scheme == "em":
-                    x_new = xa + delta * drift(xa, ya) + np.einsum("ndr,nr->nd", diffusion(xa, ya), dB)
-                    reason = np.zeros(xa.shape[0], dtype=np.int8)
-                elif scheme == "be":
-                    rhs = xa + np.einsum("ndr,nr->nd", diffusion(xa, ya), dB)
-                    x_new, reason, _ = _newton_batch(drift, jac, ya, delta, rhs)
-                else:  # ssbe: implicit drift update, then explicit diffusion
-                    x_star, reason, _ = _newton_batch(drift, jac, ya, delta, xa)
-                    if not np.count_nonzero(reason):
-                        x_new = x_star + np.einsum("ndr,nr->nd", diffusion(x_star, ya), dB)
-                    else:
-                        ok = reason == _STATUS_OK
-                        x_new = np.full_like(xa, np.nan)
-                        if ok.any():
-                            g_star = diffusion(x_star[ok], ya[ok])
-                            x_new[ok] = x_star[ok] + np.einsum("ndr,nr->nd", g_star, dB[ok])
-                if np.count_nonzero(reason) or not np.isfinite(x_new).all():
-                    # a row that solved but went non-finite is reported as "nonfinite"
-                    bad = (reason != _STATUS_OK) | ~np.isfinite(x_new).all(axis=1)
-                    rows = np.arange(n_rows)[idx]
-                    for j in np.flatnonzero(bad):
-                        kind = "nonconvergence" if reason[j] == _STATUS_NO_CONVERGENCE else "nonfinite"
-                        failures.append((int(rows[j]), k, l, kind))
-                    x_new[bad] = np.nan
-                    alive[rows[bad]] = False
-                x[idx] = x_new
-                if states is not None:
-                    states[idx, k * m + l + 1] = x_new
-            if anchors is not None:
-                anchors[k + 1] = x
-
-    return BatchRun(finals=x, anchors=anchors, states=states, failures=failures)
+    if increments.shape[2] != problem.dim_noise:
+        raise ValueError(f"noise dimension mismatch: {increments.shape[2]} != {problem.dim_noise}")
+    blocks = unit_blocks(increments, cfg.m, K)
+    return run_lanes(problem, [lane], blocks, increments.shape[0], cfg.m, K)[0]
 
 
 def _coarse_increments(grid: BrownianGrid, cfg: BeConfig, K: int) -> np.ndarray:
@@ -471,11 +628,7 @@ def _simulate(scheme: str, problem, cfg, grid: BrownianGrid, K: int) -> Trajecto
     run = run_scheme_batch(scheme, problem, cfg, coarse[None], problem.initial_state, K, record="full")
     if run.failures:
         _, k, l, kind = run.failures[0]
-        if kind == "nonconvergence":
-            raise NonConvergenceError(
-                math.nan, f"implicit solve failed at path={grid.path_index}, k={k}, l={l}"
-            )
-        raise NonFiniteError(grid.path_index, k, l)
+        raise _failure_error(kind, path=grid.path_index, k=k, l=l)
     return Trajectory(
         states=run.states[0],
         m=cfg.m,

@@ -151,6 +151,25 @@ def _fine_step_weights(params: LinearAdditiveParams, h: float) -> tuple[float, f
     return math.exp(-a), -math.expm1(-a) / a
 
 
+def exact_block(
+    params: LinearAdditiveParams,
+    anchors: np.ndarray,
+    increments: np.ndarray,
+    fine_step: float,
+) -> np.ndarray:
+    """Solution values at the end of a unit block from its anchors (...,).
+
+    ``increments`` (..., 1/fine_step) are the block's fine increments.  The
+    stochastic convolution is built from them by the recursion of
+    :func:`_fine_step_weights`.
+    """
+    decay, weight = _fine_step_weights(params, fine_step)
+    integral = np.zeros_like(anchors)
+    for j in range(increments.shape[-1]):
+        integral = decay * integral + weight * increments[..., j]
+    return anchors * mu_fraction(params, 1.0) + integral
+
+
 def exact_finals_batch(
     params: LinearAdditiveParams,
     increments: np.ndarray,
@@ -159,11 +178,10 @@ def exact_finals_batch(
 ) -> np.ndarray:
     """Solution values X(K) for a batch of fine increment paths.
 
-    ``increments`` has shape (n_paths, >= K/fine_step).  The stochastic
-    convolution is built from the fine increments by the recursion of
-    :func:`_fine_step_weights`, so the result consumes exactly the same
-    increments the integrators see; its law is exact up to that function's
-    relative variance error.
+    ``increments`` has shape (n_paths, >= K/fine_step).  Each unit block is
+    advanced by :func:`exact_block`, so the result consumes exactly the
+    same increments the integrators see; its law is exact up to the
+    relative variance error of :func:`_fine_step_weights`.
     """
     steps_per_unit = 1.0 / fine_step
     npu = int(round(steps_per_unit))
@@ -171,14 +189,9 @@ def exact_finals_batch(
         raise ValueError(f"fine_step {fine_step} does not divide the unit interval")
     if increments.shape[-1] < K * npu:
         raise ValueError("increment array shorter than K unit blocks")
-    decay, weight = _fine_step_weights(params, fine_step)
-    mu_one = mu_fraction(params, 1.0)
     anchors = np.full(increments.shape[:-1], float(params.x0))
     for k in range(K):
-        integral = np.zeros_like(anchors)
-        for j in range(npu):
-            integral = decay * integral + weight * increments[..., k * npu + j]
-        anchors = anchors * mu_one + integral
+        anchors = exact_block(params, anchors, increments[..., k * npu : (k + 1) * npu], fine_step)
     return anchors
 
 

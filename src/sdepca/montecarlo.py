@@ -1,9 +1,10 @@
 """Monte Carlo estimation of weak errors, mixing and contraction diagnostics.
 
 The estimators follow a common-random-numbers protocol: every path index maps
-to one fine Brownian lattice (keyed by the master seed), the reference
-solution is evaluated on the fine lattice, and each coarse scheme consumes an
-exact coarsening of the same increments.  Per-path quantities are computed
+to one fine Brownian lattice (keyed by the master seed), drawn one unit block
+at a time; the reference solution steps on the fine lattice, and each coarse
+scheme consumes an exact coarsening of the same increments, all as lanes of
+one :func:`~sdepca.integrators.run_lanes` run.  Per-path quantities are computed
 independently of how paths are grouped into batches, and reductions run in
 path-index order with compensated summation, so results are bit-identical for
 any worker count or chunk size.
@@ -30,9 +31,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .brownian import _is_power_of_two, coarsen_array, generate_increments
-from .integrators import BeConfig, Trajectory, run_scheme_batch
-from .linear_analytic import LinearAdditiveParams, exact_finals_batch
+# coarsen_array, generate_increments, run_scheme_batch and
+# exact_finals_batch are not called here since the estimators step through
+# run_lanes; they stay importable from this module because bench/tracing.py
+# wraps them here by name
+from .brownian import (
+    _is_power_of_two,
+    coarsen_array,
+    generate_increments,
+    increment_blocks,
+    unit_blocks,
+)
+from .integrators import BeConfig, Lane, Trajectory, run_lanes, run_scheme_batch
+from .linear_analytic import LinearAdditiveParams, exact_block, exact_finals_batch
 from .model import DissipativityParams, SdepcaProblem, check_moment_condition
 
 _Z95 = 1.96
@@ -222,18 +233,12 @@ def _chain_worker(
 
     Each path's increments at step 1/m are regenerated from
     ``(master_seed, path_index)`` and drive every start, and all starts run
-    in one batch.
+    as one lane.
     """
     n_starts, d = starts.shape
-    r = problem.dim_noise
-    if K > 0:
-        incs = np.stack(
-            [generate_increments(master_seed, i, float(K), cfg.delta, r) for i in range(lo, hi)]
-        )
-    else:
-        incs = np.zeros((hi - lo, 0, r))
+    blocks = increment_blocks(master_seed, lo, hi, K, cfg.delta, problem.dim_noise)
     x0 = np.broadcast_to(starts[:, None, :], (n_starts, hi - lo, d))
-    run = run_scheme_batch("be", problem, cfg, incs, x0, K, record="anchors")
+    (run,) = run_lanes(problem, [Lane("be", x0=x0, record="anchors")], blocks, hi - lo, cfg.m, K)
     # batch rows are start-major: row s * (hi - lo) + i is start s on path lo + i
     failures = [
         {"path": lo + row % (hi - lo), "start": row // (hi - lo), "k": k, "l": l, "kind": kind}
@@ -319,39 +324,67 @@ class WeakErrorReport(_Report):
     phi: str
     T: int
 
+    @property
+    def gap_resolved(self) -> bool:
+        """Whether the mean gap at the finest step exceeds its own 95% half-width."""
+        return self.mean_gaps[-1] > self.mean_gap_half_widths[-1]
+
     def to_csv(self, path: str | Path) -> None:
         write_csv(path, "delta,error,ci_half_width", self.deltas, self.errors, self.half_widths)
 
 
-def linear_exact_reference(params: LinearAdditiveParams):
-    """Reference sampler evaluating the exact linear solution at time T."""
+@dataclass(frozen=True)
+class Reference:
+    """The reference solution of a weak-error estimate, as lanes of the runner.
 
-    def reference(increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
-        finals = exact_finals_batch(params, increments[..., 0], fine_step, T)
-        return finals[:, None]
+    ``lanes[0]`` gives the endpoints X(T) that the pathwise metric couples
+    with the scheme under test.  The lanes' factors count fine steps: in
+    :func:`estimate_weak_errors` they step on the fine lattice in the same
+    run as backward Euler at each step size.  ``problem`` gives the
+    coefficients of a stepping lane, and the estimate must be of the same
+    problem; it is None for a lane that maps whole blocks.
 
-    return reference
+    Called on a batch of fine increments (n_paths, >= T/fine_step, r), a
+    reference runs ``lanes[0]`` alone and returns its endpoints (n_paths, d).
+    """
+
+    problem: Optional[SdepcaProblem]
+    lanes: tuple
+
+    def __call__(self, increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
+        return self._finals(self.lanes[0], increments, fine_step, T)
+
+    def _finals(self, lane: Lane, increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
+        m = round(1.0 / fine_step)
+        blocks = unit_blocks(increments, m, T)
+        return run_lanes(self.problem, [lane], blocks, increments.shape[0], m, T)[0].finals
+
+
+def linear_exact_reference(params: LinearAdditiveParams) -> Reference:
+    """The exact linear solution at time T, advanced once per unit block on
+    the block's fine increments (see :func:`~sdepca.linear_analytic.exact_block`)."""
+
+    def advance(x: np.ndarray, block: np.ndarray) -> np.ndarray:
+        return exact_block(params, x[:, 0], block[..., 0], 1.0 / block.shape[1])[:, None]
+
+    return Reference(None, (Lane(advance, x0=np.array([float(params.x0)])),))
 
 
 @dataclass(frozen=True)
-class ExtrapolatedReference:
-    """A weak-order-1 reference sampler with its O(h) weak bias cancelled.
+class ExtrapolatedReference(Reference):
+    """A weak-order-1 reference with its O(h) weak bias cancelled.
 
-    Called on a batch of fine increments at step h, it returns the per-path
-    endpoints X_h of ``sampler``; the pathwise metric couples these with the
-    scheme under test.  :meth:`coarse` runs ``sampler`` at 2h on pairwise
-    sums of the same increments, and :meth:`values` forms the per-path
+    ``lanes`` are one scheme at the fine step h and at 2h.  Called on a
+    batch of fine increments, it returns the per-path endpoints X_h; the
+    pathwise metric couples these with the scheme under test.
+    :meth:`coarse` runs the 2h lane on pairwise sums of the same
+    increments, and :meth:`values` forms the per-path
     2 phi(X_h) - phi(X_{2h}), whose mean estimates E phi(X(T)) with an
     O(h^2) bias (Talay & Tubaro 1990).
     """
 
-    sampler: Callable[[np.ndarray, float, int], np.ndarray]
-
-    def __call__(self, increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
-        return self.sampler(increments, fine_step, T)
-
     def coarse(self, increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
-        return self.sampler(coarsen_array(increments, 2), 2.0 * fine_step, T)
+        return self._finals(self.lanes[1], increments, fine_step, T)
 
     @staticmethod
     def values(phi: TestFunction, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
@@ -366,20 +399,12 @@ def ssbe_reference(problem: SdepcaProblem) -> ExtrapolatedReference:
     error at delta = 2^-9, so the plain fine-step mean would flatten the
     weak-error curve.  The extrapolation removes that O(h) term.
     """
-
-    def sampler(increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
-        m = int(round(1.0 / fine_step))
-        run = run_scheme_batch(
-            "ssbe", problem, BeConfig(m=m), increments, problem.initial_state, T, record="final"
-        )
-        return run.finals
-
-    return ExtrapolatedReference(sampler)
+    return ExtrapolatedReference(problem, (Lane("ssbe"), Lane("ssbe", 2)))
 
 
 def estimate_weak_errors(
     problem: SdepcaProblem,
-    reference: Callable[[np.ndarray, float, int], np.ndarray],
+    reference: Reference,
     deltas: Sequence[float],
     n_paths: int,
     T: int,
@@ -392,14 +417,17 @@ def estimate_weak_errors(
 ) -> dict[TestFunction, WeakErrorReport]:
     """Coupled weak-error tables for several test functions on shared paths.
 
-    For each path one fine lattice is generated; the reference consumes it
-    directly and backward Euler consumes its coarsenings, so all errors are
-    measured on the same Brownian path, and every test function is evaluated
-    on the same simulated endpoints.  An :class:`ExtrapolatedReference`
-    also runs on the pairwise sums of the lattice, and its extrapolated
-    values stand for E phi(X(T)) in ``mean_gaps``.  Paths that fail anywhere
-    are dropped pairwise across all step sizes, within the failure budget of
-    :func:`_count_failed`.
+    Each chunk of paths makes one :func:`~sdepca.integrators.run_lanes` run
+    on its fine noise, drawn one unit block at a time: the reference's lanes
+    and backward Euler at each step size, which steps on its own coarsening
+    of every block.  So all errors are measured on the same Brownian path,
+    and every test function is evaluated on the same simulated endpoints.
+    An :class:`ExtrapolatedReference` also runs at twice the fine step, and
+    its extrapolated values stand for E phi(X(T)) in ``mean_gaps``.  Paths
+    that fail anywhere are dropped pairwise across all step sizes, within
+    the failure budget of :func:`_count_failed`; the records carry the BE
+    step size ``delta``, and a path whose reference alone failed is logged
+    by its index.
     """
     if int(T) != T or T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
@@ -408,8 +436,11 @@ def estimate_weak_errors(
         raise ValueError("n_paths must be positive")
     if not phis:
         raise ValueError("need at least one test function")
+    if not isinstance(reference, Reference):
+        raise TypeError("reference must be a Reference, such as ssbe_reference(problem)")
+    if reference.problem is not None and reference.problem is not problem:
+        raise ValueError("the reference steps another problem than the estimate")
     deltas = [float(d) for d in deltas]
-    ms = []
     factors = []
     for d in deltas:
         if not _is_power_of_two(d):
@@ -420,50 +451,35 @@ def estimate_weak_errors(
         factor = round(d / fine_step)
         if abs(m * d - 1.0) > 1e-12 or abs(factor * fine_step - d) > 1e-18:
             raise ValueError(f"step size {d} is not coarsenable from {fine_step}")
-        ms.append(m)
         factors.append(factor)
 
-    r = problem.dim_noise
     d_state = problem.dim_state
     n_deltas = len(deltas)
+    n_ref = len(reference.lanes)
     extrapolated = isinstance(reference, ExtrapolatedReference)
-    ref_finals = np.full((n_paths, d_state), np.nan)
-    ref_coarse = np.full((n_paths, d_state), np.nan) if extrapolated else None
-    num_finals = np.full((n_deltas, n_paths, d_state), np.nan)
+    lanes = [*reference.lanes, *(Lane("be", factor) for factor in factors)]
+    fine_m = round(1.0 / fine_step)
+    # the reference's endpoints (its lanes), then BE's at each step size
+    finals = np.full((n_ref + n_deltas, n_paths, d_state), np.nan)
 
     def worker(lo: int, hi: int):
-        incs = np.stack(
-            [generate_increments(master_seed, i, float(T), fine_step, r) for i in range(lo, hi)]
-        )
-        ref = reference(incs, fine_step, T)
-        ref_2h = reference.coarse(incs, fine_step, T) if extrapolated else None
-        finals = np.empty((n_deltas, hi - lo, d_state))
-        failures = []
-        for j, (delta, m, factor) in enumerate(zip(deltas, ms, factors)):
-            coarse = coarsen_array(incs, factor)
-            run = run_scheme_batch(
-                "be", problem, BeConfig(m=m), coarse, problem.initial_state, T, record="final"
-            )
-            for row, k, l, kind in run.failures:
-                failures.append({"path": lo + row, "delta": delta, "k": k, "l": l, "kind": kind})
-            finals[j] = run.finals
-        return ref, ref_2h, finals, failures
+        blocks = increment_blocks(master_seed, lo, hi, T, fine_step, problem.dim_noise)
+        runs = run_lanes(problem, lanes, blocks, hi - lo, fine_m, T)
+        failures = [
+            {"path": lo + row, "delta": delta, "k": k, "l": l, "kind": kind}
+            for delta, run in zip(deltas, runs[n_ref:])
+            for row, k, l, kind in run.failures
+        ]
+        return [run.finals for run in runs], failures
 
     failure_log: list = []
-    for (lo, hi), (ref, ref_2h, finals, failures) in _run_chunked(
-        n_paths, chunk_size, n_workers, worker
-    ):
-        ref_finals[lo:hi] = ref
-        if extrapolated:
-            ref_coarse[lo:hi] = ref_2h
-        num_finals[:, lo:hi] = finals
+    for (lo, hi), (chunk_finals, failures) in _run_chunked(n_paths, chunk_size, n_workers, worker):
+        finals[:, lo:hi] = chunk_finals
         failure_log += failures
-
-    ok = np.all(np.isfinite(ref_finals), axis=-1) & np.all(
-        np.isfinite(num_finals), axis=(0, 2)
-    )
-    if extrapolated:
-        ok &= np.all(np.isfinite(ref_coarse), axis=-1)
+    ref_finals = finals[0]
+    ref_coarse = finals[1] if extrapolated else None
+    num_finals = finals[n_ref:]
+    ok = np.all(np.isfinite(finals), axis=(0, 2))
     n_failed = _count_failed(ok, failure_log)
 
     reports: dict[TestFunction, WeakErrorReport] = {}
@@ -511,7 +527,7 @@ def estimate_weak_errors(
 
 def estimate_weak_error(
     problem: SdepcaProblem,
-    reference: Callable[[np.ndarray, float, int], np.ndarray],
+    reference: Reference,
     deltas: Sequence[float],
     n_paths: int,
     T: int,

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdepca.brownian import (
+    _MIN_STREAMED_BLOCK,
     block_increment,
     coarsen,
     coarsen_array,
     generate_increments,
     generate_path,
+    increment_blocks,
     read_path,
     write_path,
 )
@@ -63,6 +65,17 @@ class TestGeneratePath:
     def test_multidimensional_noise(self):
         grid = generate_path(4, 2, 2.0, 2.0**-2, 3)
         assert grid.increments.shape == (8, 3)
+
+    @pytest.mark.parametrize("fine_step", [2.0**-4, 2.0**-11], ids=["whole", "streamed"])
+    def test_unit_blocks_join_to_the_whole_draw(self, fine_step):
+        # 2^4 steps of 2 normals are cut from one whole draw per path; 2^11
+        # are drawn one block at a time and must continue each path's stream
+        assert 2**4 * 2 < _MIN_STREAMED_BLOCK <= 2**11 * 2
+        blocks = list(increment_blocks(9, 3, 7, 3, fine_step, 2))
+        assert [b.shape for b in blocks] == [(4, round(1 / fine_step), 2)] * 3
+        whole = np.stack([generate_increments(9, i, 3.0, fine_step, 2) for i in range(3, 7)])
+        assert np.concatenate(blocks, axis=1).tobytes() == whole.tobytes()
+        assert list(increment_blocks(9, 3, 7, 0, fine_step, 2)) == []
 
 
 class TestCoarsen:

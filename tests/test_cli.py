@@ -255,6 +255,35 @@ class TestWeakOrder:
         assert (tmp_path / "weak_cos_abs.json").exists()
         assert (tmp_path / "weak_sin_sq.json").exists()
 
+    def test_stdout_flags_an_unresolved_mean_gap(self, tmp_path, capsys):
+        # on 200 paths the finest cos_abs gap is beyond its half-width and
+        # the sin_sq gap is not; the report files stay as they were
+        code = run_cli(
+            "weak-order",
+            "--T", "1",
+            "--n-paths", "200",
+            "--fine-step", "2^-6",
+            "--deltas", "2^-1,2^-2",
+            "--phis", "cos_abs,sin_sq",
+            "--master-seed", "7",
+            "--format", "json",
+            "--output", str(tmp_path / "weak.json"),
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        flagged = []
+        for phi, line in zip(("cos_abs", "sin_sq"), lines):
+            payload = json.loads((tmp_path / f"weak_{phi}.json").read_text())
+            assert "gap_resolved" not in payload
+            assert line.startswith(
+                f"weak-order[{phi}]: slope={payload['fitted_slope']:.4f}"
+                f" mean_gap_slope={payload['mean_gap_slope']:.4f}"
+            )
+            if payload["mean_gaps"][-1] <= payload["mean_gap_half_widths"][-1]:
+                flagged.append(phi)
+            assert ("(unresolved: finest mean gap within its 95% half-width)" in line) == (phi in flagged)
+        assert flagged == ["sin_sq"]
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sdepca.brownian import BrownianGrid, generate_path
+from sdepca.brownian import BrownianGrid, coarsen_array, generate_path, unit_blocks
 from sdepca.integrators import (
     BeConfig,
+    Lane,
     NonConvergenceError,
     NonFiniteError,
     Trajectory,
     be_mean_multiplier,
     be_step,
+    run_lanes,
     run_scheme_batch,
     simulate_be,
     simulate_em,
@@ -131,9 +133,11 @@ class TestSolveImplicit:
     def test_batch_rows_match_solo_solves(self, dim, max_iter, monkeypatch):
         # The batch solve evaluates every row in every Newton iteration and
         # freezes the converged ones; each row must still come out exactly as
-        # when it is solved alone.  The rows converge at iteration 0, 1 or
+        # when it is solved alone at its own step size, one of three in the
+        # batch's per-row column.  The rows converge at iteration 0, 1 or
         # after several; overshoot and need halvings; start NaN; overflow;
-        # or, with a budget of 4 iterations, run out and fail.
+        # end at the rounding floor from 1e30; or, with a budget of 4
+        # iterations, run out and fail.
         from sdepca import integrators
         from sdepca.integrators import _fd_jacobian, _newton_batch
 
@@ -153,6 +157,7 @@ class TestSolveImplicit:
                 ([1e200], [0.0]),  # the cube overflows
                 ([1e4], [0.0]),
                 ([1e6], [1e6]),  # -x^3 and 2y cancel: the rounding floor decides
+                ([1e30], [0.0]),  # about 110 iterations, to the rounding floor
             ]
         else:
             def drift(x, y):
@@ -168,16 +173,17 @@ class TestSolveImplicit:
                 ([1e200, 0.0], [0.0, 0.0]),
                 ([1e3, 1e3], [0.0, 0.0]),
                 ([1e5, -1e5], [0.0, 0.0]),
+                ([1e30, 0.0], [0.0, 0.0]),
             ]
-        delta = 0.5
         rhs = np.array([r for r, _ in rows])
         y = np.array([v for _, v in rows])
+        delta = np.array([0.5, 0.125, 2.0**-11])[np.arange(len(rows)) % 3, None]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x, status, _ = _newton_batch(drift, jac, y, delta, rhs)
+            x, status, resnorm = _newton_batch(drift, jac, y, delta, rhs)
         codes = {NonConvergenceError: 1, NonFiniteError: 2}
         for i in range(len(rows)):
             try:
-                solo = solve_implicit(drift, jac, y[i], delta, rhs[i])
+                solo = solve_implicit(drift, jac, y[i], delta[i, 0], rhs[i])
             except (NonConvergenceError, NonFiniteError) as exc:
                 assert status[i] == codes[type(exc)], i
                 assert np.isnan(x[i]).all()
@@ -187,6 +193,8 @@ class TestSolveImplicit:
         assert 0 in status and 2 in status
         if max_iter == 4:
             assert 1 in status  # some row ran out of iterations
+        else:
+            assert status[-1] == 0 and resnorm[-1] > 1e-12  # the 1e30 row, at its floor
 
 
 class TestBeStep:
@@ -453,6 +461,60 @@ class TestBatchEngine:
         run = run_scheme_batch("be", problem, cfg, increments, problem.initial_state, 2, record="anchors")
         assert run.anchors.shape == (3, 2, 1)
         assert np.all(run.anchors[0] == 1.0)
+
+
+class TestLaneRunner:
+    """A merged run steps each lane on its own coarsening of one fine block
+    at a time, and the lanes that step at a tick share one implicit solve;
+    every lane must come out byte for byte as when it runs alone."""
+
+    # mean reversion whose drift turns NaN above 0.8: rows fail mid-block
+    nan_above = SdepcaProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda x, y: np.where(x > 0.8, np.nan, -x),
+        diffusion=lambda x, y: np.ones(x.shape + (1,)),
+        drift_jacobian_x=lambda x, y: np.full(x.shape + (1,), -1.0),
+        initial_state=[0.0],
+    )
+
+    @pytest.mark.parametrize("problem", [cubic_multiplicative(1.0, 1.0), nan_above], ids=["cubic", "nan_above"])
+    def test_merged_lanes_match_solo_runs(self, problem):
+        m, K, n = 8, 3, 7
+        fine = np.stack([generate_path(5, i, 3.0, 1.0 / m, 1).increments for i in range(n)])
+        starts = np.array([[[0.5]] * n, [[-0.2]] * n])  # two starts per path
+        lanes = [
+            Lane("be", 4, record="full"),
+            Lane("ssbe", 1, record="anchors"),
+            Lane("be", 2, x0=starts, record="anchors"),
+            Lane("ssbe", 2),
+            Lane("be", 8, x0=[0.3], record="full"),
+        ]
+        runs = run_lanes(problem, lanes, unit_blocks(fine, m, K), n, m, K)
+        for lane, run in zip(lanes, runs):
+            # the lane alone on the coarsened lattice, at its own step size
+            x0 = problem.initial_state if lane.x0 is None else lane.x0
+            coarse = coarsen_array(fine, lane.factor)
+            solo = run_scheme_batch(
+                lane.scheme, problem, BeConfig(m=m // lane.factor), coarse, x0, K, lane.record
+            )
+            assert run.finals.tobytes() == solo.finals.tobytes()
+            for kept in ("anchors", "states"):
+                assert np.asarray(getattr(run, kept)).tobytes() == np.asarray(getattr(solo, kept)).tobytes()
+            # failures at the lane's own (k, l), not at the fine tick
+            assert run.failures == solo.failures
+            assert all(l < m // lane.factor for _, _, l, _ in run.failures)
+        if problem is self.nan_above:
+            assert all(run.failures for run in runs)
+            assert any(l > 0 for run in runs for _, _, l, _ in run.failures)  # mid-block
+
+    def test_lanes_that_cannot_share_a_run_are_rejected(self):
+        problem = cubic_multiplicative(1.0, 1.0)
+        blocks = unit_blocks(np.zeros((2, 12, 1)), 12, 1)
+        with pytest.raises(ValueError, match="must divide one another"):
+            run_lanes(problem, [Lane("be", 2), Lane("be", 4), Lane("be", 6)], blocks, 2, 12, 1)
+        with pytest.raises(ValueError, match="explicit"):
+            run_lanes(problem, [Lane("be", 2), Lane("em", 2)], blocks, 2, 12, 1)
 
 
 class TestTrajectory:

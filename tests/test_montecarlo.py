@@ -182,17 +182,13 @@ class TestWeakError:
         assert report.fitted_slope is None
 
     def test_failure_budget_aborts(self):
-        problem = linear_additive(3.0, 1.0)
-
-        def broken_reference(increments, fine_step, T):
-            out = np.full((increments.shape[0], 1), 0.5)
-            out[::3] = np.nan  # a third of the paths fail
-            return out
-
-        with pytest.raises(MonteCarloFailure):
+        # the reference's split-step lanes fail next to BE's, on the 23 of
+        # 30 paths that pass 0.3
+        problem = nan_above(0.3)
+        with pytest.raises(MonteCarloFailure, match="23 path failures out of 30"):
             estimate_weak_error(
                 problem,
-                broken_reference,
+                ssbe_reference(problem),
                 [2.0**-3],
                 30,
                 1,
@@ -245,20 +241,14 @@ class TestWeakError:
         assert str(info.value).startswith(f"{n_failed} path failures out of 30 ")
 
     def test_failure_log_lists_paths_without_a_record(self):
-        # a path whose reference went NaN has no solver record; the log and
-        # the count still take it, next to the paths the solver logged
+        # a path on which only the reference's lanes failed has no record of
+        # a BE step; the log and the count still take it, next to the paths
+        # that BE logged
         problem = nan_above(0.3)
-        reference = linear_exact_reference(LIN)
-
-        def broken_reference(increments, fine_step, T):
-            out = reference(increments, fine_step, T)
-            out[::3] = np.nan
-            return out
-
         with pytest.raises(MonteCarloFailure) as info:
             estimate_weak_error(
                 problem,
-                broken_reference,
+                ssbe_reference(problem),
                 [2.0**-3],
                 30,
                 1,
@@ -268,7 +258,8 @@ class TestWeakError:
             )
         log = info.value.failures
         paths = {entry["path"] for entry in log}
-        assert set(range(0, 30, 3)) < paths  # the solver failed on other paths too
+        unrecorded = {entry["path"] for entry in log if "kind" not in entry}
+        assert unrecorded and unrecorded < paths  # BE failed on other paths
         assert [entry["path"] for entry in log] == sorted(entry["path"] for entry in log)
         assert str(info.value).startswith(f"{len(paths)} path failures out of 30 ")
 
@@ -283,6 +274,13 @@ class TestWeakError:
             )  # finer than the fine grid
         with pytest.raises(ValueError):
             estimate_weak_error(problem, reference, [2.0**-4], 10, 1.5, TestFunction.COS_ABS, 0)
+        with pytest.raises(ValueError, match="another problem"):
+            estimate_weak_error(
+                problem, ssbe_reference(linear_additive(3.0, 1.0)), [2.0**-4], 10, 1,
+                TestFunction.COS_ABS, 0,
+            )
+        with pytest.raises(TypeError):  # a whole-lattice callable is no reference
+            estimate_weak_error(problem, reference.__call__, [2.0**-4], 10, 1, TestFunction.COS_ABS, 0)
 
     def test_report_serialization(self, tmp_path):
         problem = linear_additive(3.0, 1.0)
@@ -330,6 +328,32 @@ class TestWeakError:
             half = 1.96 * values.std(ddof=1) / math.sqrt(n)
             covered += abs(values.mean() - target) <= half
         assert covered >= 90
+
+
+class TestStreamedNoise:
+    @pytest.mark.parametrize("cubic", [False, True], ids=["exact-linear", "ssbe-cubic"])
+    def test_weak_estimate_holds_less_than_one_fine_lattice(self, cubic):
+        # the estimate draws its noise one unit block at a time, so one
+        # chunk never holds its whole fine lattice at once
+        import tracemalloc
+
+        n_paths, T = 128, 6
+        if cubic:
+            problem = cubic_multiplicative(1.0, 1.0)
+            reference = ssbe_reference(problem)
+        else:
+            problem = linear_additive(3.0, 1.0)
+            reference = linear_exact_reference(LIN)
+        tracemalloc.start()
+        try:
+            estimate_weak_error(
+                problem, reference, [2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9], n_paths, T,
+                TestFunction.COS_ABS, master_seed=3,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_paths * T * 2048 * 8
 
 
 class TestErgodicTrace:
