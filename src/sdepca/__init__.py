@@ -49,6 +49,7 @@ from .montecarlo import (
     check_recursion_bound,
     contraction_estimate,
     ergodic_mean_trace,
+    ergodic_mean_traces,
     estimate_weak_error,
     estimate_weak_errors,
     fit_order,

@@ -26,6 +26,9 @@ _DUMP_HEADER = struct.Struct("<4sIdQI")
 #: draws block by block.  One draw costs a few microseconds of fixed cost,
 #: which a smaller block does not repay in memory saved.
 _MIN_STREAMED_BLOCK = 1024
+#: Paths drawn into one path-major tile by :func:`_draw_block` before it is
+#: transposed into the step-major block: 1 MB at 2048 normals per path.
+_DRAW_TILE = 64
 
 
 def _is_power_of_two(x: float) -> bool:
@@ -88,13 +91,13 @@ def generate_increments(
 
 
 def unit_blocks(increments: np.ndarray, m: int, K: int):
-    """Iterator over the first K unit blocks, (n_paths, m, r) views, of a
-    (n_paths, >= K*m, r) lattice at step 1/m."""
+    """Iterator over the first K unit blocks of a (n_paths, >= K*m, r)
+    lattice at step 1/m, each a step-major (m, n_paths, r) view."""
     if increments.shape[1] < K * m:
         raise ValueError(
             f"grid too short: need {K * m} steps of size 1/{m}, have {increments.shape[1]}"
         )
-    return (increments[:, k * m : (k + 1) * m] for k in range(K))
+    return (increments[:, k * m : (k + 1) * m].swapaxes(0, 1) for k in range(K))
 
 
 def increment_blocks(
@@ -107,12 +110,13 @@ def increment_blocks(
 ):
     """Iterator over the increments of paths lo..hi-1, one unit block at a time.
 
-    Yields K fresh arrays (hi - lo, 1/fine_step, dim_noise).  Joined along
-    the step axis they equal each path's :func:`generate_increments` over
-    the horizon K, byte for byte: a path's Philox stream drawn one block at
-    a time continues where the previous draw stopped.  A unit block of
-    fewer than ``_MIN_STREAMED_BLOCK`` normals per path is cut from the
-    whole lattice, drawn at once.
+    Yields K step-major arrays (1/fine_step, hi - lo, dim_noise): row l of
+    a block holds step l of every path.  Joined along the step axis they
+    equal each path's :func:`generate_increments` over the horizon K, byte
+    for byte: a path's Philox stream drawn one block at a time continues
+    where the previous draw stopped.  A unit block of fewer than
+    ``_MIN_STREAMED_BLOCK`` normals per path is cut from the whole lattice,
+    drawn at once.
     """
     m = _validate_lattice(1.0, fine_step)
     if dim_noise < 1:
@@ -120,20 +124,29 @@ def increment_blocks(
     if K < 1:
         return iter(())
     if m * dim_noise < _MIN_STREAMED_BLOCK:
-        whole = np.stack(
-            [generate_increments(master_seed, i, float(K), fine_step, dim_noise) for i in range(lo, hi)]
-        )
-        return unit_blocks(whole, m, K)
+        whole = np.empty((K * m, hi - lo, dim_noise))
+        for j in range(hi - lo):
+            whole[:, j] = generate_increments(master_seed, lo + j, float(K), fine_step, dim_noise)
+        return (whole[k * m : (k + 1) * m] for k in range(K))
     rngs = [path_rng(master_seed, i) for i in range(lo, hi)]
     return (_draw_block(rngs, m, dim_noise, math.sqrt(fine_step)) for _ in range(K))
 
 
 def _draw_block(rngs, m: int, dim_noise: int, scale: float) -> np.ndarray:
-    """The next unit block of each generator's stream, (len(rngs), m, dim_noise)."""
-    block = np.empty((len(rngs), m, dim_noise))
-    for row, rng in zip(block, rngs):
-        rng.standard_normal(out=row)
-    block *= scale
+    """The next unit block of each generator's stream, step-major
+    (m, len(rngs), dim_noise).
+
+    Each stream fills one row of a path-major tile of ``_DRAW_TILE`` paths,
+    which is scaled into its columns of the block; so no second block is
+    ever held.
+    """
+    block = np.empty((m, len(rngs), dim_noise))
+    tile = np.empty((min(_DRAW_TILE, len(rngs)), m, dim_noise))
+    for lo in range(0, len(rngs), _DRAW_TILE):
+        part = rngs[lo : lo + _DRAW_TILE]
+        for row, rng in zip(tile, part):
+            rng.standard_normal(out=row)
+        np.multiply(tile[: len(part)].swapaxes(0, 1), scale, out=block[:, lo : lo + len(part)])
     return block
 
 

@@ -239,6 +239,17 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
+def _newton_step(J: np.ndarray, delta: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Newton step (I - delta J)^-1 res of each row, ``delta`` an (n, 1) column."""
+    A = delta[:, :, None] * J
+    if res.shape[1] == 1:
+        return _solve_rows(1.0 - A, res)
+    # 0 - p, then 1 + (0 - p) on the diagonal: the bits of I - p
+    np.subtract(0.0, A, out=A)
+    A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += 1.0
+    return _solve_rows(A, res)
+
+
 def _newton_batch(drift, jac, y, delta, rhs):
     """Row-wise solve of x - delta*drift(x, y) = rhs from the guess x = rhs.
 
@@ -255,15 +266,15 @@ def _newton_batch(drift, jac, y, delta, rhs):
     its rounding floor has failed and is NaN.  Every row's arithmetic is
     elementwise, so its iterates do not depend on the rest of the batch.
     """
-    n, d = rhs.shape
+    n = rhs.shape[0]
     status = np.zeros(n, dtype=np.int8)
-    x = rhs.copy()
+    # x is rhs until some rows take a step and others do not
+    x = rhs
     res, rnorm = _residual(drift, x, y, delta, rhs)
     # rows still iterating or converged; a row whose residual is not finite
     # cannot take a Newton step and has failed
     open_rows = rnorm < np.inf
 
-    identity = np.eye(d)
     for _ in range(_NEWTON_MAX_ITER):
         active = open_rows & (rnorm > _NEWTON_TOL)
         n_active = np.count_nonzero(active)
@@ -271,14 +282,15 @@ def _newton_batch(drift, jac, y, delta, rhs):
             break
         # a non-finite step leaves a non-finite residual, which the halvings
         # below cannot lower, so such a row leaves the loop
-        dx = _solve_rows(identity - delta[:, :, None] * jac(x, y), -res)
-        x_new = x + dx
+        step = _newton_step(jac(x, y), delta, res)
+        x_new = x - step
         r_new, rn_new = _residual(drift, x_new, y, delta, rhs)
         take = active & (rn_new < rnorm)
-        if np.count_nonzero(take) < n_active:
+        n_take = np.count_nonzero(take)
+        if n_take < n_active:
             # the rows whose residual did not fall: halve their steps
             iw = np.flatnonzero(active & ~take)
-            xw, dw, yw, rw, rn_old = x[iw], dx[iw], y[iw], rhs[iw], rnorm[iw]
+            xw, sw, yw, rw, rn_old = x[iw], step[iw], y[iw], rhs[iw], rnorm[iw]
             hw = delta[iw]
             xh, rh, rnh = x_new[iw], r_new[iw], rn_new[iw]
             scale = np.ones((iw.size, 1))
@@ -287,12 +299,18 @@ def _newton_batch(drift, jac, y, delta, rhs):
                 if not still.any():
                     break
                 scale[still] *= 0.5
-                xh[still] = xw[still] + scale[still] * dw[still]
+                xh[still] = xw[still] - scale[still] * sw[still]
                 rh[still], rnh[still] = _residual(drift, xh[still], yw[still], hw[still], rw[still])
             x_new[iw], r_new[iw], rn_new[iw] = xh, rh, rnh
             take[iw] = rnh < rn_old
+            n_take = np.count_nonzero(take)
         # an active row that made no progress leaves the loop
         np.copyto(open_rows, take, where=active)
+        if n_take == n:
+            x, res, rnorm = x_new, r_new, rn_new
+            continue
+        if x is rhs:
+            x = rhs.copy()
         keep = take[:, None]
         np.copyto(x, x_new, where=keep)
         np.copyto(res, r_new, where=keep)
@@ -301,6 +319,8 @@ def _newton_batch(drift, jac, y, delta, rhs):
         # out of iterations: the rows still above the tolerance leave the loop
         open_rows &= rnorm <= _NEWTON_TOL
 
+    if x is rhs:
+        x = rhs.copy()
     if np.count_nonzero(open_rows) == n:  # every row has converged
         return x, status, rnorm
     # A row that left the loop, because its residual stopped falling or it
@@ -366,9 +386,9 @@ class Lane:
     """One scheme over a batch of paths, stepping every ``factor`` fine steps.
 
     ``scheme`` is "be", "ssbe" or "em", or a map ``(x, block) -> x`` that
-    advances states (n, d) over a whole unit block from its fine increments
-    (n, m, r), such as an exact solution; a map lane steps once per unit
-    block and ignores ``factor``.  ``x0`` is one start (d,), per-path
+    advances states (n, d) over a whole unit block from its step-major fine
+    increments (m, n, r), such as an exact solution; a map lane steps once
+    per unit block and ignores ``factor``.  ``x0`` is one start (d,), per-path
     starts (n_paths, d) or several starts per path (n_starts, n_paths, d),
     as in :func:`run_scheme_batch`; ``None`` is the problem's initial state.
     ``record`` selects what the lane's :class:`BatchRun` keeps: "final",
@@ -420,12 +440,20 @@ class _LaneRun:
             self.alive = np.ones(self.n_rows, dtype=bool)
 
     def increments(self, block: np.ndarray) -> np.ndarray:
-        """The lane's increments in ``block``, (steps, n_rows, r): coarsened
-        from the fine block, step-major, repeated for each start."""
-        coarse = block if self.factor == 1 else coarsen_array(block, self.factor)
-        n_paths, _, r = block.shape
+        """The lane's increments in the step-major ``block``, (steps,
+        n_rows, r): coarsened from the fine block and repeated for each
+        start."""
+        m, n_paths, r = block.shape
+        coarse = block
+        if self.factor > 1:
+            # one row per step: each coarse row is a left-to-right sum of
+            # contiguous fine rows
+            flat = coarsen_array(block.reshape(m, n_paths * r), self.factor)
+            coarse = flat.reshape(self.steps, n_paths, r)
+        if self.n_starts == 1:
+            return coarse
         out = np.empty((self.steps, self.n_starts, n_paths, r))
-        out[:] = coarse.swapaxes(0, 1)[:, None]
+        out[:] = coarse[:, None]
         return out.reshape(self.steps, self.n_rows, r)
 
     def end_block(self, x: np.ndarray, k: int) -> None:
@@ -440,7 +468,14 @@ class _LaneRun:
 
 
 def _kick(diffusion, x, y, dB):
-    return np.einsum("ndr,nr->nd", diffusion(x, y), dB)
+    """The diffusion kick g(x, y) dB of each row."""
+    g = diffusion(x, y)
+    if g.shape[1:] == (1, 1):
+        # the einsum adds the product to 0.0, which turns a -0.0 product into
+        # +0.0; the two kicks give different sums only on a state of -0.0,
+        # which no step makes from a start without one
+        return g[:, :, 0] * dB
+    return np.einsum("ndr,nr->nd", g, dB)
 
 
 def run_lanes(
@@ -456,11 +491,12 @@ def run_lanes(
     ``problem`` gives the coefficients of every stepping lane; it may be
     None when all lanes are maps with starts of their own.
 
-    ``blocks`` yields K arrays (n_paths, m, r): the fine increments of one
-    unit block at step 1/m, such as :func:`~sdepca.brownian.increment_blocks`
-    draws.  A lane with factor f steps at f/m, on the sums of each f
-    consecutive increments of a block, which it coarsens itself; so its
-    numbers equal those of the lane run alone on the coarsened lattice.
+    ``blocks`` yields K step-major arrays (m, n_paths, r): the fine
+    increments of one unit block at step 1/m, row l holding step l of every
+    path, such as :func:`~sdepca.brownian.increment_blocks` draws.  A lane
+    with factor f steps at f/m, on the sums of each f consecutive
+    increments of a block, which it coarsens itself; so its numbers equal
+    those of the lane run alone on the coarsened lattice.
     Returns one :class:`BatchRun` per lane, in the order of ``lanes``.
 
     The stepping lanes are laid out as consecutive rows ordered by factor;
@@ -556,7 +592,7 @@ def run_lanes(
                 run = stepped[i]
                 run.states[:, k * run.steps + steps[i] + 1] = x[run.lo : run.hi]
         for run in mapped:
-            repeated = block if run.n_starts == 1 else np.concatenate([block] * run.n_starts)
+            repeated = block if run.n_starts == 1 else np.concatenate([block] * run.n_starts, axis=1)
             x_map = run.lane.scheme(run.x, repeated)
             bad = ~np.isfinite(x_map).all(axis=1)
             for i in np.flatnonzero(bad & run.alive):

@@ -120,25 +120,33 @@ EXAMPLE2_ERGODIC_PHIS = (
 )
 
 
-def _kahan_mean(values: np.ndarray) -> float:
-    """Compensated mean in index order; order-fixed for reproducibility."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
+def _kahan_mean(values: np.ndarray):
+    """Compensated mean over the last axis, in index order; order-fixed for
+    reproducibility.
+
+    One recurrence serves a 1-D sample, on Python floats, and a grid of
+    samples, on arrays of all its entries at once, with the same bits.
+    """
+    total = comp = 0.0
+    terms = values.tolist() if values.ndim == 1 else np.moveaxis(values, -1, 0)
+    for v in terms:
+        y = v - comp
         t = total + y
         comp = (t - total) - y
         total = t
-    return total / len(values)
+    return total / values.shape[-1]
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
+def _mean_se(values: np.ndarray):
+    """Means and standard errors over the last axis: floats for a 1-D sample."""
     mean = _kahan_mean(values)
-    n = len(values)
+    n = values.shape[-1]
     if n < 2:
-        return mean, math.inf
-    var = _kahan_mean((values - mean) ** 2) * n / (n - 1)
-    return mean, math.sqrt(var / n)
+        se = np.full(np.shape(mean), math.inf)
+    else:
+        dev = values - np.expand_dims(mean, -1)
+        se = np.sqrt(_kahan_mean(dev**2) * n / (n - 1) / n)
+    return mean, se if values.ndim > 1 else float(se)
 
 
 def _count_failed(ok: np.ndarray, failures: list) -> int:
@@ -146,8 +154,8 @@ def _count_failed(ok: np.ndarray, failures: list) -> int:
 
     Raises :class:`MonteCarloFailure` with ``failures``, the run's failure
     records, once more than ``_MAX_FAILURE_FRACTION`` of the paths failed.
-    A failed path with no record, such as one whose reference or observable
-    went non-finite, is logged by its index alone.
+    A failed path with no record, such as one whose observable overflowed,
+    is logged by its index alone.
     """
     n_failed = int(ok.size - np.count_nonzero(ok))
     if n_failed > _MAX_FAILURE_FRACTION * ok.size:
@@ -167,11 +175,7 @@ def _path_means(values: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndar
     """
     ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
     n_failed = _count_failed(ok, failures)
-    kept = values[..., ok]
-    means = np.empty(values.shape[:-1])
-    ses = np.empty(values.shape[:-1])
-    for index in np.ndindex(means.shape):
-        means[index], ses[index] = _mean_se(kept[index])
+    means, ses = _mean_se(values[..., ok])
     return means, ses, n_failed
 
 
@@ -365,7 +369,8 @@ def linear_exact_reference(params: LinearAdditiveParams) -> Reference:
     the block's fine increments (see :func:`~sdepca.linear_analytic.exact_block`)."""
 
     def advance(x: np.ndarray, block: np.ndarray) -> np.ndarray:
-        return exact_block(params, x[:, 0], block[..., 0], 1.0 / block.shape[1])[:, None]
+        # the transposed step-major block: each fine step is one contiguous row
+        return exact_block(params, x[:, 0], block[..., 0].T, 1.0 / block.shape[0])[:, None]
 
     return Reference(None, (Lane(advance, x0=np.array([float(params.x0)])),))
 
@@ -425,9 +430,9 @@ def estimate_weak_errors(
     An :class:`ExtrapolatedReference` also runs at twice the fine step, and
     its extrapolated values stand for E phi(X(T)) in ``mean_gaps``.  Paths
     that fail anywhere are dropped pairwise across all step sizes, within
-    the failure budget of :func:`_count_failed`; the records carry the BE
-    step size ``delta``, and a path whose reference alone failed is logged
-    by its index.
+    the failure budget of :func:`_count_failed`.  A BE lane's records carry
+    its step size ``delta``; a reference lane's carry its own step (1 for a
+    lane that maps whole blocks) and ``"reference": True``.
     """
     if int(T) != T or T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
@@ -458,6 +463,10 @@ def estimate_weak_errors(
     n_ref = len(reference.lanes)
     extrapolated = isinstance(reference, ExtrapolatedReference)
     lanes = [*reference.lanes, *(Lane("be", factor) for factor in factors)]
+    marks = [
+        {"reference": True, "delta": 1.0 if callable(lane.scheme) else lane.factor * fine_step}
+        for lane in reference.lanes
+    ] + [{"delta": delta} for delta in deltas]
     fine_m = round(1.0 / fine_step)
     # the reference's endpoints (its lanes), then BE's at each step size
     finals = np.full((n_ref + n_deltas, n_paths, d_state), np.nan)
@@ -466,8 +475,8 @@ def estimate_weak_errors(
         blocks = increment_blocks(master_seed, lo, hi, T, fine_step, problem.dim_noise)
         runs = run_lanes(problem, lanes, blocks, hi - lo, fine_m, T)
         failures = [
-            {"path": lo + row, "delta": delta, "k": k, "l": l, "kind": kind}
-            for delta, run in zip(deltas, runs[n_ref:])
+            {"path": lo + row, **mark, "k": k, "l": l, "kind": kind}
+            for mark, run in zip(marks, runs)
             for row, k, l, kind in run.failures
         ]
         return [run.finals for run in runs], failures
@@ -565,26 +574,30 @@ class ErgodicityReport(_Report):
         write_csv(path, header, range(len(self.spread)), *self.traces, self.spread)
 
 
-def ergodic_mean_trace(
+def ergodic_mean_traces(
     problem: SdepcaProblem,
     cfg: BeConfig,
     initials: Sequence,
     K: int,
     n_paths: int,
-    phi: TestFunction,
+    phis: Sequence[TestFunction],
     master_seed: int,
     *,
     n_workers: int = 1,
     chunk_size: int = 512,
-) -> ErgodicityReport:
-    """Estimate E phi(Y_k), k = 0..K, from each initial value.
+) -> dict[TestFunction, ErgodicityReport]:
+    """Estimate E phi(Y_k), k = 0..K, from each initial value, for each of
+    ``phis`` on one run of the chains.
 
     All initials are driven by the same family of increment lattices (path
     index i uses the same noise for every initial), so the spread directly
-    measures how fast the chains forget their starting point.
+    measures how fast the chains forget their starting point.  Each report
+    equals that of :func:`ergodic_mean_trace` with its test function alone.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
+    if not phis:
+        raise ValueError("need at least one test function")
     initial_arr = np.atleast_2d(np.asarray(initials, dtype=float))
     if initial_arr.shape[0] == 1 and problem.dim_state == 1 and len(initials) > 1:
         initial_arr = np.asarray(initials, dtype=float)[:, None]
@@ -593,24 +606,40 @@ def ergodic_mean_trace(
     anchors, failures = _chain_anchors(
         problem, cfg, initial_arr, K, n_paths, master_seed, n_workers, chunk_size
     )
-    # a huge state overflows phi; _path_means counts such a path as failed
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = phi(anchors)
-    # (initial, k, path)
-    traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures)
-    spread = traces.max(axis=0) - traces.min(axis=0)
-    pooled = np.sqrt(2.0 * np.mean(ses**2, axis=0))
+    reports = {}
+    for phi in phis:
+        # a huge state overflows phi; _path_means counts such a path as failed
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = phi(anchors)
+        # (initial, k, path)
+        traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures)
+        spread = traces.max(axis=0) - traces.min(axis=0)
+        pooled = np.sqrt(2.0 * np.mean(ses**2, axis=0))
+        reports[phi] = ErgodicityReport(
+            initials=initial_arr.tolist(),
+            traces=traces.tolist(),
+            standard_errors=ses.tolist(),
+            spread=spread.tolist(),
+            pooled_se=pooled.tolist(),
+            n_paths=n_paths,
+            n_failed=n_failed,
+            phi=phi.value,
+        )
+    return reports
 
-    return ErgodicityReport(
-        initials=initial_arr.tolist(),
-        traces=traces.tolist(),
-        standard_errors=ses.tolist(),
-        spread=spread.tolist(),
-        pooled_se=pooled.tolist(),
-        n_paths=n_paths,
-        n_failed=n_failed,
-        phi=phi.value,
-    )
+
+def ergodic_mean_trace(
+    problem: SdepcaProblem,
+    cfg: BeConfig,
+    initials: Sequence,
+    K: int,
+    n_paths: int,
+    phi: TestFunction,
+    master_seed: int,
+    **kwargs,
+) -> ErgodicityReport:
+    """Single-test-function form of :func:`ergodic_mean_traces`."""
+    return ergodic_mean_traces(problem, cfg, initials, K, n_paths, [phi], master_seed, **kwargs)[phi]
 
 
 def time_average(trajectory: Trajectory, phi: Callable[[np.ndarray], np.ndarray]) -> float:

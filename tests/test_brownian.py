@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdepca.brownian import (
+    _DRAW_TILE,
     _MIN_STREAMED_BLOCK,
     block_increment,
     coarsen,
@@ -72,10 +73,22 @@ class TestGeneratePath:
         # are drawn one block at a time and must continue each path's stream
         assert 2**4 * 2 < _MIN_STREAMED_BLOCK <= 2**11 * 2
         blocks = list(increment_blocks(9, 3, 7, 3, fine_step, 2))
-        assert [b.shape for b in blocks] == [(4, round(1 / fine_step), 2)] * 3
-        whole = np.stack([generate_increments(9, i, 3.0, fine_step, 2) for i in range(3, 7)])
-        assert np.concatenate(blocks, axis=1).tobytes() == whole.tobytes()
+        # step-major: row l of a block is step l of every path
+        assert [b.shape for b in blocks] == [(round(1 / fine_step), 4, 2)] * 3
+        whole = np.stack([generate_increments(9, i, 3.0, fine_step, 2) for i in range(3, 7)], axis=1)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
         assert list(increment_blocks(9, 3, 7, 0, fine_step, 2)) == []
+
+    @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
+    def test_streamed_blocks_straddle_the_draw_tile(self, n_paths):
+        # the streamed draw fills path-major tiles of _DRAW_TILE paths; the
+        # path counts fall short of, fill, and spill over one and two tiles
+        assert _DRAW_TILE == 64
+        blocks = increment_blocks(4, 10, 10 + n_paths, 2, 2.0**-10)
+        joined = np.concatenate(list(blocks))
+        for j in range(n_paths):
+            path = generate_increments(4, 10 + j, 2.0, 2.0**-10)
+            assert joined[:, j].tobytes() == path.tobytes()
 
 
 class TestCoarsen:

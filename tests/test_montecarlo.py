@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from sdepca.montecarlo import (
     check_recursion_bound,
     contraction_estimate,
     ergodic_mean_trace,
+    ergodic_mean_traces,
     estimate_weak_error,
     fit_order,
     linear_exact_reference,
@@ -240,10 +242,9 @@ class TestWeakError:
         assert len(log) > n_failed
         assert str(info.value).startswith(f"{n_failed} path failures out of 30 ")
 
-    def test_failure_log_lists_paths_without_a_record(self):
-        # a path on which only the reference's lanes failed has no record of
-        # a BE step; the log and the count still take it, next to the paths
-        # that BE logged
+    def test_failure_log_keeps_the_reference_records(self):
+        # the split-step reference's lanes fail on paths of their own; their
+        # records carry the lane's own step and are marked apart from BE's
         problem = nan_above(0.3)
         with pytest.raises(MonteCarloFailure) as info:
             estimate_weak_error(
@@ -257,11 +258,18 @@ class TestWeakError:
                 fine_step=2.0**-5,
             )
         log = info.value.failures
-        paths = {entry["path"] for entry in log}
-        unrecorded = {entry["path"] for entry in log if "kind" not in entry}
-        assert unrecorded and unrecorded < paths  # BE failed on other paths
+        assert all({"path", "delta", "k", "l", "kind"} <= set(entry) for entry in log)
+        ref = [entry for entry in log if entry.get("reference")]
+        be = [entry for entry in log if "reference" not in entry]
+        assert {entry["delta"] for entry in ref} == {2.0**-5, 2.0**-4}
+        assert all(entry["l"] < round(1 / entry["delta"]) for entry in ref)
+        assert {entry["delta"] for entry in be} == {2.0**-3}
+        # BE failed on other paths, and on some paths only the reference failed
+        ref_only = {e["path"] for e in ref} - {e["path"] for e in be}
+        assert ref_only and ref_only < {entry["path"] for entry in log}
         assert [entry["path"] for entry in log] == sorted(entry["path"] for entry in log)
-        assert str(info.value).startswith(f"{len(paths)} path failures out of 30 ")
+        n_failed = len({entry["path"] for entry in log})
+        assert str(info.value).startswith(f"{n_failed} path failures out of 30 ")
 
     def test_validations(self):
         problem = linear_additive(3.0, 1.0)
@@ -392,6 +400,20 @@ class TestErgodicTrace:
         b = ergodic_mean_trace(problem, BeConfig(m=4), n_workers=4, chunk_size=7, **kwargs)
         assert a.traces == b.traces
         assert a.spread == b.spread
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_several_phis_match_single_calls(self, n_workers):
+        # one run of the chains gives each test function the report of its
+        # own call, byte for byte
+        problem = cubic_multiplicative(1.0, 1.0)
+        phis = [TestFunction.ATAN_ABS, TestFunction.SIN_SQ, TestFunction.EXP_NEG_SQ]
+        args = (problem, BeConfig(m=4), [-1.0, 2.0], 4, 40)
+        kwargs = dict(master_seed=3, n_workers=n_workers, chunk_size=16)
+        reports = ergodic_mean_traces(*args, phis, **kwargs)
+        assert list(reports) == phis
+        for phi in phis:
+            single = ergodic_mean_trace(*args, phi, **kwargs)
+            assert json.dumps(reports[phi].as_dict()) == json.dumps(single.as_dict())
 
     def test_csv_layout(self, tmp_path):
         problem = linear_additive(3.0, 1.0)
