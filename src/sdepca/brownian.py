@@ -116,24 +116,23 @@ def increment_blocks(
     for byte: a path's Philox stream drawn one block at a time continues
     where the previous draw stopped.  A unit block of fewer than
     ``_MIN_STREAMED_BLOCK`` normals per path is cut from the whole lattice,
-    drawn at once.
+    drawn at once by the same drawer.
     """
     m = _validate_lattice(1.0, fine_step)
     if dim_noise < 1:
         raise ValueError(f"dim_noise must be positive, got {dim_noise}")
     if K < 1:
         return iter(())
-    if m * dim_noise < _MIN_STREAMED_BLOCK:
-        whole = np.empty((K * m, hi - lo, dim_noise))
-        for j in range(hi - lo):
-            whole[:, j] = generate_increments(master_seed, lo + j, float(K), fine_step, dim_noise)
-        return (whole[k * m : (k + 1) * m] for k in range(K))
     rngs = [path_rng(master_seed, i) for i in range(lo, hi)]
-    return (_draw_block(rngs, m, dim_noise, math.sqrt(fine_step)) for _ in range(K))
+    scale = math.sqrt(fine_step)
+    if m * dim_noise < _MIN_STREAMED_BLOCK:
+        whole = _draw_block(rngs, K * m, dim_noise, scale)
+        return (whole[k * m : (k + 1) * m] for k in range(K))
+    return (_draw_block(rngs, m, dim_noise, scale) for _ in range(K))
 
 
 def _draw_block(rngs, m: int, dim_noise: int, scale: float) -> np.ndarray:
-    """The next unit block of each generator's stream, step-major
+    """The next m steps of each generator's stream, step-major
     (m, len(rngs), dim_noise).
 
     Each stream fills one row of a path-major tile of ``_DRAW_TILE`` paths,

@@ -444,13 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args, args.command)
         return _RUNNERS[args.command](cfg)
-    except ValidationError as exc:
-        _emit_error("invalid_config", str(exc))
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        _emit_error("invalid_config", str(exc))
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValidationError, FileNotFoundError, ValueError) as exc:
         _emit_error("invalid_config", str(exc))
         return EXIT_VALIDATION
     except (NonConvergenceError, NonFiniteError, MonteCarloFailure) as exc:

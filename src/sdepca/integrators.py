@@ -388,9 +388,10 @@ class Lane:
     ``scheme`` is "be", "ssbe" or "em", or a map ``(x, block) -> x`` that
     advances states (n, d) over a whole unit block from its step-major fine
     increments (m, n, r), such as an exact solution; a map lane steps once
-    per unit block and ignores ``factor``.  ``x0`` is one start (d,), per-path
-    starts (n_paths, d) or several starts per path (n_starts, n_paths, d),
-    as in :func:`run_scheme_batch`; ``None`` is the problem's initial state.
+    per unit block and ignores ``factor``.  ``x0`` is one start (d,) or
+    per-path starts (n_paths, d); ``None`` is the problem's initial state.
+    Several starts on the same noise are several lanes, which share each
+    tick's implicit solve.
     ``record`` selects what the lane's :class:`BatchRun` keeps: "final",
     "anchors" or "full".
     """
@@ -421,15 +422,13 @@ class _LaneRun:
         self.steps = m // self.factor
         x0 = np.asarray(x0, dtype=float)
         d = x0.shape[-1]
-        self.n_starts = x0.shape[0] if x0.ndim == 3 else 1
-        self.n_rows = self.n_starts * n_paths
-        self.x0 = np.broadcast_to(x0, (self.n_starts, n_paths, d)).reshape(self.n_rows, d)
+        self.x0 = np.broadcast_to(x0, (n_paths, d))
         self.anchors = self.states = None
         if lane.record == "anchors":
-            self.anchors = np.full((K + 1, self.n_rows, d), np.nan)
+            self.anchors = np.full((K + 1, n_paths, d), np.nan)
             self.anchors[0] = self.x0
         elif lane.record == "full":
-            self.states = np.full((self.n_rows, K * self.steps + 1, d), np.nan)
+            self.states = np.full((n_paths, K * self.steps + 1, d), np.nan)
             self.states[:, 0] = self.x0
         self.failures: list[tuple[int, int, int, str]] = []
         # a stepping lane's states are the rows lo..hi-1 of the runner's; a
@@ -437,24 +436,18 @@ class _LaneRun:
         self.lo = self.hi = 0
         if self.maps:
             self.x = self.x0.copy()
-            self.alive = np.ones(self.n_rows, dtype=bool)
+            self.alive = np.ones(n_paths, dtype=bool)
 
     def increments(self, block: np.ndarray) -> np.ndarray:
-        """The lane's increments in the step-major ``block``, (steps,
-        n_rows, r): coarsened from the fine block and repeated for each
-        start."""
+        """The lane's increments (steps, n_paths, r), coarsened from the
+        step-major fine ``block``; a factor-1 lane steps on the block itself."""
+        if self.factor == 1:
+            return block
         m, n_paths, r = block.shape
-        coarse = block
-        if self.factor > 1:
-            # one row per step: each coarse row is a left-to-right sum of
-            # contiguous fine rows
-            flat = coarsen_array(block.reshape(m, n_paths * r), self.factor)
-            coarse = flat.reshape(self.steps, n_paths, r)
-        if self.n_starts == 1:
-            return coarse
-        out = np.empty((self.steps, self.n_starts, n_paths, r))
-        out[:] = coarse[:, None]
-        return out.reshape(self.steps, self.n_rows, r)
+        # one row per step: each coarse row is a left-to-right sum of
+        # contiguous fine rows
+        flat = coarsen_array(block.reshape(m, n_paths * r), self.factor)
+        return flat.reshape(self.steps, n_paths, r)
 
     def end_block(self, x: np.ndarray, k: int) -> None:
         """Keep the states ``x`` at the end of block k."""
@@ -524,12 +517,12 @@ def run_lanes(
 
     row = 0
     for run in stepped:
-        run.lo, run.hi = row, row + run.n_rows
+        run.lo, run.hi = row, row + n_paths
         row = run.hi
     if stepped:
         drift, diffusion, jac = _batch_coefficients(problem)
         x = np.concatenate([run.x0 for run in stepped])
-        delta = np.concatenate([np.full((run.n_rows, 1), 1.0 / run.steps) for run in stepped])
+        delta = np.concatenate([np.full((n_paths, 1), 1.0 / run.steps) for run in stepped])
     else:  # map lanes only
         x = delta = np.empty((0, 1))
     alive = np.ones(row, dtype=bool)
@@ -592,8 +585,7 @@ def run_lanes(
                 run = stepped[i]
                 run.states[:, k * run.steps + steps[i] + 1] = x[run.lo : run.hi]
         for run in mapped:
-            repeated = block if run.n_starts == 1 else np.concatenate([block] * run.n_starts, axis=1)
-            x_map = run.lane.scheme(run.x, repeated)
+            x_map = run.lane.scheme(run.x, block)
             bad = ~np.isfinite(x_map).all(axis=1)
             for i in np.flatnonzero(bad & run.alive):
                 run.failures.append((int(i), k, 0, "nonfinite"))
@@ -624,17 +616,12 @@ def run_scheme_batch(
     """Advance a batch of paths through K unit blocks of m steps each.
 
     ``increments`` has shape (n_paths, >= K*m, r) at step size 1/m; ``x0`` is
-    one start (d,) shared by all rows, per-row starts (n_paths, d), or
-    several starts per row (n_starts, n_paths, d).  In the last case every
-    start runs on every row's increments, and the batch holds
-    n = n_starts * n_paths rows in start-major order: row s * n_paths + i
-    is start s on noise row i.  ``finals`` (n, d), ``anchors``, ``states``
-    and the row index of each failure all follow that order.  ``record``
-    selects what is kept: "final", "anchors" (shape (K+1, n, d)) or "full"
-    ((n, K*m+1, d)).  A row whose state, coefficient or implicit solve goes
-    bad is frozen at NaN and reported in ``failures`` as (row, k, l, kind);
-    the other rows continue unaffected.  This is :func:`run_lanes` with one
-    lane.
+    one start (d,) shared by all rows or per-row starts (n_paths, d).
+    ``record`` selects what is kept: "final", "anchors" (shape
+    (K+1, n_paths, d)) or "full" ((n_paths, K*m+1, d)).  A row whose state,
+    coefficient or implicit solve goes bad is frozen at NaN and reported in
+    ``failures`` as (row, k, l, kind); the other rows continue unaffected.
+    This is :func:`run_lanes` with one lane.
     """
     lane = Lane(scheme, x0=x0, record=record)
     increments = np.asarray(increments, dtype=float)
@@ -646,22 +633,17 @@ def run_scheme_batch(
     return run_lanes(problem, [lane], blocks, increments.shape[0], cfg.m, K)[0]
 
 
-def _coarse_increments(grid: BrownianGrid, cfg: BeConfig, K: int) -> np.ndarray:
-    ratio = cfg.delta / grid.fine_step
-    factor = int(round(ratio))
-    if factor < 1 or abs(ratio - factor) > 1e-9:
+def _simulate(scheme: str, problem, cfg, grid: BrownianGrid, K: int) -> Trajectory:
+    """One path through a lane that coarsens the grid's fine blocks to 1/m."""
+    fine_m = round(1.0 / grid.fine_step)
+    if fine_m < cfg.m or fine_m % cfg.m or abs(fine_m * grid.fine_step - 1.0) > 1e-9:
         raise ValueError(
             f"grid with fine_step {grid.fine_step} is not coarsenable to delta 1/{cfg.m}"
         )
-    coarse = coarsen_array(grid.increments, factor)
-    if coarse.shape[0] < K * cfg.m:
-        raise ValueError(f"horizon {grid.horizon} too short for K={K} unit blocks")
-    return coarse[: K * cfg.m]
-
-
-def _simulate(scheme: str, problem, cfg, grid: BrownianGrid, K: int) -> Trajectory:
-    coarse = _coarse_increments(grid, cfg, K)
-    run = run_scheme_batch(scheme, problem, cfg, coarse[None], problem.initial_state, K, record="full")
+    if grid.increments.shape[1] != problem.dim_noise:
+        raise ValueError(f"noise dimension mismatch: {grid.increments.shape[1]} != {problem.dim_noise}")
+    blocks = unit_blocks(grid.increments[None], fine_m, K)
+    (run,) = run_lanes(problem, [Lane(scheme, fine_m // cfg.m, record="full")], blocks, 1, fine_m, K)
     if run.failures:
         _, k, l, kind = run.failures[0]
         raise _failure_error(kind, path=grid.path_index, k=k, l=l)

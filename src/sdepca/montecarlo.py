@@ -2,12 +2,14 @@
 
 The estimators follow a common-random-numbers protocol: every path index maps
 to one fine Brownian lattice (keyed by the master seed), drawn one unit block
-at a time; the reference solution steps on the fine lattice, and each coarse
-scheme consumes an exact coarsening of the same increments, all as lanes of
-one :func:`~sdepca.integrators.run_lanes` run.  Per-path quantities are computed
-independently of how paths are grouped into batches, and reductions run in
-path-index order with compensated summation, so results are bit-identical for
-any worker count or chunk size.
+at a time.  Every estimator is one set of lanes of
+:func:`~sdepca.integrators.run_lanes`, run by one span worker on each span of
+paths: the weak-error reference steps on the fine lattice and backward Euler
+at each step size on an exact coarsening of the same increments; the chain
+estimators run one BE lane per start on the same noise.  Per-path
+quantities are computed independently of how paths are grouped into
+batches, and reductions run in path-index order with compensated summation,
+so results are bit-identical for any worker count or chunk size.
 
 Expectations are estimated by plain sample means with normal-approximation
 95% confidence half-widths (1.96 * sd / sqrt(N)); path counts are >= 1000 in
@@ -180,7 +182,7 @@ def _path_means(values: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndar
 
 
 def _run_chunked(n_total: int, chunk_size: int, n_workers: int, worker) -> list:
-    """``((lo, hi), worker(lo, hi))`` over consecutive path spans, in span order.
+    """``worker(lo, hi)`` over consecutive path spans, in span order.
 
     With several workers the spans run in worker processes, at most one per
     CPU.  Threads do not pay here: the solver steps in Python and holds the
@@ -199,14 +201,14 @@ def _run_chunked(n_total: int, chunk_size: int, n_workers: int, worker) -> list:
         n_cpus = os.cpu_count() or 1
     n_procs = min(n_workers, len(spans), n_cpus)
     if n_procs <= 1 or not sys.platform.startswith("linux"):
-        return [(span, worker(*span)) for span in spans]
+        return [worker(*span) for span in spans]
     with ProcessPoolExecutor(
         max_workers=n_procs,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_install_chunk_worker,
         initargs=(worker,),
     ) as pool:
-        return list(zip(spans, pool.map(_call_chunk_worker, spans)))
+        return list(pool.map(_call_chunk_worker, spans))
 
 
 #: The span worker of a forked pool process, set by its initializer; it
@@ -223,47 +225,57 @@ def _call_chunk_worker(span: tuple[int, int]):
     return _CHUNK_WORKER(*span)
 
 
-def _chain_worker(
+def _lane_worker(
     problem: SdepcaProblem,
-    cfg: BeConfig,
-    starts: np.ndarray,
+    lanes: Sequence[Lane],
     K: int,
+    fine_step: float,
     master_seed: int,
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, list]:
-    """Block anchors (K+1, n_starts, hi-lo, d) of BE chains on paths lo..hi-1,
-    and the run's failure records ``{"path", "start", "k", "l", "kind"}``.
+) -> tuple[list, list]:
+    """One :func:`~sdepca.integrators.run_lanes` run of ``lanes`` on paths
+    lo..hi-1, over K unit blocks of fine increments at ``fine_step``.
 
-    Each path's increments at step 1/m are regenerated from
-    ``(master_seed, path_index)`` and drive every start, and all starts run
-    as one lane.
+    Each path's increments are regenerated from ``(master_seed, path_index)``.
+    Returns each lane's block anchors (K+1, hi-lo, d) if it records them,
+    else its finals (hi-lo, d), and the run's failure records
+    ``(lane, path, k, l, kind)``, lane by lane.
     """
-    n_starts, d = starts.shape
-    blocks = increment_blocks(master_seed, lo, hi, K, cfg.delta, problem.dim_noise)
-    x0 = np.broadcast_to(starts[:, None, :], (n_starts, hi - lo, d))
-    (run,) = run_lanes(problem, [Lane("be", x0=x0, record="anchors")], blocks, hi - lo, cfg.m, K)
-    # batch rows are start-major: row s * (hi - lo) + i is start s on path lo + i
-    failures = [
-        {"path": lo + row % (hi - lo), "start": row // (hi - lo), "k": k, "l": l, "kind": kind}
-        for row, k, l, kind in run.failures
+    blocks = increment_blocks(master_seed, lo, hi, K, fine_step, problem.dim_noise)
+    runs = run_lanes(problem, lanes, blocks, hi - lo, round(1.0 / fine_step), K)
+    records = [
+        (i, lo + row, k, l, kind) for i, run in enumerate(runs) for row, k, l, kind in run.failures
     ]
-    return run.anchors.reshape(K + 1, n_starts, hi - lo, d), failures
+    return [run.finals if run.anchors is None else run.anchors for run in runs], records
+
+
+def _run_lanes_chunked(
+    problem, lanes, K, fine_step, master_seed, n_paths, n_workers, chunk_size
+) -> tuple[list, list]:
+    """:func:`_lane_worker` over all paths in spans: each lane's results
+    joined along the path axis, and the records in span order."""
+    worker = partial(_lane_worker, problem, lanes, K, fine_step, master_seed)
+    outs = _run_chunked(n_paths, chunk_size, n_workers, worker)
+    results = [np.concatenate(parts, axis=-2) for parts in zip(*(out for out, _ in outs))]
+    return results, [record for _, records in outs for record in records]
 
 
 def _chain_anchors(
     problem, cfg, starts, K, n_paths, master_seed, n_workers, chunk_size
 ) -> tuple[np.ndarray, list]:
     """Block anchors (K+1, n_starts, n_paths, d) of BE chains from each of
-    ``starts``, and their failure records."""
-    starts = np.asarray(starts, dtype=float)
-    anchors = np.empty((K + 1, starts.shape[0], n_paths, starts.shape[1]))
-    failures: list = []
-    worker = partial(_chain_worker, problem, cfg, starts, K, master_seed)
-    for (lo, hi), (out, records) in _run_chunked(n_paths, chunk_size, n_workers, worker):
-        anchors[:, :, lo:hi] = out
-        failures += records
-    return anchors, failures
+    ``starts``, one lane per start on the same noise, and their failure
+    records ``{"path", "start", "k", "l", "kind"}`` by (path, k, l, start)."""
+    lanes = [Lane("be", x0=start, record="anchors") for start in np.asarray(starts, dtype=float)]
+    anchors, records = _run_lanes_chunked(
+        problem, lanes, K, cfg.delta, master_seed, n_paths, n_workers, chunk_size
+    )
+    failures = [
+        {"path": path, "start": start, "k": k, "l": l, "kind": kind}
+        for start, path, k, l, kind in sorted(records, key=lambda r: (r[1], r[2], r[3], r[0]))
+    ]
+    return np.stack(anchors, axis=1), failures
 
 
 def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, float]:
@@ -458,7 +470,6 @@ def estimate_weak_errors(
             raise ValueError(f"step size {d} is not coarsenable from {fine_step}")
         factors.append(factor)
 
-    d_state = problem.dim_state
     n_deltas = len(deltas)
     n_ref = len(reference.lanes)
     extrapolated = isinstance(reference, ExtrapolatedReference)
@@ -467,24 +478,15 @@ def estimate_weak_errors(
         {"reference": True, "delta": 1.0 if callable(lane.scheme) else lane.factor * fine_step}
         for lane in reference.lanes
     ] + [{"delta": delta} for delta in deltas]
-    fine_m = round(1.0 / fine_step)
     # the reference's endpoints (its lanes), then BE's at each step size
-    finals = np.full((n_ref + n_deltas, n_paths, d_state), np.nan)
-
-    def worker(lo: int, hi: int):
-        blocks = increment_blocks(master_seed, lo, hi, T, fine_step, problem.dim_noise)
-        runs = run_lanes(problem, lanes, blocks, hi - lo, fine_m, T)
-        failures = [
-            {"path": lo + row, **mark, "k": k, "l": l, "kind": kind}
-            for mark, run in zip(marks, runs)
-            for row, k, l, kind in run.failures
-        ]
-        return [run.finals for run in runs], failures
-
-    failure_log: list = []
-    for (lo, hi), (chunk_finals, failures) in _run_chunked(n_paths, chunk_size, n_workers, worker):
-        finals[:, lo:hi] = chunk_finals
-        failure_log += failures
+    finals, records = _run_lanes_chunked(
+        problem, lanes, T, fine_step, master_seed, n_paths, n_workers, chunk_size
+    )
+    finals = np.stack(finals)
+    failure_log = [
+        {"path": path, **marks[lane], "k": k, "l": l, "kind": kind}
+        for lane, path, k, l, kind in records
+    ]
     ref_finals = finals[0]
     ref_coarse = finals[1] if extrapolated else None
     num_finals = finals[n_ref:]

@@ -410,6 +410,8 @@ class TestBatchEngine:
     @pytest.mark.parametrize("record", ["full", "anchors"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_starts_match_solo_runs(self, scheme, record, dim):
+        """Several starts on the same noise, one lane each, equal each start
+        run alone."""
         if dim == 1:
             problem = cubic_multiplicative(1.0, 1.0)
         else:
@@ -435,24 +437,23 @@ class TestBatchEngine:
         x0 = rng.uniform(-2.0, 2.0, (3, n, dim))
         x0[1] = np.nan  # a start that fails on every row
         x0[2, [1, 3]] = 1e200  # rows whose cubed state overflows, so no solve resolves them
-        run = run_scheme_batch(scheme, problem, cfg, increments, x0, K, record=record)
-        expected_failures = []
-        for s in range(3):
-            solo = run_scheme_batch(scheme, problem, cfg, increments, x0[s], K, record=record)
-            expected_failures += [(s * n + row, k, l, kind) for row, k, l, kind in solo.failures]
-            assert run.ok[s * n : (s + 1) * n].tolist() == solo.ok.tolist()
+        # one lane per start on the same noise: the lanes share each tick's solve
+        lanes = [Lane(scheme, x0=start, record=record) for start in x0]
+        runs = run_lanes(problem, lanes, unit_blocks(increments, cfg.m, K), n, cfg.m, K)
+        for start, run in zip(x0, runs):
+            solo = run_scheme_batch(scheme, problem, cfg, increments, start, K, record=record)
+            assert run.ok.tolist() == solo.ok.tolist()
             for i in np.flatnonzero(solo.ok):
-                row = s * n + i
-                assert run.finals[row].tobytes() == solo.finals[i].tobytes()
+                assert run.finals[i].tobytes() == solo.finals[i].tobytes()
                 if record == "full":
-                    assert run.states[row].tobytes() == solo.states[i].tobytes()
+                    assert run.states[i].tobytes() == solo.states[i].tobytes()
                 else:
-                    assert run.anchors[:, row].tobytes() == solo.anchors[:, i].tobytes()
-        assert not run.ok[n : 2 * n].any()
-        assert run.ok[2 * n : 3 * n].tolist() == [True, False, True, False, True]
-        # failures carry start-major row indices, in step order
-        assert sorted(run.failures) == sorted(expected_failures)
-        assert [f[1:3] for f in run.failures] == sorted(f[1:3] for f in run.failures)
+                    assert run.anchors[:, i].tobytes() == solo.anchors[:, i].tobytes()
+            # failures carry the lane's own row indices, in step order
+            assert run.failures == solo.failures
+            assert [f[1:3] for f in run.failures] == sorted(f[1:3] for f in run.failures)
+        assert not runs[1].ok.any()
+        assert runs[2].ok.tolist() == [True, False, True, False, True]
 
     def test_anchor_record_shape(self):
         problem = linear_additive(3.0, 1.0)
@@ -482,11 +483,12 @@ class TestLaneRunner:
     def test_merged_lanes_match_solo_runs(self, problem):
         m, K, n = 8, 3, 7
         fine = np.stack([generate_path(5, i, 3.0, 1.0 / m, 1).increments for i in range(n)])
-        starts = np.array([[[0.5]] * n, [[-0.2]] * n])  # two starts per path
         lanes = [
             Lane("be", 4, record="full"),
             Lane("ssbe", 1, record="anchors"),
-            Lane("be", 2, x0=starts, record="anchors"),
+            # two starts on the same noise: two lanes
+            Lane("be", 2, x0=[0.5], record="anchors"),
+            Lane("be", 2, x0=[-0.2], record="anchors"),
             Lane("ssbe", 2),
             Lane("be", 8, x0=[0.3], record="full"),
         ]

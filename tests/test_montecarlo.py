@@ -508,9 +508,9 @@ def hand_means(values):
 
 
 class TestStackedStartsMatchSoloRuns:
-    """The estimators run every start in one batch; each report must equal a
-    reduction of separate per-start runs, so a transposed start-major
-    reshape shows here even though every worker count runs the same code."""
+    """The estimators run every start as one lane of one run; each report
+    must equal a reduction of separate per-start runs, so a misplaced start
+    axis shows here even though every worker count runs the same code."""
 
     def test_ergodic_trace(self):
         problem = cubic_multiplicative(1.0, 1.0)
@@ -592,19 +592,32 @@ class TestChainFailureBudget:
     problem = nan_above(1.5)
 
     @pytest.mark.parametrize(
-        "estimate",
+        "estimate, interleaved",
         [
-            lambda problem, **kw: ergodic_mean_trace(
-                problem, BeConfig(m=4), [-0.5, 0.5], 3, 30, TestFunction.COS_ABS, 5, **kw
+            (
+                lambda problem, **kw: ergodic_mean_trace(
+                    problem, BeConfig(m=4), [-0.5, 0.5], 3, 30, TestFunction.COS_ABS, 5, **kw
+                ),
+                False,
             ),
-            lambda problem, **kw: contraction_estimate(
-                problem, BeConfig(m=4), 0.5, -0.5, 30, 3, 5, **kw
+            (
+                lambda problem, **kw: contraction_estimate(
+                    problem, BeConfig(m=4), 0.5, -0.5, 30, 3, 5, **kw
+                ),
+                False,
             ),
-            lambda problem, **kw: moment_estimate(problem, BeConfig(m=4), 1, 30, 3, 5, **kw),
+            (lambda problem, **kw: moment_estimate(problem, BeConfig(m=4), 1, 30, 3, 5, **kw), False),
+            (
+                lambda problem, **kw: ergodic_mean_trace(
+                    problem, BeConfig(m=4), [-1.0, -0.5, 0.0, 0.5, 1.0], 3, 30,
+                    TestFunction.COS_ABS, 5, **kw
+                ),
+                True,
+            ),
         ],
-        ids=["ergodic", "contraction", "moment"],
+        ids=["ergodic", "contraction", "moment", "ergodic-5-starts"],
     )
-    def test_failed_paths_past_the_budget_abort(self, estimate):
+    def test_failed_paths_past_the_budget_abort(self, estimate, interleaved):
         logs = []
         for workers, chunk in ((1, 512), (3, 7)):
             with pytest.raises(MonteCarloFailure) as info:
@@ -615,6 +628,13 @@ class TestChainFailureBudget:
         assert paths == sorted(paths)
         assert all(entry["kind"] == "nonfinite" for entry in logs[0])
         assert logs[0] == logs[1]
+        # the records run by (path, k, l, start): the CLI prints the first
+        keys = [(e["path"], e["k"], e["l"], e["start"]) for e in logs[0]]
+        assert keys == sorted(keys)
+        if interleaved:
+            # several starts of one path fail at different steps, a later
+            # start first, so the order is not that of the starts
+            assert any(a[0] == b[0] and a[1:3] < b[1:3] and a[3] > b[3] for a, b in zip(keys, keys[1:]))
 
 
 class TestMomentEstimate:
