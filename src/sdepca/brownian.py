@@ -22,12 +22,12 @@ import numpy as np
 _DUMP_MAGIC = b"SPCA"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<4sIdQI")
-#: Fewest normals per path in a unit block that :func:`increment_blocks`
-#: draws block by block.  One draw costs a few microseconds of fixed cost,
-#: which a smaller block does not repay in memory saved.
-_MIN_STREAMED_BLOCK = 1024
+#: Fine steps per path in one draw of :func:`increment_blocks`.  A draw
+#: costs about 1.7 us of Python per path, so shorter pieces cost time;
+#: longer ones hold more noise at once, and a wider span pays more.
+_PIECE_STEPS = 256
 #: Paths drawn into one path-major tile by :func:`_draw_block` before it is
-#: transposed into the step-major block: 1 MB at 2048 normals per path.
+#: transposed into the step-major piece: 128 KB at 256 normals per path.
 _DRAW_TILE = 64
 
 
@@ -92,12 +92,18 @@ def generate_increments(
 
 def unit_blocks(increments: np.ndarray, m: int, K: int):
     """Iterator over the first K unit blocks of a (n_paths, >= K*m, r)
-    lattice at step 1/m, each a step-major (m, n_paths, r) view."""
+    lattice at step 1/m, each one piece: a step-major (m, n_paths, r) view."""
     if increments.shape[1] < K * m:
         raise ValueError(
             f"grid too short: need {K * m} steps of size 1/{m}, have {increments.shape[1]}"
         )
-    return (increments[:, k * m : (k + 1) * m].swapaxes(0, 1) for k in range(K))
+    return ((increments[:, k * m : (k + 1) * m].swapaxes(0, 1),) for k in range(K))
+
+
+def piece_steps(factor: int) -> int:
+    """Fine steps in a piece of :func:`increment_blocks`: ``_PIECE_STEPS``
+    rounded up to a multiple of ``factor``."""
+    return -(-_PIECE_STEPS // factor) * factor
 
 
 def increment_blocks(
@@ -107,16 +113,20 @@ def increment_blocks(
     K: int,
     fine_step: float,
     dim_noise: int = 1,
+    factor: int = 1,
 ):
     """Iterator over the increments of paths lo..hi-1, one unit block at a time.
 
-    Yields K step-major arrays (1/fine_step, hi - lo, dim_noise): row l of
-    a block holds step l of every path.  Joined along the step axis they
-    equal each path's :func:`generate_increments` over the horizon K, byte
-    for byte: a path's Philox stream drawn one block at a time continues
-    where the previous draw stopped.  A unit block of fewer than
-    ``_MIN_STREAMED_BLOCK`` normals per path is cut from the whole lattice,
-    drawn at once by the same drawer.
+    Yields K blocks, each an iterator over consecutive step-major pieces
+    (s, hi - lo, dim_noise): row l of a piece holds its step l of every
+    path.  Each draw takes :func:`piece_steps` of ``factor`` fine steps per
+    path, so a piece holds whole steps of ``factor`` fine steps, or what is
+    left of a block.  A block shorter than a draw is one piece, a view into
+    a draw that covers several blocks.  Joined along the step axis the
+    pieces equal each path's :func:`generate_increments` over the horizon K,
+    byte for byte: a path's Philox stream drawn in pieces continues where
+    the previous draw stopped.  The draws are lazy, so each block's pieces
+    must be taken in turn before the next block's.
     """
     m = _validate_lattice(1.0, fine_step)
     if dim_noise < 1:
@@ -125,28 +135,43 @@ def increment_blocks(
         return iter(())
     rngs = [path_rng(master_seed, i) for i in range(lo, hi)]
     scale = math.sqrt(fine_step)
-    if m * dim_noise < _MIN_STREAMED_BLOCK:
-        whole = _draw_block(rngs, K * m, dim_noise, scale)
-        return (whole[k * m : (k + 1) * m] for k in range(K))
-    return (_draw_block(rngs, m, dim_noise, scale) for _ in range(K))
+    piece = piece_steps(factor)
+
+    def pieces():
+        for start in range(0, m, piece):
+            yield _draw_block(rngs, min(piece, m - start), dim_noise, scale)
+
+    if m >= piece:
+        return (pieces() for _ in range(K))
+
+    def shared():
+        per_draw = -(-piece // m)
+        for k0 in range(0, K, per_draw):
+            n = min(per_draw, K - k0)
+            draw = _draw_block(rngs, n * m, dim_noise, scale)
+            for j in range(n):
+                yield (draw[j * m : (j + 1) * m],)
+            del draw  # freed before the next draw
+
+    return shared()
 
 
-def _draw_block(rngs, m: int, dim_noise: int, scale: float) -> np.ndarray:
-    """The next m steps of each generator's stream, step-major
-    (m, len(rngs), dim_noise).
+def _draw_block(rngs, s: int, dim_noise: int, scale: float) -> np.ndarray:
+    """The next s steps of each generator's stream, step-major
+    (s, len(rngs), dim_noise): one piece of :func:`increment_blocks`.
 
     Each stream fills one row of a path-major tile of ``_DRAW_TILE`` paths,
-    which is scaled into its columns of the block; so no second block is
+    which is scaled into its columns of the piece; so no second piece is
     ever held.
     """
-    block = np.empty((m, len(rngs), dim_noise))
-    tile = np.empty((min(_DRAW_TILE, len(rngs)), m, dim_noise))
+    piece = np.empty((s, len(rngs), dim_noise))
+    tile = np.empty((min(_DRAW_TILE, len(rngs)), s, dim_noise))
     for lo in range(0, len(rngs), _DRAW_TILE):
         part = rngs[lo : lo + _DRAW_TILE]
         for row, rng in zip(tile, part):
             rng.standard_normal(out=row)
-        np.multiply(tile[: len(part)].swapaxes(0, 1), scale, out=block[:, lo : lo + len(part)])
-    return block
+        np.multiply(tile[: len(part)].swapaxes(0, 1), scale, out=piece[:, lo : lo + len(part)])
+    return piece
 
 
 def generate_path(

@@ -13,16 +13,17 @@ Explicit Euler and split-step backward Euler are provided as references.  A
 single path runs through ``simulate_be`` and friends, returning a
 :class:`Trajectory`.  Batches run through :func:`run_lanes`: a :class:`Lane`
 is one scheme at one coarsening of a fine step, over a batch of paths, and
-the runner advances any set of lanes one unit block of fine noise at a
-time.  Lanes that step at the same fine tick share one implicit solve, with
-a step size per row.  Rows are advanced independently - a row's iterates
-never depend on the other rows - so a merged run, a batched run and a
-per-path run agree bit for bit.
+the runner advances any set of lanes one piece of a unit block of fine
+noise at a time.  Lanes that step at the same fine tick share one implicit
+solve, with a step size per row.  Rows are advanced independently - a
+row's iterates never depend on the other rows - so a merged run, a batched
+run and a per-path run agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -382,14 +383,28 @@ def be_step(
 
 
 @dataclass(frozen=True)
+class BlockMap:
+    """A map of states over whole unit blocks, folded over each block's pieces.
+
+    At a block's start the carry is zeros shaped like the states (n, d).
+    ``fold(carry, piece, h)`` takes each step-major piece of fine
+    increments (s, n, r) at fine step h in turn and returns the carry;
+    ``finish(x, carry)`` gives the states at the block's end.
+    """
+
+    fold: Callable
+    finish: Callable
+
+
+@dataclass(frozen=True)
 class Lane:
     """One scheme over a batch of paths, stepping every ``factor`` fine steps.
 
-    ``scheme`` is "be", "ssbe" or "em", or a map ``(x, block) -> x`` that
-    advances states (n, d) over a whole unit block from its step-major fine
-    increments (m, n, r), such as an exact solution; a map lane steps once
-    per unit block and ignores ``factor``.  ``x0`` is one start (d,) or
-    per-path starts (n_paths, d); ``None`` is the problem's initial state.
+    ``scheme`` is "be", "ssbe" or "em", or a :class:`BlockMap`, such as an
+    exact solution, which advances the states once per unit block from its
+    fine increments, folded piece by piece; a map lane ignores ``factor``.
+    ``x0`` is one start (d,) or per-path starts (n_paths, d); ``None`` is
+    the problem's initial state.
     Several starts on the same noise are several lanes, which share each
     tick's implicit solve.
     ``record`` selects what the lane's :class:`BatchRun` keeps: "final",
@@ -402,7 +417,7 @@ class Lane:
     record: str = "final"
 
     def __post_init__(self) -> None:
-        if not callable(self.scheme) and self.scheme not in ("be", "em", "ssbe"):
+        if not isinstance(self.scheme, BlockMap) and self.scheme not in ("be", "em", "ssbe"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record not in ("final", "anchors", "full"):
             raise ValueError(f"unknown record mode {self.record!r}")
@@ -415,7 +430,7 @@ class _LaneRun:
 
     def __init__(self, lane: Lane, x0, n_paths: int, m: int, K: int):
         self.lane = lane
-        self.maps = callable(lane.scheme)
+        self.maps = isinstance(lane.scheme, BlockMap)
         self.factor = m if self.maps else int(lane.factor)
         if m % self.factor:
             raise ValueError(f"factor {self.factor} does not divide the {m} steps of a unit block")
@@ -438,16 +453,17 @@ class _LaneRun:
             self.x = self.x0.copy()
             self.alive = np.ones(n_paths, dtype=bool)
 
-    def increments(self, block: np.ndarray) -> np.ndarray:
-        """The lane's increments (steps, n_paths, r), coarsened from the
-        step-major fine ``block``; a factor-1 lane steps on the block itself."""
+    def increments(self, piece: np.ndarray) -> np.ndarray:
+        """The lane's increments (s / factor, n_paths, r), coarsened from the
+        step-major fine ``piece`` of s steps; a factor-1 lane steps on the
+        piece itself."""
         if self.factor == 1:
-            return block
-        m, n_paths, r = block.shape
+            return piece
+        s, n_paths, r = piece.shape
         # one row per step: each coarse row is a left-to-right sum of
         # contiguous fine rows
-        flat = coarsen_array(block.reshape(m, n_paths * r), self.factor)
-        return flat.reshape(self.steps, n_paths, r)
+        flat = coarsen_array(piece.reshape(s, n_paths * r), self.factor)
+        return flat.reshape(s // self.factor, n_paths, r)
 
     def end_block(self, x: np.ndarray, k: int) -> None:
         """Keep the states ``x`` at the end of block k."""
@@ -484,20 +500,26 @@ def run_lanes(
     ``problem`` gives the coefficients of every stepping lane; it may be
     None when all lanes are maps with starts of their own.
 
-    ``blocks`` yields K step-major arrays (m, n_paths, r): the fine
-    increments of one unit block at step 1/m, row l holding step l of every
-    path, such as :func:`~sdepca.brownian.increment_blocks` draws.  A lane
-    with factor f steps at f/m, on the sums of each f consecutive
-    increments of a block, which it coarsens itself; so its numbers equal
-    those of the lane run alone on the coarsened lattice.
+    ``blocks`` yields K unit blocks of fine increments at step 1/m, each an
+    iterable of consecutive step-major pieces (s, n_paths, r), row l of a
+    piece holding its step l of every path, such as
+    :func:`~sdepca.brownian.increment_blocks` draws.  A block's pieces
+    cover its m steps, and each must hold whole steps of every stepping
+    lane; a ``ValueError`` says when they do not.  A lane with factor f
+    steps at f/m, on the sums of each f consecutive increments of a piece,
+    which it coarsens itself; so its numbers equal those of the lane run
+    alone on the coarsened lattice, whatever the pieces.  Each piece, and
+    the lanes' coarsened copies of it, are released before the next piece
+    is taken.
     Returns one :class:`BatchRun` per lane, in the order of ``lanes``.
 
     The stepping lanes are laid out as consecutive rows ordered by factor;
     each factor must divide the next.  The lanes that step at fine tick t
     then form a prefix of the rows, and the tick makes one implicit solve on
     that prefix with a step size per row.  Explicit Euler has no solve to
-    share, so "em" lanes do not run beside implicit ones.  A map lane
-    advances at the end of each block.  A row whose state, coefficient or
+    share, so "em" lanes do not run beside implicit ones.  The anchors are
+    frozen at each block's start.  A map lane folds each piece and advances
+    at the end of each block.  A row whose state, coefficient or
     implicit solve goes bad is NaN from then on, and its lane records
     (row, k, l, kind) with the lane's own block and step.
     """
@@ -545,17 +567,28 @@ def run_lanes(
     for t in range(m):
         steps = tuple((t + 1) // run.factor - 1 for run in stepped if (t + 1) % run.factor == 0)
         if steps:
-            ticks.append((steps, *levels[len(steps)]))
+            ticks.append((t, steps, *levels[len(steps)]))
+    tick_times = [tick[0] for tick in ticks]
+    widest = stepped[-1].factor if stepped else 1
 
-    def advance(k: int, block: np.ndarray) -> None:
-        """Step every lane through unit block k of the fine noise."""
-        y = x.copy()
-        incs = [run.increments(block) for run in stepped]
-        for steps, stop, lane_runs, full in ticks:
+    def advance(k: int, y: np.ndarray, start: int, piece: np.ndarray) -> None:
+        """Step every lane through the fine steps of block k that ``piece``
+        holds, from step ``start``."""
+        length = piece.shape[0]
+        if start % widest or length % widest:
+            raise ValueError(
+                f"a piece of {length} fine steps from step {start} "
+                f"does not hold whole steps of {widest}"
+            )
+        incs = [run.increments(piece) for run in stepped]
+        # a lane's step l is row l - offset of its coarsened piece
+        offsets = [start // run.factor for run in stepped]
+        first, last = bisect_left(tick_times, start), bisect_left(tick_times, start + length)
+        for _, steps, stop, lane_runs, full in ticks[first:last]:
             if len(steps) == 1:
-                dB = incs[0][steps[0]]
+                dB = incs[0][steps[0] - offsets[0]]
             else:
-                dB = np.concatenate([inc[l] for inc, l in zip(incs, steps)])
+                dB = np.concatenate([inc[l - o] for inc, l, o in zip(incs, steps, offsets)])
             xa, ya, da = x[:stop], y[:stop], delta[:stop]
             if lane_runs[0][0] == "em":
                 x_new = xa + da * drift(xa, ya) + _kick(diffusion, xa, ya, dB)
@@ -585,7 +618,12 @@ def run_lanes(
                 run = stepped[i]
                 run.states[:, k * run.steps + steps[i] + 1] = x[run.lo : run.hi]
         for run in mapped:
-            x_map = run.lane.scheme(run.x, block)
+            run.carry = run.lane.scheme.fold(run.carry, piece, 1.0 / m)
+
+    def end_block(k: int) -> None:
+        """Finish the map lanes and keep every lane's states at the end of block k."""
+        for run in mapped:
+            x_map = run.lane.scheme.finish(run.x, run.carry)
             bad = ~np.isfinite(x_map).all(axis=1)
             for i in np.flatnonzero(bad & run.alive):
                 run.failures.append((int(i), k, 0, "nonfinite"))
@@ -598,8 +636,17 @@ def run_lanes(
     blocks = iter(blocks)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(K):
-            # one block of noise at a time: the last is freed before the next is drawn
-            advance(k, next(blocks))
+            y = x.copy()
+            for run in mapped:
+                run.carry = np.zeros_like(run.x)
+            start = 0
+            for piece in next(blocks):
+                advance(k, y, start, piece)
+                start += piece.shape[0]
+                del piece  # freed before the next piece is drawn
+            if start != m:
+                raise ValueError(f"the pieces of block {k} hold {start} fine steps, not {m}")
+            end_block(k)
 
     return [run.result(run.x if run.maps else x[run.lo : run.hi].copy()) for run in runs]
 

@@ -160,14 +160,27 @@ def exact_block(
     """Solution values at the end of a unit block from its anchors (...,).
 
     ``increments`` (..., 1/fine_step) are the block's fine increments.  The
-    stochastic convolution is built from them by the recursion of
-    :func:`_fine_step_weights`.
+    stochastic convolution is built from them by :func:`fold_convolution`.
+    """
+    steps = np.moveaxis(increments, -1, 0)
+    integral = fold_convolution(params, np.zeros_like(anchors), steps, fine_step)
+    return anchors * mu_fraction(params, 1.0) + integral
+
+
+def fold_convolution(
+    params: LinearAdditiveParams,
+    integral: np.ndarray,
+    increments: np.ndarray,
+    fine_step: float,
+) -> np.ndarray:
+    """The stochastic convolution ``integral`` carried over fine increments
+    (steps, ...), one step at a time by the recursion of
+    :func:`_fine_step_weights`: ``integral = decay * integral + weight * dB``.
     """
     decay, weight = _fine_step_weights(params, fine_step)
-    integral = np.zeros_like(anchors)
-    for j in range(increments.shape[-1]):
-        integral = decay * integral + weight * increments[..., j]
-    return anchors * mu_fraction(params, 1.0) + integral
+    for dB in increments:
+        integral = decay * integral + weight * dB
+    return integral
 
 
 def exact_finals_batch(

@@ -1,8 +1,8 @@
 """Monte Carlo estimation of weak errors, mixing and contraction diagnostics.
 
 The estimators follow a common-random-numbers protocol: every path index maps
-to one fine Brownian lattice (keyed by the master seed), drawn one unit block
-at a time.  Every estimator is one set of lanes of
+to one fine Brownian lattice (keyed by the master seed), drawn one piece of
+a unit block at a time.  Every estimator is one set of lanes of
 :func:`~sdepca.integrators.run_lanes`, run by one span worker on each span of
 paths: the weak-error reference steps on the fine lattice and backward Euler
 at each step size on an exact coarsening of the same increments; the chain
@@ -22,6 +22,7 @@ import enum
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import sys
 import warnings
@@ -42,10 +43,11 @@ from .brownian import (
     coarsen_array,
     generate_increments,
     increment_blocks,
+    piece_steps,
     unit_blocks,
 )
-from .integrators import BeConfig, Lane, Trajectory, run_lanes, run_scheme_batch
-from .linear_analytic import LinearAdditiveParams, exact_block, exact_finals_batch
+from .integrators import BeConfig, BlockMap, Lane, Trajectory, run_lanes, run_scheme_batch
+from .linear_analytic import LinearAdditiveParams, exact_finals_batch, fold_convolution, mu_fraction
 from .model import DissipativityParams, SdepcaProblem, check_moment_condition
 
 _Z95 = 1.96
@@ -54,6 +56,9 @@ _Z95 = 1.96
 _DECAY_FLOOR = 1e-280
 #: Share of paths that may fail before an estimate is abandoned.
 _MAX_FAILURE_FRACTION = 1e-3
+#: Noise that one default span holds at once: a piece of 256 steps of 2048
+#: paths at r = 1.
+_SPAN_NOISE_BYTES = 4 * 2**20
 
 
 class MonteCarloFailure(RuntimeError):
@@ -181,8 +186,14 @@ def _path_means(values: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndar
     return means, ses, n_failed
 
 
-def _run_chunked(n_total: int, chunk_size: int, n_workers: int, worker) -> list:
+def _run_chunked(
+    n_total: int, chunk_size: Optional[int], n_workers: int, worker, path_bytes: int
+) -> list:
     """``worker(lo, hi)`` over consecutive path spans, in span order.
+
+    A span is ``chunk_size`` paths.  When that is None, each worker gets one
+    span, of at most ``_SPAN_NOISE_BYTES // path_bytes`` paths, where
+    ``path_bytes`` is the noise that one path of a span holds at once.
 
     With several workers the spans run in worker processes, at most one per
     CPU.  Threads do not pay here: the solver steps in Python and holds the
@@ -194,6 +205,12 @@ def _run_chunked(n_total: int, chunk_size: int, n_workers: int, worker) -> list:
     forking a process that has loaded system frameworks is not safe, the
     spans run in turn.
     """
+    if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
+        raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
+    if chunk_size is None:
+        chunk_size = min(-(-n_total // n_workers), max(1, _SPAN_NOISE_BYTES // path_bytes))
+    elif not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
+        raise ValueError(f"chunk_size must be a positive integer or None, got {chunk_size!r}")
     spans = [(i, min(i + chunk_size, n_total)) for i in range(0, n_total, chunk_size)]
     if hasattr(os, "sched_getaffinity"):
         n_cpus = len(os.sched_getaffinity(0))
@@ -237,12 +254,14 @@ def _lane_worker(
     """One :func:`~sdepca.integrators.run_lanes` run of ``lanes`` on paths
     lo..hi-1, over K unit blocks of fine increments at ``fine_step``.
 
-    Each path's increments are regenerated from ``(master_seed, path_index)``.
+    Each path's increments are regenerated from ``(master_seed, path_index)``,
+    one piece at a time, each holding whole steps of the widest lane.
     Returns each lane's block anchors (K+1, hi-lo, d) if it records them,
     else its finals (hi-lo, d), and the run's failure records
     ``(lane, path, k, l, kind)``, lane by lane.
     """
-    blocks = increment_blocks(master_seed, lo, hi, K, fine_step, problem.dim_noise)
+    widest = max(lane.factor for lane in lanes)
+    blocks = increment_blocks(master_seed, lo, hi, K, fine_step, problem.dim_noise, widest)
     runs = run_lanes(problem, lanes, blocks, hi - lo, round(1.0 / fine_step), K)
     records = [
         (i, lo + row, k, l, kind) for i, run in enumerate(runs) for row, k, l, kind in run.failures
@@ -256,7 +275,8 @@ def _run_lanes_chunked(
     """:func:`_lane_worker` over all paths in spans: each lane's results
     joined along the path axis, and the records in span order."""
     worker = partial(_lane_worker, problem, lanes, K, fine_step, master_seed)
-    outs = _run_chunked(n_paths, chunk_size, n_workers, worker)
+    path_bytes = 8 * problem.dim_noise * piece_steps(max(lane.factor for lane in lanes))
+    outs = _run_chunked(n_paths, chunk_size, n_workers, worker, path_bytes)
     results = [np.concatenate(parts, axis=-2) for parts in zip(*(out for out, _ in outs))]
     return results, [record for _, records in outs for record in records]
 
@@ -378,13 +398,16 @@ class Reference:
 
 def linear_exact_reference(params: LinearAdditiveParams) -> Reference:
     """The exact linear solution at time T, advanced once per unit block on
-    the block's fine increments (see :func:`~sdepca.linear_analytic.exact_block`)."""
-
-    def advance(x: np.ndarray, block: np.ndarray) -> np.ndarray:
-        # the transposed step-major block: each fine step is one contiguous row
-        return exact_block(params, x[:, 0], block[..., 0].T, 1.0 / block.shape[0])[:, None]
-
-    return Reference(None, (Lane(advance, x0=np.array([float(params.x0)])),))
+    the block's fine increments, with the operations of
+    :func:`~sdepca.linear_analytic.exact_block` in its order: the stochastic
+    convolution is carried across the block's pieces, and the anchor's
+    relaxation is added at its end."""
+    mu_one = mu_fraction(params, 1.0)
+    exact = BlockMap(
+        fold=partial(fold_convolution, params),
+        finish=lambda x, integral: x * mu_one + integral,
+    )
+    return Reference(None, (Lane(exact, x0=np.array([float(params.x0)])),))
 
 
 @dataclass(frozen=True)
@@ -430,21 +453,27 @@ def estimate_weak_errors(
     *,
     fine_step: float = 2.0**-11,
     n_workers: int = 1,
-    chunk_size: int = 512,
+    chunk_size: Optional[int] = None,
 ) -> dict[TestFunction, WeakErrorReport]:
     """Coupled weak-error tables for several test functions on shared paths.
 
-    Each chunk of paths makes one :func:`~sdepca.integrators.run_lanes` run
-    on its fine noise, drawn one unit block at a time: the reference's lanes
-    and backward Euler at each step size, which steps on its own coarsening
-    of every block.  So all errors are measured on the same Brownian path,
-    and every test function is evaluated on the same simulated endpoints.
+    Each span of paths makes one :func:`~sdepca.integrators.run_lanes` run
+    on its fine noise, drawn one piece of a unit block at a time: the
+    reference's lanes and backward Euler at each step size, which steps on
+    its own coarsening of every piece.  So all errors are measured on the
+    same Brownian path, and every test function is evaluated on the same
+    simulated endpoints.
     An :class:`ExtrapolatedReference` also runs at twice the fine step, and
     its extrapolated values stand for E phi(X(T)) in ``mean_gaps``.  Paths
     that fail anywhere are dropped pairwise across all step sizes, within
     the failure budget of :func:`_count_failed`.  A BE lane's records carry
     its step size ``delta``; a reference lane's carry its own step (1 for a
     lane that maps whole blocks) and ``"reference": True``.
+
+    A span is ``chunk_size`` paths.  The default None gives each of the
+    ``n_workers`` worker processes one span, capped so that the piece of
+    noise a span holds stays within 4 MiB: 2048 paths at r = 1.  The
+    reports do not depend on either.
     """
     if int(T) != T or T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
@@ -475,7 +504,10 @@ def estimate_weak_errors(
     extrapolated = isinstance(reference, ExtrapolatedReference)
     lanes = [*reference.lanes, *(Lane("be", factor) for factor in factors)]
     marks = [
-        {"reference": True, "delta": 1.0 if callable(lane.scheme) else lane.factor * fine_step}
+        {
+            "reference": True,
+            "delta": 1.0 if isinstance(lane.scheme, BlockMap) else lane.factor * fine_step,
+        }
         for lane in reference.lanes
     ] + [{"delta": delta} for delta in deltas]
     # the reference's endpoints (its lanes), then BE's at each step size
@@ -586,7 +618,7 @@ def ergodic_mean_traces(
     master_seed: int,
     *,
     n_workers: int = 1,
-    chunk_size: int = 512,
+    chunk_size: Optional[int] = None,
 ) -> dict[TestFunction, ErgodicityReport]:
     """Estimate E phi(Y_k), k = 0..K, from each initial value, for each of
     ``phis`` on one run of the chains.
@@ -595,6 +627,7 @@ def ergodic_mean_traces(
     index i uses the same noise for every initial), so the spread directly
     measures how fast the chains forget their starting point.  Each report
     equals that of :func:`ergodic_mean_trace` with its test function alone.
+    ``n_workers`` and ``chunk_size`` are as in :func:`estimate_weak_errors`.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -689,14 +722,15 @@ def contraction_estimate(
     *,
     params: Optional[DissipativityParams] = None,
     n_workers: int = 1,
-    chunk_size: int = 512,
+    chunk_size: Optional[int] = None,
 ) -> ContractionReport:
     """Mean-square distance E|Y_k^x - Y_k^y|^2 of noise-coupled chains.
 
     Each path index drives both chains with identical increments.  The decay
     factor per unit time is fitted on the log of the positive part of the
     trace; when dissipativity constants are supplied, the analytic per-block
-    contraction factor is attached for comparison.
+    contraction factor is attached for comparison.  ``n_workers`` and
+    ``chunk_size`` are as in :func:`estimate_weak_errors`.
     """
     x_arr = np.asarray(x, dtype=float).reshape(problem.dim_state)
     y_arr = np.asarray(y, dtype=float).reshape(problem.dim_state)
@@ -778,9 +812,12 @@ def moment_estimate(
     *,
     params: Optional[DissipativityParams] = None,
     n_workers: int = 1,
-    chunk_size: int = 512,
+    chunk_size: Optional[int] = None,
 ) -> MomentReport:
-    """Monte Carlo trace of the 2p-th moment of the block anchors."""
+    """Monte Carlo trace of the 2p-th moment of the block anchors.
+
+    ``n_workers`` and ``chunk_size`` are as in :func:`estimate_weak_errors`.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     if K < 1:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sdepca.brownian import (
     _DRAW_TILE,
-    _MIN_STREAMED_BLOCK,
+    _PIECE_STEPS,
     block_increment,
     coarsen,
     coarsen_array,
@@ -69,26 +69,45 @@ class TestGeneratePath:
 
     @pytest.mark.parametrize("fine_step", [2.0**-4, 2.0**-11], ids=["whole", "streamed"])
     def test_unit_blocks_join_to_the_whole_draw(self, fine_step):
-        # 2^4 steps of 2 normals are cut from one whole draw per path; 2^11
-        # are drawn one block at a time and must continue each path's stream
-        assert 2**4 * 2 < _MIN_STREAMED_BLOCK <= 2**11 * 2
-        blocks = list(increment_blocks(9, 3, 7, 3, fine_step, 2))
-        # step-major: row l of a block is step l of every path
-        assert [b.shape for b in blocks] == [(round(1 / fine_step), 4, 2)] * 3
+        # 2^4 steps of 2 normals: the three blocks are views into one draw
+        # of the whole lattice; 2^11: each block is drawn in pieces of 256
+        # steps, which must continue each path's stream
+        m = round(1 / fine_step)
+        blocks = [list(block) for block in increment_blocks(9, 3, 7, 3, fine_step, 2)]
+        # step-major: row l of a piece is its step l of every path
+        pieces = [(16, 4, 2)] if m == 16 else [(_PIECE_STEPS, 4, 2)] * (m // _PIECE_STEPS)
+        assert [[p.shape for p in block] for block in blocks] == [pieces] * 3
+        if m == 16:
+            assert all(block[0].base is blocks[0][0].base for block in blocks)
         whole = np.stack([generate_increments(9, i, 3.0, fine_step, 2) for i in range(3, 7)], axis=1)
-        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert np.concatenate([p for block in blocks for p in block]).tobytes() == whole.tobytes()
         assert list(increment_blocks(9, 3, 7, 0, fine_step, 2)) == []
 
     @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
     def test_streamed_blocks_straddle_the_draw_tile(self, n_paths):
-        # the streamed draw fills path-major tiles of _DRAW_TILE paths; the
-        # path counts fall short of, fill, and spill over one and two tiles
-        assert _DRAW_TILE == 64
-        blocks = increment_blocks(4, 10, 10 + n_paths, 2, 2.0**-10)
-        joined = np.concatenate(list(blocks))
-        for j in range(n_paths):
-            path = generate_increments(4, 10 + j, 2.0, 2.0**-10)
-            assert joined[:, j].tobytes() == path.tobytes()
+        # the draw fills path-major tiles of _DRAW_TILE paths; the path
+        # counts fall short of, fill, and spill over one and two tiles
+        assert _DRAW_TILE == 64 and _PIECE_STEPS == 256
+        # (m, K, widest lane factor, r, piece length): at m = 16 one draw of
+        # 256 steps covers 16 blocks and the last draw, of 128 steps, is
+        # short; at m = 2048 a block is drawn in pieces of 256 steps, or of
+        # a multiple of a wider lane factor
+        cases = [
+            (16, 40, 1, 1, 16),
+            (16, 40, 8, 2, 16),
+            (2048, 2, 1, 1, 256),
+            (2048, 2, 4, 2, 256),
+            (2048, 2, 512, 1, 512),
+            (2048, 1, 1024, 2, 1024),
+        ]
+        for m, K, factor, r, piece in cases:
+            blocks = increment_blocks(4, 10, 10 + n_paths, K, 1.0 / m, r, factor)
+            pieces = [p for block in blocks for p in block]
+            assert [p.shape for p in pieces] == [(piece, n_paths, r)] * (K * m // piece)
+            joined = np.concatenate(pieces)
+            for j in range(n_paths):
+                path = generate_increments(4, 10 + j, float(K), 1.0 / m, r)
+                assert joined[:, j].tobytes() == path.tobytes()
 
 
 class TestCoarsen:

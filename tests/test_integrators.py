@@ -19,7 +19,9 @@ from sdepca.integrators import (
     simulate_ssbe,
     solve_implicit,
 )
+from sdepca.linear_analytic import LinearAdditiveParams
 from sdepca.model import SdepcaProblem
+from sdepca.montecarlo import linear_exact_reference
 from sdepca.problems import cubic_multiplicative, linear_additive
 
 
@@ -509,6 +511,42 @@ class TestLaneRunner:
         if problem is self.nan_above:
             assert all(run.failures for run in runs)
             assert any(l > 0 for run in runs for _, _, l, _ in run.failures)  # mid-block
+
+    @pytest.mark.parametrize("problem", [cubic_multiplicative(1.0, 1.0), nan_above], ids=["cubic", "nan_above"])
+    def test_pieces_do_not_change_the_run(self, problem):
+        # the same fine blocks cut into pieces: whole steps of the widest
+        # lane (8 fine steps), of different lengths, or the whole block
+        m, K, n = 32, 3, 7
+        fine = np.stack([generate_path(5, i, 3.0, 1.0 / m, 1).increments for i in range(n)])
+        exact = linear_exact_reference(LinearAdditiveParams(3.0, 1.0, 0.4)).lanes[0]
+        lanes = [
+            Lane("be", 4, record="full"),
+            Lane("ssbe", 1, record="anchors"),
+            exact,
+            Lane("be", 2, x0=[0.5], record="anchors"),
+            Lane("be", 8, x0=[0.3], record="full"),
+        ]
+
+        def cut(*bounds):
+            for (block,) in unit_blocks(fine, m, K):
+                yield (block[a:b] for a, b in zip(bounds, bounds[1:]))
+
+        whole = run_lanes(problem, lanes, cut(0, m), n, m, K)
+        for bounds in [(0, 8, 16, 24, 32), (0, 16, 32), (0, 8, 32), (0, 24, 32)]:
+            runs = run_lanes(problem, lanes, cut(*bounds), n, m, K)
+            for run, ref in zip(runs, whole):
+                assert run.finals.tobytes() == ref.finals.tobytes()
+                for kept in ("anchors", "states"):
+                    assert np.asarray(getattr(run, kept)).tobytes() == np.asarray(getattr(ref, kept)).tobytes()
+                assert run.failures == ref.failures
+        if problem is self.nan_above:
+            assert any(l > 0 for run in whole for _, _, l, _ in run.failures)  # mid-block
+        # a piece must hold whole steps of every stepping lane, and a
+        # block's pieces all of its steps
+        with pytest.raises(ValueError, match="does not hold whole steps of 8"):
+            run_lanes(problem, lanes, cut(0, 4, 32), n, m, K)
+        with pytest.raises(ValueError, match="hold 24 fine steps, not 32"):
+            run_lanes(problem, lanes, cut(0, 8, 24), n, m, K)
 
     def test_lanes_that_cannot_share_a_run_are_rejected(self):
         problem = cubic_multiplicative(1.0, 1.0)

@@ -7,6 +7,7 @@ import pytest
 from sdepca.brownian import generate_increments, generate_path
 from sdepca.integrators import (
     BeConfig,
+    Lane,
     Trajectory,
     be_mean_multiplier,
     run_scheme_batch,
@@ -23,12 +24,14 @@ from sdepca.model import SdepcaProblem
 from sdepca.montecarlo import (
     MonteCarloFailure,
     TestFunction,
+    _lane_worker,
     _mean_se,
     check_recursion_bound,
     contraction_estimate,
     ergodic_mean_trace,
     ergodic_mean_traces,
     estimate_weak_error,
+    estimate_weak_errors,
     fit_order,
     linear_exact_reference,
     moment_estimate,
@@ -341,8 +344,8 @@ class TestWeakError:
 class TestStreamedNoise:
     @pytest.mark.parametrize("cubic", [False, True], ids=["exact-linear", "ssbe-cubic"])
     def test_weak_estimate_holds_less_than_one_fine_lattice(self, cubic):
-        # the estimate draws its noise one unit block at a time, so one
-        # chunk never holds its whole fine lattice at once
+        # the estimate draws its noise one piece at a time, so one span
+        # never holds its whole fine lattice at once
         import tracemalloc
 
         n_paths, T = 128, 6
@@ -362,6 +365,70 @@ class TestStreamedNoise:
         finally:
             tracemalloc.stop()
         assert peak < n_paths * T * 2048 * 8
+
+    def test_one_span_holds_less_than_one_unit_block(self):
+        # a span holds one piece of 256 fine steps and the lanes' coarsened
+        # copies of it, not a unit block: 2048 steps of 2048 paths, 32 MiB
+        import tracemalloc
+
+        problem = linear_additive(3.0, 1.0)
+        lanes = [*linear_exact_reference(LIN).lanes, *(Lane("be", f) for f in (32, 16, 8, 4))]
+        tracemalloc.start()
+        try:
+            _lane_worker(problem, lanes, 1, 2.0**-11, 7, 0, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_default_spans_match_small_chunks(self, n_workers):
+        # the default span is one per worker, so its width depends on the
+        # worker count; the reports must not
+        linear = linear_additive(3.0, 1.0)
+        cubic = cubic_multiplicative(1.0, 1.0)
+        phis = [TestFunction.COS_ABS, TestFunction.SIN_SQ]
+        weak = (linear, linear_exact_reference(LIN), [2.0**-4, 2.0**-6], 60, 2, phis, 5)
+        chains = (cubic, BeConfig(m=4), [-1.0, 2.0], 6, 40, phis, 3)
+        for estimate, args, kwargs in (
+            (estimate_weak_errors, weak, dict(fine_step=2.0**-10)),
+            (ergodic_mean_traces, chains, {}),
+        ):
+            default = estimate(*args, n_workers=n_workers, **kwargs)
+            small = estimate(*args, chunk_size=7, **kwargs)
+            for phi in phis:
+                assert json.dumps(default[phi].as_dict()) == json.dumps(small[phi].as_dict())
+
+
+class TestSpanArguments:
+    """Every estimator rejects a span width or worker count that is not a
+    positive integer, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda **kw: estimate_weak_error(
+                linear_additive(3.0, 1.0), linear_exact_reference(LIN), [2.0**-2, 2.0**-3], 8, 1,
+                TestFunction.COS_ABS, 1, fine_step=2.0**-4, **kw
+            ),
+            lambda **kw: ergodic_mean_traces(
+                linear_additive(3.0, 1.0), BeConfig(m=4), [0.0, 1.0], 2, 8, [TestFunction.COS_ABS],
+                1, **kw
+            ),
+            lambda **kw: contraction_estimate(
+                linear_additive(3.0, 1.0), BeConfig(m=4), 1.0, -1.0, 8, 2, 1, **kw
+            ),
+            lambda **kw: moment_estimate(linear_additive(3.0, 1.0), BeConfig(m=4), 1, 8, 2, 1, **kw),
+        ],
+        ids=["weak", "ergodic", "contraction", "moment"],
+    )
+    @pytest.mark.parametrize(
+        "name, value",
+        [("chunk_size", 0), ("chunk_size", -1), ("chunk_size", 2.5), ("n_workers", 0), ("n_workers", 1.5)],
+    )
+    def test_bad_span_arguments_are_rejected(self, estimate, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            estimate(**{name: value})
 
 
 class TestErgodicTrace:
