@@ -7,7 +7,8 @@ The primary scheme is backward Euler: each step solves
 where ``anchor`` is the state frozen at the start of the current unit block
 (the piecewise-constant argument).  Monotonicity of the drift makes the
 implicit map strongly monotone, so the solve has a unique solution for every
-step size, and one damped Newton solve from the explicit part finds it.
+step size, and one damped Newton solve finds it, from the problem's
+``implicit_start`` or else from the explicit part.
 
 Explicit Euler and split-step backward Euler are provided as references.  A
 single path runs through ``simulate_be`` and friends, returning a
@@ -251,8 +252,9 @@ def _newton_step(J: np.ndarray, delta: np.ndarray, res: np.ndarray) -> np.ndarra
     return _solve_rows(A, res)
 
 
-def _newton_batch(drift, jac, y, delta, rhs):
-    """Row-wise solve of x - delta*drift(x, y) = rhs from the guess x = rhs.
+def _newton_batch(drift, jac, y, delta, rhs, start=None):
+    """Row-wise solve of x - delta*drift(x, y) = rhs from x = start(y, delta,
+    rhs), or from x = rhs when ``start`` is None.
 
     ``delta`` is an (n, 1) column: each row has its own step size.  Returns
     (x, status, resnorm) where status is 0/1/2 for
@@ -269,8 +271,8 @@ def _newton_batch(drift, jac, y, delta, rhs):
     """
     n = rhs.shape[0]
     status = np.zeros(n, dtype=np.int8)
-    # x is rhs until some rows take a step and others do not
-    x = rhs
+    # without a start, x is rhs until some rows take a step and others do not
+    x = rhs if start is None else start(y, delta, rhs)
     res, rnorm = _residual(drift, x, y, delta, rhs)
     # rows still iterating or converged; a row whose residual is not finite
     # cannot take a Newton step and has failed
@@ -341,9 +343,13 @@ def solve_implicit(
     y_block: np.ndarray,
     delta: float,
     rhs: np.ndarray,
+    start=None,
 ) -> np.ndarray:
     """Solve x - delta*drift(x, y_block) = rhs to ``_NEWTON_TOL``, or at a
     large state to the residual's rounding floor.
+
+    The solve starts at ``start(y, delta, rhs)`` on one-row batches, such as
+    a problem's ``implicit_start``, or at ``rhs`` when ``start`` is None.
 
     ``drift`` must be one-sided Lipschitz (monotone) in x, which guarantees a
     unique solution for every step size, and must accept batched ``(n, d)``
@@ -359,7 +365,7 @@ def solve_implicit(
         jac = _fd_jacobian(drift)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x, status, rnorm = _newton_batch(
-            drift, jac, y_block[None, :], np.full((1, 1), float(delta)), rhs[None, :]
+            drift, jac, y_block[None, :], np.full((1, 1), float(delta)), rhs[None, :], start
         )
     if status[0] != _STATUS_OK:
         raise _failure_error(_KINDS[status[0]], float(rnorm[0]))
@@ -373,13 +379,15 @@ def be_step(
     y_block: np.ndarray,
     dB: np.ndarray,
 ) -> np.ndarray:
-    """One backward Euler step from ``x_prev`` with block anchor ``y_block``."""
+    """One backward Euler step from ``x_prev`` with block anchor ``y_block``;
+    the same solve, from the problem's ``implicit_start``, as :func:`run_lanes`."""
     x_prev = np.asarray(x_prev, dtype=float).reshape(problem.dim_state)
     y_block = np.asarray(y_block, dtype=float).reshape(problem.dim_state)
     dB = np.asarray(dB, dtype=float).reshape(problem.dim_noise)
     drift, diffusion, jac = _batch_coefficients(problem)
     g = np.asarray(diffusion(x_prev[None, :], y_block[None, :]), dtype=float)[0]
-    return solve_implicit(drift, jac, y_block, cfg.delta, x_prev + g @ dB)
+    rhs = x_prev + g @ dB
+    return solve_implicit(drift, jac, y_block, cfg.delta, rhs, problem.implicit_start)
 
 
 @dataclass(frozen=True)
@@ -516,7 +524,8 @@ def run_lanes(
     The stepping lanes are laid out as consecutive rows ordered by factor;
     each factor must divide the next.  The lanes that step at fine tick t
     then form a prefix of the rows, and the tick makes one implicit solve on
-    that prefix with a step size per row.  Explicit Euler has no solve to
+    that prefix with a step size per row, from the problem's
+    ``implicit_start`` when it has one.  Explicit Euler has no solve to
     share, so "em" lanes do not run beside implicit ones.  The anchors are
     frozen at each block's start.  A map lane folds each piece and advances
     at the end of each block.  A row whose state, coefficient or
@@ -543,6 +552,7 @@ def run_lanes(
         row = run.hi
     if stepped:
         drift, diffusion, jac = _batch_coefficients(problem)
+        guess = problem.implicit_start
         x = np.concatenate([run.x0 for run in stepped])
         delta = np.concatenate([np.full((n_paths, 1), 1.0 / run.steps) for run in stepped])
     else:  # map lanes only
@@ -599,7 +609,7 @@ def run_lanes(
                     for scheme, s in lane_runs
                 ]
                 rhs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                x_new, status, _ = _newton_batch(drift, jac, ya, da, rhs)
+                x_new, status, _ = _newton_batch(drift, jac, ya, da, rhs, guess)
                 for scheme, s in lane_runs:
                     if scheme == "ssbe":  # the diffusion kick after the implicit drift update
                         x_new[s] += _kick(diffusion, x_new[s], ya[s], dB[s])

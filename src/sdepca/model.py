@@ -31,7 +31,11 @@ class SdepcaProblem:
     ``diffusion(x, y)`` to ``(..., d, r)``; the solvers and estimators call
     them on whole batches of states.  ``drift_jacobian_x``, when given, maps to
     ``(..., d, d)`` and is used by the implicit solver in place of finite
-    differences.
+    differences.  ``implicit_start(y, delta, rhs)``, when given, maps
+    ``(n, d)`` anchors and right-hand sides and an ``(n, 1)`` column of step
+    sizes to new ``(n, d)`` states from which the implicit solve of
+    ``x - delta * drift(x, y) = rhs`` starts; a closed-form root makes the
+    solve converge at once.  Without it the solve starts at ``rhs``.
     """
 
     dim_state: int
@@ -41,6 +45,7 @@ class SdepcaProblem:
     initial_state: np.ndarray
     drift_jacobian_x: Optional[Coefficient] = None
     tag: str = "custom"
+    implicit_start: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.dim_state < 1:

@@ -37,6 +37,10 @@ def linear_additive(theta1: float, theta2: float, x0: float = 1.0) -> SdepcaProb
     def jacobian(x, y):
         return np.full(np.shape(x)[:-1] + (1, 1), -theta1)
 
+    def implicit_start(y, delta, rhs):
+        # the root of x - delta*(-theta1*x + theta2*y) = rhs
+        return (rhs + delta * (theta2 * y)) / (1.0 + delta * theta1)
+
     return SdepcaProblem(
         dim_state=1,
         dim_noise=1,
@@ -45,6 +49,7 @@ def linear_additive(theta1: float, theta2: float, x0: float = 1.0) -> SdepcaProb
         initial_state=np.array([x0]),
         drift_jacobian_x=jacobian,
         tag="linear-additive",
+        implicit_start=implicit_start,
     )
 
 
@@ -62,6 +67,15 @@ def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
     def jacobian(x, y):
         return (-3.0 * x**2 - 10.0)[..., None]
 
+    def implicit_start(y, delta, rhs):
+        # x - delta*f(x, y) = rhs is x^3 + p x = q, whose one real root is
+        # 2 sqrt(p/3) sinh(asinh(3q/(2p) sqrt(3/p)) / 3); sinh and asinh keep
+        # their relative accuracy at every q, where Cardano's formula cancels
+        p = 1.0 / delta + 10.0
+        q = rhs / delta + 2.0 * y + 1.0
+        s = np.sqrt(p / 3.0)
+        return 2.0 * s * np.sinh(np.arcsinh(q * (1.5 / (p * s))) / 3.0)
+
     return SdepcaProblem(
         dim_state=1,
         dim_noise=1,
@@ -70,6 +84,7 @@ def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
         initial_state=np.array([x0]),
         drift_jacobian_x=jacobian,
         tag="cubic-multiplicative",
+        implicit_start=implicit_start,
     )
 
 

@@ -91,10 +91,10 @@ class TestValidation:
         assert code == 3
         assert capsys.readouterr().err.startswith("error_code=numerical_failure")
 
-    # In the two commands below every path starts at 1e200, whose cube
-    # overflows, so the implicit solve fails on every path whatever its
-    # tolerance.  The estimators must report that as a numerical failure,
-    # counting every failed path, rather than divide by zero.
+    # In the two commands below every path fails.  The estimators must report
+    # that as a numerical failure, counting every failed path, rather than
+    # divide by zero.  The coupled pair from 1e200 solves, but the square of
+    # its distance overflows.
     def test_contraction_with_every_path_failed_is_exit_3(self, tmp_path, capsys):
         code = run_cli(
             "contraction",
@@ -114,7 +114,8 @@ class TestValidation:
         code = run_cli(
             "ergodicity",
             "--problem", "cubic-multiplicative",
-            "--initials", "1e200",
+            # the diffusion kick a*x + b*y overflows in the first step
+            "--initials", "1e308",
             "--output", str(tmp_path / "e.csv"),
         )
         assert code == 3
@@ -170,14 +171,17 @@ class TestSimulate:
         code = run_cli("simulate", "--format", "json", "--output", str(tmp_path / "t.json"))
         assert code == 2
 
-    @pytest.mark.parametrize("x0", ["1e6", "1e15", "1e30", "1e52"])
+    @pytest.mark.parametrize(
+        "x0", ["1e6", "1e15", "1e30", "1e52", "1e60", "1e102", "1e110", "1e300"]
+    )
     def test_large_start_solves_to_the_rounding_floor(self, tmp_path, x0):
         # From 1e6 the first block's anchor makes -x^3 and 2y cancel near
         # 2e6, so some states cannot meet an absolute residual of 1e-12;
         # each must meet the BE equation at least to its rounding floor.
-        # From 1e15 and 1e30 the first solve needs about 60 and 115 Newton
-        # iterations.  From 1e52 the first residual, about 6e154, has a
-        # square that overflows.
+        # The solve starts at the problem's closed-form root.  From the
+        # right-hand side instead, Newton needed about 60 and 115 iterations
+        # from 1e15 and 1e30, ran out of its 200 from 1e60 and 1e102, and
+        # overflowed the cube from 1e110 and 1e300.
         out, dump = tmp_path / "run.csv", tmp_path / "path.spca"
         code = run_cli(
             "simulate",

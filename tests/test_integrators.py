@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdepca.brownian import BrownianGrid, coarsen_array, generate_path, unit_blocks
 from sdepca.integrators import (
@@ -197,6 +200,94 @@ class TestSolveImplicit:
             assert 1 in status  # some row ran out of iterations
         else:
             assert status[-1] == 0 and resnorm[-1] > 1e-12  # the 1e30 row, at its floor
+
+
+class TestImplicitStart:
+    """The built-in problems start the implicit solve at a closed-form root."""
+
+    PROBLEMS = {"linear": linear_additive(3.0, 1.0), "cubic": cubic_multiplicative(1.0, 1.0)}
+
+    @pytest.mark.parametrize("name", ["linear", "cubic"])
+    @given(
+        delta=st.one_of(st.integers(0, 11).map(lambda k: 2.0**-k), st.floats(2.0**-11, 1.0)),
+        rhs=st.floats(-1e300, 1e300),
+        y=st.floats(-1e300, 1e300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solve_from_the_start_meets_the_be_equation(self, name, delta, rhs, y):
+        from sdepca.integrators import _newton_batch, _rounding_floor
+
+        problem = self.PROBLEMS[name]
+        drift, jac = problem.drift, problem.drift_jacobian_x
+        y, d, rhs = np.array([[y]]), np.array([[delta]]), np.array([[rhs]])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x, status, _ = _newton_batch(drift, jac, y, d, rhs, problem.implicit_start)
+            _, status_rhs, _ = _newton_batch(drift, jac, y, d, rhs)
+            residual = np.abs(x - d * drift(x, y) - rhs)[0, 0]
+            floor = _rounding_floor(drift, jac, x, y, d, rhs)[0]
+        # the start fails no row that the right-hand side solves, and in this
+        # range it fails none at all
+        assert status[0] == 0 or status_rhs[0] != 0
+        assert status[0] == 0
+        assert residual <= max(1e-12, floor)
+
+    @pytest.mark.parametrize("x0", [2.0, -3.0, 1e6])
+    def test_be_steps_by_hand_equal_simulate_be(self, x0):
+        # from 1e6 some states sit at the rounding floor, where the solve
+        # iterates past the start
+        problem = cubic_multiplicative(1.0, 1.0, x0=x0)
+        cfg, K = BeConfig(m=8), 3
+        grid = generate_path(31, 2, float(K), cfg.delta)
+        trajectory = simulate_be(problem, cfg, grid, K)
+        x = problem.initial_state
+        states = [x]
+        for n in range(K * cfg.m):
+            if n % cfg.m == 0:
+                y = x
+            x = be_step(problem, cfg, x, y, grid.increments[n])
+            states.append(x)
+        assert np.array(states).tobytes() == trajectory.states.tobytes()
+
+    def test_starts_meet_the_criterion_5_oracles(self):
+        # Criterion 5 checks be_step against a hand-written closed form and
+        # solve_implicit against bisection; neither oracle reads a problem's
+        # start.  The starts themselves must meet them, and so must the
+        # solves from either start.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            theta1, theta2 = float(rng.uniform(0.1, 10.0)), float(rng.uniform(-5.0, 5.0))
+            cfg = BeConfig(m=int(rng.integers(1, 128)))
+            x_prev, y = float(rng.uniform(-10.0, 10.0)), float(rng.uniform(-10.0, 10.0))
+            dB = float(rng.normal(0.0, 0.5))
+            want = (x_prev + dB + cfg.delta * theta2 * y) / (1.0 + cfg.delta * theta1)
+            problem = linear_additive(theta1, theta2)
+            start = problem.implicit_start(
+                np.array([[y]]), np.array([[cfg.delta]]), np.array([[x_prev + dB]])
+            )
+            assert start[0, 0] == pytest.approx(want, abs=1e-12)
+            for p in (problem, dataclasses.replace(problem, implicit_start=None)):
+                got = be_step(p, cfg, np.array([x_prev]), np.array([y]), np.array([dB]))
+                assert got[0] == pytest.approx(want, abs=1e-12)
+
+        problem = cubic_multiplicative(1.0, 1.0)
+        for _ in range(300):
+            delta = float(rng.choice([0.5, 0.25, 0.125, 0.0625]))
+            rhs, y = float(rng.uniform(-8.0, 8.0)), float(rng.uniform(-3.0, 3.0))
+
+            def res(v):
+                return v - delta * (-(v**3) - 10.0 * v + 2.0 * y + 1.0) - rhs
+
+            root = bisect_oracle(res, -abs(rhs) - 2.0, abs(rhs) + 2.0)
+            start = problem.implicit_start(
+                np.array([[y]]), np.array([[delta]]), np.array([[rhs]])
+            )
+            assert start[0, 0] == pytest.approx(root, abs=1e-10)
+            for guess in (problem.implicit_start, None):
+                got = solve_implicit(
+                    problem.drift, problem.drift_jacobian_x, np.array([y]), delta,
+                    np.array([rhs]), guess,
+                )
+                assert got[0] == pytest.approx(root, abs=1e-10)
 
 
 class TestBeStep:
@@ -438,7 +529,10 @@ class TestBatchEngine:
         rng = np.random.default_rng(7)
         x0 = rng.uniform(-2.0, 2.0, (3, n, dim))
         x0[1] = np.nan  # a start that fails on every row
-        x0[2, [1, 3]] = 1e200  # rows whose cubed state overflows, so no solve resolves them
+        # rows whose first step overflows, so no solve resolves them: the
+        # diffusion kick for d = 1, whose start solves from 1e200, and the cube
+        # for d = 2
+        x0[2, [1, 3]] = 1e308
         # one lane per start on the same noise: the lanes share each tick's solve
         lanes = [Lane(scheme, x0=start, record=record) for start in x0]
         runs = run_lanes(problem, lanes, unit_blocks(increments, cfg.m, K), n, cfg.m, K)
