@@ -3,7 +3,7 @@ piecewise-constant arguments."""
 
 __version__ = "0.1.0"
 
-from .brownian import BrownianGrid, block_increment, coarsen, generate_path
+from .brownian import BrownianGrid, generate_path
 from .integrators import (
     BeConfig,
     NonConvergenceError,
@@ -56,7 +56,6 @@ from .montecarlo import (
     linear_exact_reference,
     moment_estimate,
     ssbe_reference,
-    time_average,
 )
 from .problems import make_problem, default_dissipativity
 

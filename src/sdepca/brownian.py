@@ -214,23 +214,6 @@ def coarsen_array(increments: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def coarsen(grid: BrownianGrid, factor: int) -> np.ndarray:
-    """Coarse (n_steps/factor, r) increment array from a fine grid."""
-    return coarsen_array(grid.increments, factor)
-
-
-def block_increment(coarse: np.ndarray, m: int, k: int, l: int) -> np.ndarray:
-    """The increment driving step l of block k, i.e. coarse[k*m + l]."""
-    if m < 1 or k < 0 or l < 0 or l >= m:
-        raise IndexError(f"invalid block coordinates m={m}, k={k}, l={l}")
-    n = k * m + l
-    if n >= coarse.shape[0]:
-        raise IndexError(
-            f"index k*m+l = {n} out of range for {coarse.shape[0]} increments"
-        )
-    return coarse[n]
-
-
 def write_path(grid: BrownianGrid, path: str | Path) -> None:
     """Dump a grid to the binary path format (little-endian f64 payload)."""
     header = _DUMP_HEADER.pack(

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .brownian import BrownianGrid
-from .integrators import Trajectory
+from .integrators import BlockMap, Trajectory
 
 
 @dataclass(frozen=True)
@@ -151,20 +152,18 @@ def _fine_step_weights(params: LinearAdditiveParams, h: float) -> tuple[float, f
     return math.exp(-a), -math.expm1(-a) / a
 
 
-def exact_block(
-    params: LinearAdditiveParams,
-    anchors: np.ndarray,
-    increments: np.ndarray,
-    fine_step: float,
-) -> np.ndarray:
-    """Solution values at the end of a unit block from its anchors (...,).
+def exact_map(params: LinearAdditiveParams) -> BlockMap:
+    """The exact solution over one unit block, as a map lane of the runner.
 
-    ``increments`` (..., 1/fine_step) are the block's fine increments.  The
-    stochastic convolution is built from them by :func:`fold_convolution`.
+    ``fold`` carries the stochastic convolution over the block's fine
+    increments by :func:`fold_convolution`; ``finish`` adds the anchor's
+    relaxation ``x * mu(1)`` at the block's end.
     """
-    steps = np.moveaxis(increments, -1, 0)
-    integral = fold_convolution(params, np.zeros_like(anchors), steps, fine_step)
-    return anchors * mu_fraction(params, 1.0) + integral
+    mu_one = mu_fraction(params, 1.0)
+    return BlockMap(
+        fold=partial(fold_convolution, params),
+        finish=lambda x, integral: x * mu_one + integral,
+    )
 
 
 def fold_convolution(
@@ -192,7 +191,7 @@ def exact_finals_batch(
     """Solution values X(K) for a batch of fine increment paths.
 
     ``increments`` has shape (n_paths, >= K/fine_step).  Each unit block is
-    advanced by :func:`exact_block`, so the result consumes exactly the
+    advanced by :func:`exact_map`, so the result consumes exactly the
     same increments the integrators see; its law is exact up to the
     relative variance error of :func:`_fine_step_weights`.
     """
@@ -202,9 +201,11 @@ def exact_finals_batch(
         raise ValueError(f"fine_step {fine_step} does not divide the unit interval")
     if increments.shape[-1] < K * npu:
         raise ValueError("increment array shorter than K unit blocks")
+    exact = exact_map(params)
     anchors = np.full(increments.shape[:-1], float(params.x0))
     for k in range(K):
-        anchors = exact_block(params, anchors, increments[..., k * npu : (k + 1) * npu], fine_step)
+        steps = np.moveaxis(increments[..., k * npu : (k + 1) * npu], -1, 0)
+        anchors = exact.finish(anchors, exact.fold(np.zeros_like(anchors), steps, fine_step))
     return anchors
 
 

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,16 +38,9 @@ import numpy as np
 # exact_finals_batch are not called here since the estimators step through
 # run_lanes; they stay importable from this module because bench/tracing.py
 # wraps them here by name
-from .brownian import (
-    _is_power_of_two,
-    coarsen_array,
-    generate_increments,
-    increment_blocks,
-    piece_steps,
-    unit_blocks,
-)
-from .integrators import BeConfig, BlockMap, Lane, Trajectory, run_lanes, run_scheme_batch
-from .linear_analytic import LinearAdditiveParams, exact_finals_batch, fold_convolution, mu_fraction
+from .brownian import _is_power_of_two, coarsen_array, generate_increments, increment_blocks, piece_steps
+from .integrators import BeConfig, BlockMap, Lane, run_lanes, run_scheme_batch
+from .linear_analytic import LinearAdditiveParams, exact_finals_batch, exact_map
 from .model import DissipativityParams, SdepcaProblem, check_moment_condition
 
 _Z95 = 1.96
@@ -186,48 +179,6 @@ def _path_means(values: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndar
     return means, ses, n_failed
 
 
-def _run_chunked(
-    n_total: int, chunk_size: Optional[int], n_workers: int, worker, path_bytes: int
-) -> list:
-    """``worker(lo, hi)`` over consecutive path spans, in span order.
-
-    A span is ``chunk_size`` paths.  When that is None, each worker gets one
-    span, of at most ``_SPAN_NOISE_BYTES // path_bytes`` paths, where
-    ``path_bytes`` is the noise that one path of a span holds at once.
-
-    With several workers the spans run in worker processes, at most one per
-    CPU.  Threads do not pay here: the solver steps in Python and holds the
-    GIL, so two threads ran the weak-error estimator at half the speed of
-    one.  The workers are forked, because ``worker`` closes over problems
-    and references whose coefficient functions need not be picklable; only
-    the span and the worker's result cross the process boundary.  This
-    library starts no threads of its own before forking.  Off Linux, where
-    forking a process that has loaded system frameworks is not safe, the
-    spans run in turn.
-    """
-    if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
-        raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
-    if chunk_size is None:
-        chunk_size = min(-(-n_total // n_workers), max(1, _SPAN_NOISE_BYTES // path_bytes))
-    elif not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
-        raise ValueError(f"chunk_size must be a positive integer or None, got {chunk_size!r}")
-    spans = [(i, min(i + chunk_size, n_total)) for i in range(0, n_total, chunk_size)]
-    if hasattr(os, "sched_getaffinity"):
-        n_cpus = len(os.sched_getaffinity(0))
-    else:
-        n_cpus = os.cpu_count() or 1
-    n_procs = min(n_workers, len(spans), n_cpus)
-    if n_procs <= 1 or not sys.platform.startswith("linux"):
-        return [worker(*span) for span in spans]
-    with ProcessPoolExecutor(
-        max_workers=n_procs,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_install_chunk_worker,
-        initargs=(worker,),
-    ) as pool:
-        return list(pool.map(_call_chunk_worker, spans))
-
-
 #: The span worker of a forked pool process, set by its initializer; it
 #: stays None in the parent.
 _CHUNK_WORKER = None
@@ -272,11 +223,49 @@ def _lane_worker(
 def _run_lanes_chunked(
     problem, lanes, K, fine_step, master_seed, n_paths, n_workers, chunk_size
 ) -> tuple[list, list]:
-    """:func:`_lane_worker` over all paths in spans: each lane's results
-    joined along the path axis, and the records in span order."""
+    """:func:`_lane_worker` over all paths in consecutive spans: each lane's
+    results joined along the path axis, and the records in span order.
+
+    A span is ``chunk_size`` paths.  When that is None, each worker gets one
+    span, of at most ``_SPAN_NOISE_BYTES`` of noise held at once: one piece
+    of fine steps of the widest lane.
+
+    With several workers the spans run in worker processes, at most one per
+    CPU.  Threads do not pay here: the solver steps in Python and holds the
+    GIL, so two threads ran the weak-error estimator at half the speed of
+    one.  The workers are forked, because the span worker closes over
+    problems and lanes whose coefficient functions need not be picklable;
+    only the span and the worker's result cross the process boundary.  This
+    library starts no threads of its own before forking.  Off Linux, where
+    forking a process that has loaded system frameworks is not safe, the
+    spans run in turn.
+    """
+    if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+    if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
+        raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
+    if chunk_size is None:
+        path_bytes = 8 * problem.dim_noise * piece_steps(max(lane.factor for lane in lanes))
+        chunk_size = min(-(-n_paths // n_workers), max(1, _SPAN_NOISE_BYTES // path_bytes))
+    elif not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
+        raise ValueError(f"chunk_size must be a positive integer or None, got {chunk_size!r}")
+    spans = [(i, min(i + chunk_size, n_paths)) for i in range(0, n_paths, chunk_size)]
     worker = partial(_lane_worker, problem, lanes, K, fine_step, master_seed)
-    path_bytes = 8 * problem.dim_noise * piece_steps(max(lane.factor for lane in lanes))
-    outs = _run_chunked(n_paths, chunk_size, n_workers, worker, path_bytes)
+    if hasattr(os, "sched_getaffinity"):
+        n_cpus = len(os.sched_getaffinity(0))
+    else:
+        n_cpus = os.cpu_count() or 1
+    n_procs = min(n_workers, len(spans), n_cpus)
+    if n_procs <= 1 or not sys.platform.startswith("linux"):
+        outs = [worker(*span) for span in spans]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=n_procs,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_install_chunk_worker,
+            initargs=(worker,),
+        ) as pool:
+            outs = list(pool.map(_call_chunk_worker, spans))
     results = [np.concatenate(parts, axis=-2) for parts in zip(*(out for out, _ in outs))]
     return results, [record for _, records in outs for record in records]
 
@@ -379,56 +368,27 @@ class Reference:
     run as backward Euler at each step size.  ``problem`` gives the
     coefficients of a stepping lane, and the estimate must be of the same
     problem; it is None for a lane that maps whole blocks.
-
-    Called on a batch of fine increments (n_paths, >= T/fine_step, r), a
-    reference runs ``lanes[0]`` alone and returns its endpoints (n_paths, d).
     """
 
     problem: Optional[SdepcaProblem]
     lanes: tuple
 
-    def __call__(self, increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
-        return self._finals(self.lanes[0], increments, fine_step, T)
-
-    def _finals(self, lane: Lane, increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
-        m = round(1.0 / fine_step)
-        blocks = unit_blocks(increments, m, T)
-        return run_lanes(self.problem, [lane], blocks, increments.shape[0], m, T)[0].finals
-
 
 def linear_exact_reference(params: LinearAdditiveParams) -> Reference:
-    """The exact linear solution at time T, advanced once per unit block on
-    the block's fine increments, with the operations of
-    :func:`~sdepca.linear_analytic.exact_block` in its order: the stochastic
-    convolution is carried across the block's pieces, and the anchor's
-    relaxation is added at its end."""
-    mu_one = mu_fraction(params, 1.0)
-    exact = BlockMap(
-        fold=partial(fold_convolution, params),
-        finish=lambda x, integral: x * mu_one + integral,
-    )
-    return Reference(None, (Lane(exact, x0=np.array([float(params.x0)])),))
+    """The exact linear solution at time T, one
+    :func:`~sdepca.linear_analytic.exact_map` step per unit block."""
+    return Reference(None, (Lane(exact_map(params), x0=np.array([float(params.x0)])),))
 
 
 @dataclass(frozen=True)
 class ExtrapolatedReference(Reference):
     """A weak-order-1 reference with its O(h) weak bias cancelled.
 
-    ``lanes`` are one scheme at the fine step h and at 2h.  Called on a
-    batch of fine increments, it returns the per-path endpoints X_h; the
-    pathwise metric couples these with the scheme under test.
-    :meth:`coarse` runs the 2h lane on pairwise sums of the same
-    increments, and :meth:`values` forms the per-path
-    2 phi(X_h) - phi(X_{2h}), whose mean estimates E phi(X(T)) with an
-    O(h^2) bias (Talay & Tubaro 1990).
+    ``lanes`` are one scheme at the fine step h and at 2h, on the same
+    fine increments.  The pathwise metric couples the endpoints X_h with the
+    scheme under test; the per-path 2 phi(X_h) - phi(X_{2h}) estimates
+    E phi(X(T)) with an O(h^2) bias (Talay & Tubaro 1990).
     """
-
-    def coarse(self, increments: np.ndarray, fine_step: float, T: int) -> np.ndarray:
-        return self._finals(self.lanes[1], increments, fine_step, T)
-
-    @staticmethod
-    def values(phi: TestFunction, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-        return 2.0 * phi(fine) - phi(coarse)
 
 
 def ssbe_reference(problem: SdepcaProblem) -> ExtrapolatedReference:
@@ -478,8 +438,6 @@ def estimate_weak_errors(
     if int(T) != T or T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
     T = int(T)
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
     if not phis:
         raise ValueError("need at least one test function")
     if not isinstance(reference, Reference):
@@ -487,6 +445,8 @@ def estimate_weak_errors(
     if reference.problem is not None and reference.problem is not problem:
         raise ValueError("the reference steps another problem than the estimate")
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ValueError("need at least one step size")
     factors = []
     for d in deltas:
         if not _is_power_of_two(d):
@@ -528,7 +488,7 @@ def estimate_weak_errors(
     reports: dict[TestFunction, WeakErrorReport] = {}
     for phi in phis:
         pr = phi(ref_finals[ok])
-        target = reference.values(phi, ref_finals[ok], ref_coarse[ok]) if extrapolated else pr
+        target = 2.0 * pr - phi(ref_coarse[ok]) if extrapolated else pr
         mean_ref = _kahan_mean(target)
         errors = []
         half_widths = []
@@ -675,21 +635,6 @@ def ergodic_mean_trace(
 ) -> ErgodicityReport:
     """Single-test-function form of :func:`ergodic_mean_traces`."""
     return ergodic_mean_traces(problem, cfg, initials, K, n_paths, [phi], master_seed, **kwargs)[phi]
-
-
-def time_average(trajectory: Trajectory, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Time average (1/K) sum of phi over the anchors Y_0 .. Y_{K-1}.
-
-    ``phi`` is any observable mapping (..., d) states to scalars, e.g. a
-    :class:`TestFunction`.
-    """
-    n_anchors = trajectory.n_anchors
-    if n_anchors < 1:
-        raise ValueError("trajectory has no anchors")
-    if n_anchors == 1:
-        return float(phi(trajectory.anchor(0)))
-    values = phi(trajectory.anchors()[:-1])
-    return _kahan_mean(np.atleast_1d(values))
 
 
 @dataclass

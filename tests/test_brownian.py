@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from sdepca.brownian import (
     _DRAW_TILE,
     _PIECE_STEPS,
-    block_increment,
-    coarsen,
     coarsen_array,
     generate_increments,
     generate_path,
@@ -119,13 +117,13 @@ class TestCoarsen:
 
     def test_factor_one_is_identity(self):
         grid = generate_path(1, 1, 1.0, 2.0**-4, 1)
-        out = coarsen(grid, 1)
+        out = coarsen_array(grid.increments, 1)
         assert np.array_equal(out, grid.increments)
         assert out is not grid.increments
 
     def test_full_factor_matches_left_to_right_sum(self):
         grid = generate_path(2, 5, 1.0, 2.0**-5, 1)
-        out = coarsen(grid, 32)
+        out = coarsen_array(grid.increments, 32)
         total = 0.0
         for v in grid.increments[:, 0]:
             total += v
@@ -135,11 +133,11 @@ class TestCoarsen:
     def test_rejects_non_divisor(self):
         grid = generate_path(3, 0, 1.0, 2.0**-3, 1)
         with pytest.raises(ValueError):
-            coarsen(grid, 3)
+            coarsen_array(grid.increments, 3)
 
     def test_group_sums_match_per_group_oracle(self):
         grid = generate_path(11, 4, 2.0, 2.0**-4, 2)
-        out = coarsen(grid, 4)
+        out = coarsen_array(grid.increments, 4)
         for j in range(out.shape[0]):
             for c in range(2):
                 acc = 0.0
@@ -166,20 +164,6 @@ class TestCoarsen:
         nested = coarsen_array(coarsen_array(incs, fa), fb)
         direct = coarsen_array(incs, fa * fb)
         np.testing.assert_allclose(nested, direct, rtol=1e-12, atol=1e-15)
-
-
-class TestBlockIncrement:
-    def test_indexing(self):
-        coarse = np.arange(10, dtype=float).reshape(10, 1)
-        assert block_increment(coarse, 2, 1, 0)[0] == 2.0
-        assert block_increment(coarse, 4, 0, 3)[0] == 3.0
-
-    def test_out_of_range(self):
-        coarse = np.arange(5, dtype=float).reshape(5, 1)
-        with pytest.raises(IndexError):
-            block_increment(coarse, 2, 2, 1)
-        with pytest.raises(IndexError):
-            block_increment(coarse, 2, 0, 2)  # l must stay below m
 
 
 class TestBinaryDump:

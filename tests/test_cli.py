@@ -62,6 +62,20 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error_code=invalid_config")
 
+    def test_empty_deltas_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        code = run_cli(
+            "weak-order",
+            "--deltas", ",",
+            "--n-paths", "20",
+            "--T", "1",
+            "--output", str(tmp_path / "w.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert "need at least one step size" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_problem_is_exit_2(self, tmp_path, capsys):
         code = run_cli("moments", "--problem", "fancy", "--output", str(tmp_path / "m.csv"))
         assert code == 2

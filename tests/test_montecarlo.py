@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from sdepca.brownian import generate_increments, generate_path
+from sdepca.brownian import generate_increments, generate_path, unit_blocks
 from sdepca.integrators import (
     BeConfig,
     Lane,
     Trajectory,
     be_mean_multiplier,
+    run_lanes,
     run_scheme_batch,
     simulate_be,
 )
@@ -24,6 +25,7 @@ from sdepca.model import SdepcaProblem
 from sdepca.montecarlo import (
     MonteCarloFailure,
     TestFunction,
+    _kahan_mean,
     _lane_worker,
     _mean_se,
     check_recursion_bound,
@@ -36,7 +38,6 @@ from sdepca.montecarlo import (
     linear_exact_reference,
     moment_estimate,
     ssbe_reference,
-    time_average,
 )
 from sdepca.problems import (
     cubic_multiplicative,
@@ -45,6 +46,14 @@ from sdepca.problems import (
 )
 
 LIN = LinearAdditiveParams(3.0, 1.0, 1.0)
+
+
+def lane_finals(problem, lane, increments, fine_step, T):
+    """Endpoints (n_paths, d) of one lane run alone on a batch of fine
+    increments (n_paths, >= T/fine_step, r)."""
+    m = round(1.0 / fine_step)
+    blocks = unit_blocks(increments, m, T)
+    return run_lanes(problem, [lane], blocks, increments.shape[0], m, T)[0].finals
 
 
 def nan_above(threshold):
@@ -291,7 +300,12 @@ class TestWeakError:
                 TestFunction.COS_ABS, 0,
             )
         with pytest.raises(TypeError):  # a whole-lattice callable is no reference
-            estimate_weak_error(problem, reference.__call__, [2.0**-4], 10, 1, TestFunction.COS_ABS, 0)
+            estimate_weak_error(
+                problem, lambda increments, fine_step, T: None, [2.0**-4], 10, 1,
+                TestFunction.COS_ABS, 0,
+            )
+        with pytest.raises(ValueError, match="^need at least one step size"):
+            estimate_weak_error(problem, reference, [], 10, 1, TestFunction.COS_ABS, 0)
 
     def test_report_serialization(self, tmp_path):
         problem = linear_additive(3.0, 1.0)
@@ -401,30 +415,38 @@ class TestStreamedNoise:
 
 
 class TestSpanArguments:
-    """Every estimator rejects a span width or worker count that is not a
-    positive integer, naming the argument."""
+    """Every estimator rejects a span width, worker count or path count that
+    is not a positive integer, naming the argument."""
 
     @pytest.mark.parametrize(
         "estimate",
         [
-            lambda **kw: estimate_weak_error(
-                linear_additive(3.0, 1.0), linear_exact_reference(LIN), [2.0**-2, 2.0**-3], 8, 1,
-                TestFunction.COS_ABS, 1, fine_step=2.0**-4, **kw
+            lambda n_paths=8, **kw: estimate_weak_error(
+                linear_additive(3.0, 1.0), linear_exact_reference(LIN), [2.0**-2, 2.0**-3],
+                n_paths=n_paths, T=1, phi=TestFunction.COS_ABS, master_seed=1, fine_step=2.0**-4,
+                **kw,
             ),
-            lambda **kw: ergodic_mean_traces(
-                linear_additive(3.0, 1.0), BeConfig(m=4), [0.0, 1.0], 2, 8, [TestFunction.COS_ABS],
-                1, **kw
+            lambda n_paths=8, **kw: ergodic_mean_traces(
+                linear_additive(3.0, 1.0), BeConfig(m=4), [0.0, 1.0], 2, n_paths=n_paths,
+                phis=[TestFunction.COS_ABS], master_seed=1, **kw,
             ),
-            lambda **kw: contraction_estimate(
-                linear_additive(3.0, 1.0), BeConfig(m=4), 1.0, -1.0, 8, 2, 1, **kw
+            lambda n_paths=8, **kw: contraction_estimate(
+                linear_additive(3.0, 1.0), BeConfig(m=4), 1.0, -1.0, n_paths=n_paths, K=2,
+                master_seed=1, **kw,
             ),
-            lambda **kw: moment_estimate(linear_additive(3.0, 1.0), BeConfig(m=4), 1, 8, 2, 1, **kw),
+            lambda n_paths=8, **kw: moment_estimate(
+                linear_additive(3.0, 1.0), BeConfig(m=4), 1, n_paths=n_paths, K=2, master_seed=1,
+                **kw,
+            ),
         ],
         ids=["weak", "ergodic", "contraction", "moment"],
     )
     @pytest.mark.parametrize(
         "name, value",
-        [("chunk_size", 0), ("chunk_size", -1), ("chunk_size", 2.5), ("n_workers", 0), ("n_workers", 1.5)],
+        [
+            ("chunk_size", 0), ("chunk_size", -1), ("chunk_size", 2.5), ("n_workers", 0),
+            ("n_workers", 1.5), ("n_paths", 0), ("n_paths", -3),
+        ],
     )
     def test_bad_span_arguments_are_rejected(self, estimate, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
@@ -492,6 +514,11 @@ class TestErgodicTrace:
         lines = target.read_text().splitlines()
         assert lines[0] == "k,trace_0,trace_1,spread"
         assert len(lines) == 5
+
+
+def time_average(trajectory, phi):
+    """(1/K) sum of phi over the anchors Y_0 .. Y_{K-1}, in index order."""
+    return _kahan_mean(phi(trajectory.anchors()[:-1]))
 
 
 class TestTimeAverage:
@@ -828,7 +855,7 @@ class TestReferences:
         problem = cubic_multiplicative(1.0, 1.0)
         grid = generate_path(44, 0, 2.0, 2.0**-6, 1)
         reference = ssbe_reference(problem)
-        finals = reference(grid.increments[None], 2.0**-6, 2)
+        finals = lane_finals(problem, reference.lanes[0], grid.increments[None], 2.0**-6, 2)
         solo = simulate_ssbe(problem, BeConfig(m=64), grid, 2)
         assert finals[0, 0] == solo.states[-1, 0]
 
@@ -839,12 +866,12 @@ class TestReferences:
         grid = generate_path(44, 0, 2.0, 2.0**-6, 1)
         reference = ssbe_reference(problem)
         incs = grid.increments[None]
-        fine = reference(incs, 2.0**-6, 2)
-        coarse = reference.coarse(incs, 2.0**-6, 2)
+        fine = lane_finals(problem, reference.lanes[0], incs, 2.0**-6, 2)
+        coarse = lane_finals(problem, reference.lanes[1], incs, 2.0**-6, 2)
         x_h = simulate_ssbe(problem, BeConfig(m=64), grid, 2).states[-1]
         x_2h = simulate_ssbe(problem, BeConfig(m=32), grid, 2).states[-1]
         for phi in TestFunction:
-            got = reference.values(phi, fine, coarse)[0]
+            got = (2.0 * phi(fine) - phi(coarse))[0]
             assert got == 2.0 * phi(x_h) - phi(x_2h)
 
     def test_linear_reference_matches_path_sampler(self):
@@ -852,6 +879,25 @@ class TestReferences:
 
         grid = generate_path(44, 1, 2.0, 2.0**-8, 1)
         reference = linear_exact_reference(LIN)
-        finals = reference(grid.increments[None], 2.0**-8, 2)
+        finals = lane_finals(None, reference.lanes[0], grid.increments[None], 2.0**-8, 2)
         solo = exact_sample_path(LIN, grid, 2)
         assert finals[0, 0] == solo.states[-1, 0]
+
+
+class TestTracerContract:
+    def test_names_the_bench_tracer_wraps_stay_in_montecarlo(self):
+        # bench/tracing.py swaps these attributes of sdepca.montecarlo for
+        # timed wrappers by name, so a traced run fails if one is cut here
+        import sdepca.brownian
+        import sdepca.integrators
+        import sdepca.linear_analytic
+        import sdepca.montecarlo as mc
+
+        owners = {
+            "generate_increments": sdepca.brownian,
+            "coarsen_array": sdepca.brownian,
+            "run_scheme_batch": sdepca.integrators,
+            "exact_finals_batch": sdepca.linear_analytic,
+        }
+        for name, owner in owners.items():
+            assert getattr(mc, name) is getattr(owner, name)
