@@ -8,7 +8,7 @@ where ``anchor`` is the state frozen at the start of the current unit block
 (the piecewise-constant argument).  Monotonicity of the drift makes the
 implicit map strongly monotone, so the solve has a unique solution for every
 step size, and one damped Newton solve finds it, from the problem's
-``implicit_start`` or else from the explicit part.
+``implicit_start``, staged once per block, or else from the explicit part.
 
 Explicit Euler and split-step backward Euler are provided as references.  A
 single path runs through ``simulate_be`` and friends, returning a
@@ -253,8 +253,9 @@ def _newton_step(J: np.ndarray, delta: np.ndarray, res: np.ndarray) -> np.ndarra
 
 
 def _newton_batch(drift, jac, y, delta, rhs, start=None):
-    """Row-wise solve of x - delta*drift(x, y) = rhs from x = start(y, delta,
-    rhs), or from x = rhs when ``start`` is None.
+    """Row-wise solve of x - delta*drift(x, y) = rhs from x = start(rhs), a
+    problem's ``implicit_start`` staged on (y, delta), or from x = rhs when
+    ``start`` is None.
 
     ``delta`` is an (n, 1) column: each row has its own step size.  Returns
     (x, status, resnorm) where status is 0/1/2 for
@@ -272,8 +273,10 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
     n = rhs.shape[0]
     status = np.zeros(n, dtype=np.int8)
     # without a start, x is rhs until some rows take a step and others do not
-    x = rhs if start is None else start(y, delta, rhs)
+    x = rhs if start is None else start(rhs)
     res, rnorm = _residual(drift, x, y, delta, rhs)
+    if (rnorm <= _NEWTON_TOL).all():  # every row has converged at its start
+        return (rhs.copy() if x is rhs else x), status, rnorm
     # rows still iterating or converged; a row whose residual is not finite
     # cannot take a Newton step and has failed
     open_rows = rnorm < np.inf
@@ -348,8 +351,9 @@ def solve_implicit(
     """Solve x - delta*drift(x, y_block) = rhs to ``_NEWTON_TOL``, or at a
     large state to the residual's rounding floor.
 
-    The solve starts at ``start(y, delta, rhs)`` on one-row batches, such as
-    a problem's ``implicit_start``, or at ``rhs`` when ``start`` is None.
+    ``start`` is a problem's ``implicit_start``, or None: the solve stages
+    it on the one row's anchor and step size and starts at the state it
+    gives for ``rhs``, or at ``rhs`` when ``start`` is None.
 
     ``drift`` must be one-sided Lipschitz (monotone) in x, which guarantees a
     unique solution for every step size, and must accept batched ``(n, d)``
@@ -363,9 +367,10 @@ def solve_implicit(
         return rhs.copy()
     if jac is None:
         jac = _fd_jacobian(drift)
+    y, d = y_block[None, :], np.full((1, 1), float(delta))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x, status, rnorm = _newton_batch(
-            drift, jac, y_block[None, :], np.full((1, 1), float(delta)), rhs[None, :], start
+            drift, jac, y, d, rhs[None, :], None if start is None else start(y, d)
         )
     if status[0] != _STATUS_OK:
         raise _failure_error(_KINDS[status[0]], float(rnorm[0]))
@@ -525,7 +530,8 @@ def run_lanes(
     each factor must divide the next.  The lanes that step at fine tick t
     then form a prefix of the rows, and the tick makes one implicit solve on
     that prefix with a step size per row, from the problem's
-    ``implicit_start`` when it has one.  Explicit Euler has no solve to
+    ``implicit_start`` when it has one, staged at each block's start on
+    each prefix that some tick solves.  Explicit Euler has no solve to
     share, so "em" lanes do not run beside implicit ones.  The anchors are
     frozen at each block's start.  A map lane folds each piece and advances
     at the end of each block.  A row whose state, coefficient or
@@ -552,7 +558,6 @@ def run_lanes(
         row = run.hi
     if stepped:
         drift, diffusion, jac = _batch_coefficients(problem)
-        guess = problem.implicit_start
         x = np.concatenate([run.x0 for run in stepped])
         delta = np.concatenate([np.full((n_paths, 1), 1.0 / run.steps) for run in stepped])
     else:  # map lanes only
@@ -560,11 +565,16 @@ def run_lanes(
     alive = np.ones(row, dtype=bool)
     ends = np.array([run.hi for run in stepped])
 
+    ticks = []
+    for t in range(m):
+        steps = tuple((t + 1) // run.factor - 1 for run in stepped if (t + 1) % run.factor == 0)
+        if steps:
+            ticks.append((t, steps))
     # at fine tick t the lanes stepped[:j] step on the rows [0, stop), lane
     # i at its own step steps[i]; consecutive lanes of one scheme form one
     # [scheme, rows] run
     levels = {}
-    for j in range(1, len(stepped) + 1):
+    for j in sorted({len(steps) for _, steps in ticks}):
         lane_runs = []
         for run in stepped[:j]:
             if lane_runs and lane_runs[-1][0] == run.lane.scheme:
@@ -573,12 +583,11 @@ def run_lanes(
                 lane_runs.append([run.lane.scheme, slice(run.lo, run.hi)])
         full = [i for i, run in enumerate(stepped[:j]) if run.states is not None]
         levels[j] = (stepped[j - 1].hi, lane_runs, full)
-    ticks = []
-    for t in range(m):
-        steps = tuple((t + 1) // run.factor - 1 for run in stepped if (t + 1) % run.factor == 0)
-        if steps:
-            ticks.append((t, steps, *levels[len(steps)]))
+    ticks = [(t, steps, *levels[len(steps)]) for t, steps in ticks]
     tick_times = [tick[0] for tick in ticks]
+    # each level's implicit start, staged on the anchors at each block's start
+    stage = problem.implicit_start if stepped and stepped[0].lane.scheme != "em" else None
+    starts = dict.fromkeys(levels)
     widest = stepped[-1].factor if stepped else 1
 
     def advance(k: int, y: np.ndarray, start: int, piece: np.ndarray) -> None:
@@ -609,7 +618,7 @@ def run_lanes(
                     for scheme, s in lane_runs
                 ]
                 rhs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                x_new, status, _ = _newton_batch(drift, jac, ya, da, rhs, guess)
+                x_new, status, _ = _newton_batch(drift, jac, ya, da, rhs, starts[len(steps)])
                 for scheme, s in lane_runs:
                     if scheme == "ssbe":  # the diffusion kick after the implicit drift update
                         x_new[s] += _kick(diffusion, x_new[s], ya[s], dB[s])
@@ -647,6 +656,9 @@ def run_lanes(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(K):
             y = x.copy()
+            if stage is not None:
+                for j, (stop, _, _) in levels.items():
+                    starts[j] = stage(y[:stop], delta[:stop])
             for run in mapped:
                 run.carry = np.zeros_like(run.x)
             start = 0

@@ -31,11 +31,15 @@ class SdepcaProblem:
     ``diffusion(x, y)`` to ``(..., d, r)``; the solvers and estimators call
     them on whole batches of states.  ``drift_jacobian_x``, when given, maps to
     ``(..., d, d)`` and is used by the implicit solver in place of finite
-    differences.  ``implicit_start(y, delta, rhs)``, when given, maps
-    ``(n, d)`` anchors and right-hand sides and an ``(n, 1)`` column of step
-    sizes to new ``(n, d)`` states from which the implicit solve of
-    ``x - delta * drift(x, y) = rhs`` starts; a closed-form root makes the
-    solve converge at once.  Without it the solve starts at ``rhs``.
+    differences.  ``implicit_start(y, delta)``, when given, is staged once
+    per unit block on ``(n, d)`` anchors and an ``(n, 1)`` column of step
+    sizes, which stay fixed over the block; it returns a function that maps
+    each step's ``(n, d)`` right-hand sides ``rhs`` to new ``(n, d)`` states
+    from which the implicit solve of ``x - delta * drift(x, y) = rhs``
+    starts.  A closed-form root makes the solve converge at once.  Its rows
+    must be independent: the first j rows of a start staged on n rows equal
+    the start staged on those j rows.  Without it the solve starts at
+    ``rhs``.
     """
 
     dim_state: int
@@ -45,7 +49,7 @@ class SdepcaProblem:
     initial_state: np.ndarray
     drift_jacobian_x: Optional[Coefficient] = None
     tag: str = "custom"
-    implicit_start: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    implicit_start: Optional[Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
 
     def __post_init__(self) -> None:
         if self.dim_state < 1:

@@ -596,6 +596,8 @@ def ergodic_mean_traces(
     initial_arr = np.atleast_2d(np.asarray(initials, dtype=float))
     if initial_arr.shape[0] == 1 and problem.dim_state == 1 and len(initials) > 1:
         initial_arr = np.asarray(initials, dtype=float)[:, None]
+    if not initial_arr.size:
+        raise ValueError("initials must hold at least one initial value")
     if not np.all(np.isfinite(initial_arr)):
         raise ValueError("initial values must be finite")
     anchors, failures = _chain_anchors(

@@ -37,9 +37,10 @@ def linear_additive(theta1: float, theta2: float, x0: float = 1.0) -> SdepcaProb
     def jacobian(x, y):
         return np.full(np.shape(x)[:-1] + (1, 1), -theta1)
 
-    def implicit_start(y, delta, rhs):
+    def implicit_start(y, delta):
         # the root of x - delta*(-theta1*x + theta2*y) = rhs
-        return (rhs + delta * (theta2 * y)) / (1.0 + delta * theta1)
+        shift, scale = delta * (theta2 * y), 1.0 + delta * theta1
+        return lambda rhs: (rhs + shift) / scale
 
     return SdepcaProblem(
         dim_state=1,
@@ -67,14 +68,30 @@ def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
     def jacobian(x, y):
         return (-3.0 * x**2 - 10.0)[..., None]
 
-    def implicit_start(y, delta, rhs):
+    def implicit_start(y, delta):
         # x - delta*f(x, y) = rhs is x^3 + p x = q, whose one real root is
         # 2 sqrt(p/3) sinh(asinh(3q/(2p) sqrt(3/p)) / 3); sinh and asinh keep
         # their relative accuracy at every q, where Cardano's formula cancels
         p = 1.0 / delta + 10.0
-        q = rhs / delta + 2.0 * y + 1.0
         s = np.sqrt(p / 3.0)
-        return 2.0 * s * np.sinh(np.arcsinh(q * (1.5 / (p * s))) / 3.0)
+        scale, two_s, two_y = 1.5 / (p * s), 2.0 * s, 2.0 * y
+        # arrays, not Python floats, and in place: numpy's fixed cost per
+        # operation is most of a step's on a few thousand rows
+        one, three = np.ones_like(y), np.full_like(y, 3.0)
+
+        def start(rhs):
+            # 2 s sinh(asinh((rhs/delta + 2y + 1) scale) / 3), in that order
+            x = rhs / delta
+            x += two_y
+            x += one
+            x *= scale
+            np.arcsinh(x, out=x)
+            x /= three
+            np.sinh(x, out=x)
+            x *= two_s
+            return x
+
+        return start
 
     return SdepcaProblem(
         dim_state=1,

@@ -76,6 +76,20 @@ class TestValidation:
         assert "need at least one step size" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_initials_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        code = run_cli(
+            "ergodicity",
+            "--initials", ",",
+            "--n-paths", "20",
+            "--K", "2",
+            "--output", str(tmp_path / "e.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert "initials must hold at least one initial value" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_problem_is_exit_2(self, tmp_path, capsys):
         code = run_cli("moments", "--problem", "fancy", "--output", str(tmp_path / "m.csv"))
         assert code == 2

@@ -202,14 +202,109 @@ class TestSolveImplicit:
             assert status[-1] == 0 and resnorm[-1] > 1e-12  # the 1e30 row, at its floor
 
 
+def linear_start_oracle(y, delta, rhs):
+    """The linear start at theta1 = 3, theta2 = 1 as one formula."""
+    return (rhs + delta * (1.0 * y)) / (1.0 + delta * 3.0)
+
+
+def cubic_start_oracle(y, delta, rhs):
+    """The cubic start as one formula of (y, delta, rhs)."""
+    p = 1.0 / delta + 10.0
+    q = rhs / delta + 2.0 * y + 1.0
+    s = np.sqrt(p / 3.0)
+    return 2.0 * s * np.sinh(np.arcsinh(q * (1.5 / (p * s))) / 3.0)
+
+
+STEP_SIZES = st.one_of(st.integers(0, 11).map(lambda k: 2.0**-k), st.floats(2.0**-11, 1.0))
+
+
+@st.composite
+def start_batches(draw):
+    """(y, delta, rhs, j): n rows of anchors, step sizes and right-hand
+    sides, and a prefix length j <= n.  Anchors and right-hand sides are
+    normal draws, whose full mantissas show a change in the order of the
+    operations, with Hypothesis's own floats and NaN rows in their place
+    on some rows."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = st.lists(
+        st.one_of(st.none(), st.floats(-1e300, 1e300), st.just(np.nan)), min_size=n, max_size=n
+    )
+
+    def column():
+        values = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3, 1e100])), n)
+        for i, v in enumerate(draw(special)):
+            if v is not None:
+                values[i] = v
+        return values[:, None]
+
+    y, rhs = column(), column()
+    delta = np.array(draw(st.lists(STEP_SIZES, min_size=n, max_size=n)))[:, None]
+    return y, delta, rhs, draw(st.integers(1, n))
+
+
 class TestImplicitStart:
     """The built-in problems start the implicit solve at a closed-form root."""
 
     PROBLEMS = {"linear": linear_additive(3.0, 1.0), "cubic": cubic_multiplicative(1.0, 1.0)}
+    ORACLES = {"linear": linear_start_oracle, "cubic": cubic_start_oracle}
+
+    @pytest.mark.parametrize("name", ["linear", "cubic"])
+    @given(batch=start_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_staged_start_equals_the_formula_on_every_prefix(self, name, batch):
+        # run_lanes stages one start per prefix of its rows, so a start
+        # staged on the first j rows must give the first j rows' bits
+        y, delta, rhs, j = batch
+        stage = self.PROBLEMS[name].implicit_start
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = self.ORACLES[name](y, delta, rhs)
+            got = stage(y, delta)(rhs)
+            prefix = stage(y[:j], delta[:j])(rhs[:j])
+        assert got.tobytes() == want.tobytes()
+        assert prefix.tobytes() == got[:j].tobytes()
+        assert not np.shares_memory(got, rhs)
+
+    def test_run_lanes_stages_each_level_once_per_block(self):
+        # BE lanes at factors 1, 2 and 4 solve on three prefixes of the
+        # rows; two lanes at one factor always step together, on one
+        problem = cubic_multiplicative(1.0, 1.0)
+        staged = []
+
+        def counted(y, delta):
+            staged.append(len(y))
+            return problem.implicit_start(y, delta)
+
+        counting = dataclasses.replace(problem, implicit_start=counted)
+        m, K, n = 8, 5, 3
+        fine = np.stack([generate_path(5, i, float(K), 1.0 / m, 1).increments for i in range(n)])
+        for lanes, levels in [
+            ([Lane("be", 1), Lane("be", 2), Lane("be", 4)], 3),
+            ([Lane("be", 2, x0=[0.5]), Lane("be", 2, x0=[-0.5])], 1),
+        ]:
+            staged.clear()
+            runs = run_lanes(counting, lanes, unit_blocks(fine, m, K), n, m, K)
+            assert 0 < len(staged) <= levels * K
+            plain = run_lanes(problem, lanes, unit_blocks(fine, m, K), n, m, K)
+            for run, ref in zip(runs, plain):
+                assert run.finals.tobytes() == ref.finals.tobytes()
+
+    def test_rows_the_right_hand_side_solves_return_a_copy(self):
+        from sdepca.integrators import _newton_batch
+
+        problem = linear_additive(3.0, 1.0)
+        rhs = np.array([[1.0], [-2.0], [0.0], [0.25]])
+        y = 3.0 * rhs  # the drift -3x + y is 0 at x = rhs
+        delta = np.array([[0.5], [0.125], [1.0], [2.0**-11]])
+        x, status, rnorm = _newton_batch(problem.drift, problem.drift_jacobian_x, y, delta, rhs)
+        assert not status.any()
+        assert not rnorm.any()
+        assert x.tobytes() == rhs.tobytes()
+        assert not np.shares_memory(x, rhs)
 
     @pytest.mark.parametrize("name", ["linear", "cubic"])
     @given(
-        delta=st.one_of(st.integers(0, 11).map(lambda k: 2.0**-k), st.floats(2.0**-11, 1.0)),
+        delta=STEP_SIZES,
         rhs=st.floats(-1e300, 1e300),
         y=st.floats(-1e300, 1e300),
     )
@@ -221,7 +316,7 @@ class TestImplicitStart:
         drift, jac = problem.drift, problem.drift_jacobian_x
         y, d, rhs = np.array([[y]]), np.array([[delta]]), np.array([[rhs]])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x, status, _ = _newton_batch(drift, jac, y, d, rhs, problem.implicit_start)
+            x, status, _ = _newton_batch(drift, jac, y, d, rhs, problem.implicit_start(y, d))
             _, status_rhs, _ = _newton_batch(drift, jac, y, d, rhs)
             residual = np.abs(x - d * drift(x, y) - rhs)[0, 0]
             floor = _rounding_floor(drift, jac, x, y, d, rhs)[0]
@@ -261,8 +356,8 @@ class TestImplicitStart:
             dB = float(rng.normal(0.0, 0.5))
             want = (x_prev + dB + cfg.delta * theta2 * y) / (1.0 + cfg.delta * theta1)
             problem = linear_additive(theta1, theta2)
-            start = problem.implicit_start(
-                np.array([[y]]), np.array([[cfg.delta]]), np.array([[x_prev + dB]])
+            start = problem.implicit_start(np.array([[y]]), np.array([[cfg.delta]]))(
+                np.array([[x_prev + dB]])
             )
             assert start[0, 0] == pytest.approx(want, abs=1e-12)
             for p in (problem, dataclasses.replace(problem, implicit_start=None)):
@@ -278,8 +373,8 @@ class TestImplicitStart:
                 return v - delta * (-(v**3) - 10.0 * v + 2.0 * y + 1.0) - rhs
 
             root = bisect_oracle(res, -abs(rhs) - 2.0, abs(rhs) + 2.0)
-            start = problem.implicit_start(
-                np.array([[y]]), np.array([[delta]]), np.array([[rhs]])
+            start = problem.implicit_start(np.array([[y]]), np.array([[delta]]))(
+                np.array([[rhs]])
             )
             assert start[0, 0] == pytest.approx(root, abs=1e-10)
             for guess in (problem.implicit_start, None):

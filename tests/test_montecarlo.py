@@ -504,6 +504,20 @@ class TestErgodicTrace:
             single = ergodic_mean_trace(*args, phi, **kwargs)
             assert json.dumps(reports[phi].as_dict()) == json.dumps(single.as_dict())
 
+    def test_empty_initials_are_rejected_before_any_run(self, monkeypatch):
+        import sdepca.montecarlo as mc
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the chains ran")
+
+        monkeypatch.setattr(mc, "_chain_anchors", no_run)
+        problem = linear_additive(3.0, 1.0)
+        for initials in ([], np.empty((0, 1))):
+            with pytest.raises(ValueError, match="initials must hold at least one"):
+                ergodic_mean_traces(
+                    problem, BeConfig(m=4), initials, 2, 8, [TestFunction.COS_ABS], 1
+                )
+
     def test_csv_layout(self, tmp_path):
         problem = linear_additive(3.0, 1.0)
         report = ergodic_mean_trace(
