@@ -5,6 +5,9 @@ on coarsenings of one fine lattice, so that errors compare like-for-like
 across step sizes (common random numbers).  Paths are keyed by
 ``(master_seed, path_index)`` through a counter-based Philox stream and can
 therefore be regenerated, in any order and on any worker, bit-for-bit.
+A span of paths is drawn as one flat stream of step-major pieces
+(:func:`increment_pieces`); the pieces know nothing of unit blocks, which
+the runner cuts them into.
 
 Gaussian variates come from numpy's ``Generator.standard_normal`` (ziggurat);
 the method is fixed here once and bit-reproducible within one numpy build.
@@ -22,7 +25,7 @@ import numpy as np
 _DUMP_MAGIC = b"SPCA"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<4sIdQI")
-#: Fine steps per path in one draw of :func:`increment_blocks`.  A draw
+#: Fine steps per path in one draw of :func:`increment_pieces`.  A draw
 #: costs about 1.7 us of Python per path, so shorter pieces cost time;
 #: longer ones hold more noise at once, and a wider span pays more.
 _PIECE_STEPS = 256
@@ -87,78 +90,51 @@ def generate_increments(
     if dim_noise < 1:
         raise ValueError(f"dim_noise must be positive, got {dim_noise}")
     rng = path_rng(master_seed, path_index)
-    return rng.standard_normal((n, dim_noise)) * math.sqrt(fine_step)
-
-
-def unit_blocks(increments: np.ndarray, m: int, K: int):
-    """Iterator over the first K unit blocks of a (n_paths, >= K*m, r)
-    lattice at step 1/m, each one piece: a step-major (m, n_paths, r) view."""
-    if increments.shape[1] < K * m:
-        raise ValueError(
-            f"grid too short: need {K * m} steps of size 1/{m}, have {increments.shape[1]}"
-        )
-    return ((increments[:, k * m : (k + 1) * m].swapaxes(0, 1),) for k in range(K))
+    return _draw_block([rng], n, dim_noise, math.sqrt(fine_step))[:, 0]
 
 
 def piece_steps(factor: int) -> int:
-    """Fine steps in a piece of :func:`increment_blocks`: ``_PIECE_STEPS``
+    """Fine steps in a piece of :func:`increment_pieces`: ``_PIECE_STEPS``
     rounded up to a multiple of ``factor``."""
     return -(-_PIECE_STEPS // factor) * factor
 
 
-def increment_blocks(
+def increment_pieces(
     master_seed: int,
     lo: int,
     hi: int,
-    K: int,
+    n_steps: int,
     fine_step: float,
     dim_noise: int = 1,
     factor: int = 1,
 ):
-    """Iterator over the increments of paths lo..hi-1, one unit block at a time.
+    """Iterator over the first n_steps increments of paths lo..hi-1, in
+    consecutive step-major pieces (s, hi - lo, dim_noise): row l of a piece
+    holds its step l of every path.
 
-    Yields K blocks, each an iterator over consecutive step-major pieces
-    (s, hi - lo, dim_noise): row l of a piece holds its step l of every
-    path.  Each draw takes :func:`piece_steps` of ``factor`` fine steps per
-    path, so a piece holds whole steps of ``factor`` fine steps, or what is
-    left of a block.  A block shorter than a draw is one piece, a view into
-    a draw that covers several blocks.  Joined along the step axis the
-    pieces equal each path's :func:`generate_increments` over the horizon K,
-    byte for byte: a path's Philox stream drawn in pieces continues where
-    the previous draw stopped.  The draws are lazy, so each block's pieces
-    must be taken in turn before the next block's.
+    Each draw takes :func:`piece_steps` of ``factor`` fine steps per path,
+    or what is left, so every piece but the last holds whole steps of
+    ``factor`` fine steps.  Joined along the step axis the pieces equal each
+    path's :func:`generate_increments` over n_steps, byte for byte: a
+    path's Philox stream drawn in pieces continues where the previous draw
+    stopped.  The arguments are checked at once; the draws are lazy.
     """
-    m = _validate_lattice(1.0, fine_step)
+    _validate_lattice(1.0, fine_step)
     if dim_noise < 1:
         raise ValueError(f"dim_noise must be positive, got {dim_noise}")
-    if K < 1:
-        return iter(())
     rngs = [path_rng(master_seed, i) for i in range(lo, hi)]
     scale = math.sqrt(fine_step)
     piece = piece_steps(factor)
-
-    def pieces():
-        for start in range(0, m, piece):
-            yield _draw_block(rngs, min(piece, m - start), dim_noise, scale)
-
-    if m >= piece:
-        return (pieces() for _ in range(K))
-
-    def shared():
-        per_draw = -(-piece // m)
-        for k0 in range(0, K, per_draw):
-            n = min(per_draw, K - k0)
-            draw = _draw_block(rngs, n * m, dim_noise, scale)
-            for j in range(n):
-                yield (draw[j * m : (j + 1) * m],)
-            del draw  # freed before the next draw
-
-    return shared()
+    return (
+        _draw_block(rngs, min(piece, n_steps - start), dim_noise, scale)
+        for start in range(0, n_steps, piece)
+    )
 
 
 def _draw_block(rngs, s: int, dim_noise: int, scale: float) -> np.ndarray:
     """The next s steps of each generator's stream, step-major
-    (s, len(rngs), dim_noise): one piece of :func:`increment_blocks`.
+    (s, len(rngs), dim_noise), scaled by ``scale``: the one drawer of
+    :func:`increment_pieces` and :func:`generate_increments`.
 
     Each stream fills one row of a path-major tile of ``_DRAW_TILE`` paths,
     which is scaled into its columns of the piece; so no second piece is

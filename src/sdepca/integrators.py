@@ -14,11 +14,11 @@ Explicit Euler and split-step backward Euler are provided as references.  A
 single path runs through ``simulate_be`` and friends, returning a
 :class:`Trajectory`.  Batches run through :func:`run_lanes`: a :class:`Lane`
 is one scheme at one coarsening of a fine step, over a batch of paths, and
-the runner advances any set of lanes one piece of a unit block of fine
-noise at a time.  Lanes that step at the same fine tick share one implicit
-solve, with a step size per row.  Rows are advanced independently - a
-row's iterates never depend on the other rows - so a merged run, a batched
-run and a per-path run agree bit for bit.
+the runner advances any set of lanes one piece of fine noise at a time,
+cut at the ends of the unit blocks.  Lanes that step at the same fine tick
+share one implicit solve, with a step size per row.  Rows are advanced
+independently - a row's iterates never depend on the other rows - so a
+merged run, a batched run and a per-path run agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .brownian import BrownianGrid, coarsen_array, unit_blocks
+from .brownian import BrownianGrid, coarsen_array
 from .model import SdepcaProblem
 
 _MAX_HALVINGS = 30
@@ -503,7 +503,7 @@ def _kick(diffusion, x, y, dB):
 def run_lanes(
     problem: Optional[SdepcaProblem],
     lanes: Sequence[Lane],
-    blocks: Iterable[np.ndarray],
+    pieces: Iterable[np.ndarray],
     n_paths: int,
     m: int,
     K: int,
@@ -513,17 +513,18 @@ def run_lanes(
     ``problem`` gives the coefficients of every stepping lane; it may be
     None when all lanes are maps with starts of their own.
 
-    ``blocks`` yields K unit blocks of fine increments at step 1/m, each an
-    iterable of consecutive step-major pieces (s, n_paths, r), row l of a
-    piece holding its step l of every path, such as
-    :func:`~sdepca.brownian.increment_blocks` draws.  A block's pieces
-    cover its m steps, and each must hold whole steps of every stepping
-    lane; a ``ValueError`` says when they do not.  A lane with factor f
-    steps at f/m, on the sums of each f consecutive increments of a piece,
-    which it coarsens itself; so its numbers equal those of the lane run
-    alone on the coarsened lattice, whatever the pieces.  Each piece, and
-    the lanes' coarsened copies of it, are released before the next piece
-    is taken.
+    ``pieces`` yields consecutive step-major pieces (s, n_paths, r) of fine
+    increments at step 1/m, row l of a piece holding its step l of every
+    path, such as :func:`~sdepca.brownian.increment_pieces` draws, or one
+    piece of a lattice already in memory.  The runner cuts them at the ends
+    of the unit blocks and takes none past the K-th block's end.  Each
+    piece must hold whole steps of every stepping lane, and the pieces at
+    least K*m steps; a ``ValueError`` says when they do not.  A lane with
+    factor f steps at f/m, on the sums of each f consecutive increments of
+    a piece, which it coarsens itself; so its numbers equal those of the
+    lane run alone on the coarsened lattice, whatever the pieces.  Each
+    piece, and the lanes' coarsened copies of it, are released before the
+    next piece is taken.
     Returns one :class:`BatchRun` per lane, in the order of ``lanes``.
 
     The stepping lanes are laid out as consecutive rows ordered by factor;
@@ -652,7 +653,8 @@ def run_lanes(
         for run in runs:
             run.end_block(run.x if run.maps else x[run.lo : run.hi], k)
 
-    blocks = iter(blocks)
+    pieces = iter(pieces)
+    rest = None  # what block k has not taken of the last piece
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(K):
             y = x.copy()
@@ -662,12 +664,16 @@ def run_lanes(
             for run in mapped:
                 run.carry = np.zeros_like(run.x)
             start = 0
-            for piece in next(blocks):
+            while start < m:
+                if rest is None:
+                    rest = next(pieces, None)
+                    if rest is None:
+                        raise ValueError(f"the pieces hold {k * m + start} fine steps, not {K * m}")
+                piece = rest[: m - start]
+                rest = rest[m - start :] if len(rest) > len(piece) else None
                 advance(k, y, start, piece)
-                start += piece.shape[0]
-                del piece  # freed before the next piece is drawn
-            if start != m:
-                raise ValueError(f"the pieces of block {k} hold {start} fine steps, not {m}")
+                start += len(piece)
+                del piece  # with rest, freed before the next piece is drawn
             end_block(k)
 
     return [run.result(run.x if run.maps else x[run.lo : run.hi].copy()) for run in runs]
@@ -698,21 +704,23 @@ def run_scheme_batch(
         raise ValueError("increments must have shape (n_paths, n_steps, r)")
     if increments.shape[2] != problem.dim_noise:
         raise ValueError(f"noise dimension mismatch: {increments.shape[2]} != {problem.dim_noise}")
-    blocks = unit_blocks(increments, cfg.m, K)
-    return run_lanes(problem, [lane], blocks, increments.shape[0], cfg.m, K)[0]
+    if increments.shape[1] < K * cfg.m:
+        raise ValueError(
+            f"grid too short: need {K * cfg.m} steps of size 1/{cfg.m}, have {increments.shape[1]}"
+        )
+    pieces = [increments.swapaxes(0, 1)]
+    return run_lanes(problem, [lane], pieces, increments.shape[0], cfg.m, K)[0]
 
 
 def _simulate(scheme: str, problem, cfg, grid: BrownianGrid, K: int) -> Trajectory:
-    """One path through a lane that coarsens the grid's fine blocks to 1/m."""
+    """One path through one lane, on the grid coarsened to 1/m."""
     fine_m = round(1.0 / grid.fine_step)
     if fine_m < cfg.m or fine_m % cfg.m or abs(fine_m * grid.fine_step - 1.0) > 1e-9:
         raise ValueError(
             f"grid with fine_step {grid.fine_step} is not coarsenable to delta 1/{cfg.m}"
         )
-    if grid.increments.shape[1] != problem.dim_noise:
-        raise ValueError(f"noise dimension mismatch: {grid.increments.shape[1]} != {problem.dim_noise}")
-    blocks = unit_blocks(grid.increments[None], fine_m, K)
-    (run,) = run_lanes(problem, [Lane(scheme, fine_m // cfg.m, record="full")], blocks, 1, fine_m, K)
+    increments = coarsen_array(grid.increments[: K * fine_m], fine_m // cfg.m)[None]
+    run = run_scheme_batch(scheme, problem, cfg, increments, problem.initial_state, K, record="full")
     if run.failures:
         _, k, l, kind = run.failures[0]
         raise _failure_error(kind, path=grid.path_index, k=k, l=l)

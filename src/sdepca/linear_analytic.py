@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianGrid
-from .integrators import BlockMap, Trajectory
+from .integrators import BlockMap, Lane, Trajectory, run_lanes
 
 
 @dataclass(frozen=True)
@@ -191,22 +191,19 @@ def exact_finals_batch(
     """Solution values X(K) for a batch of fine increment paths.
 
     ``increments`` has shape (n_paths, >= K/fine_step).  Each unit block is
-    advanced by :func:`exact_map`, so the result consumes exactly the
-    same increments the integrators see; its law is exact up to the
-    relative variance error of :func:`_fine_step_weights`.
+    advanced by :func:`exact_map`, run as the one lane of
+    :func:`~sdepca.integrators.run_lanes` on the increments as one piece,
+    so the result consumes exactly the same increments the integrators
+    see; its law is exact up to the relative variance error of
+    :func:`_fine_step_weights`.
     """
     steps_per_unit = 1.0 / fine_step
     npu = int(round(steps_per_unit))
     if abs(steps_per_unit - npu) > 1e-9:
         raise ValueError(f"fine_step {fine_step} does not divide the unit interval")
-    if increments.shape[-1] < K * npu:
-        raise ValueError("increment array shorter than K unit blocks")
-    exact = exact_map(params)
-    anchors = np.full(increments.shape[:-1], float(params.x0))
-    for k in range(K):
-        steps = np.moveaxis(increments[..., k * npu : (k + 1) * npu], -1, 0)
-        anchors = exact.finish(anchors, exact.fold(np.zeros_like(anchors), steps, fine_step))
-    return anchors
+    lane = Lane(exact_map(params), x0=[params.x0])
+    (run,) = run_lanes(None, [lane], [increments.T[:, :, None]], increments.shape[0], npu, K)
+    return run.finals[:, 0]
 
 
 def exact_sample_path(params: LinearAdditiveParams, grid: BrownianGrid, K: int) -> Trajectory:

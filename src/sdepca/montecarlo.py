@@ -1,8 +1,8 @@
 """Monte Carlo estimation of weak errors, mixing and contraction diagnostics.
 
 The estimators follow a common-random-numbers protocol: every path index maps
-to one fine Brownian lattice (keyed by the master seed), drawn one piece of
-a unit block at a time.  Every estimator is one set of lanes of
+to one fine Brownian lattice (keyed by the master seed), drawn as one stream
+of step-major pieces.  Every estimator is one set of lanes of
 :func:`~sdepca.integrators.run_lanes`, run by one span worker on each span of
 paths: the weak-error reference steps on the fine lattice and backward Euler
 at each step size on an exact coarsening of the same increments; the chain
@@ -38,7 +38,7 @@ import numpy as np
 # exact_finals_batch are not called here since the estimators step through
 # run_lanes; they stay importable from this module because bench/tracing.py
 # wraps them here by name
-from .brownian import _is_power_of_two, coarsen_array, generate_increments, increment_blocks, piece_steps
+from .brownian import _is_power_of_two, coarsen_array, generate_increments, increment_pieces, piece_steps
 from .integrators import BeConfig, BlockMap, Lane, run_lanes, run_scheme_batch
 from .linear_analytic import LinearAdditiveParams, exact_finals_batch, exact_map
 from .model import DissipativityParams, SdepcaProblem, check_moment_condition
@@ -205,15 +205,17 @@ def _lane_worker(
     """One :func:`~sdepca.integrators.run_lanes` run of ``lanes`` on paths
     lo..hi-1, over K unit blocks of fine increments at ``fine_step``.
 
-    Each path's increments are regenerated from ``(master_seed, path_index)``,
-    one piece at a time, each holding whole steps of the widest lane.
+    Each path's increments are regenerated from ``(master_seed, path_index)``
+    as one stream of step-major pieces, each holding whole steps of the
+    widest lane, which the runner cuts at the ends of the unit blocks.
     Returns each lane's block anchors (K+1, hi-lo, d) if it records them,
     else its finals (hi-lo, d), and the run's failure records
     ``(lane, path, k, l, kind)``, lane by lane.
     """
     widest = max(lane.factor for lane in lanes)
-    blocks = increment_blocks(master_seed, lo, hi, K, fine_step, problem.dim_noise, widest)
-    runs = run_lanes(problem, lanes, blocks, hi - lo, round(1.0 / fine_step), K)
+    m = round(1.0 / fine_step)
+    pieces = increment_pieces(master_seed, lo, hi, K * m, fine_step, problem.dim_noise, widest)
+    runs = run_lanes(problem, lanes, pieces, hi - lo, m, K)
     records = [
         (i, lo + row, k, l, kind) for i, run in enumerate(runs) for row, k, l, kind in run.failures
     ]
@@ -240,8 +242,9 @@ def _run_lanes_chunked(
     forking a process that has loaded system frameworks is not safe, the
     spans run in turn.
     """
-    if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+    if not isinstance(n_paths, numbers.Integral) or n_paths < 2:
+        # a standard error needs two paths
+        raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
         raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
     if chunk_size is None:

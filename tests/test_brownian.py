@@ -9,7 +9,7 @@ from sdepca.brownian import (
     coarsen_array,
     generate_increments,
     generate_path,
-    increment_blocks,
+    increment_pieces,
     read_path,
     write_path,
 )
@@ -66,42 +66,48 @@ class TestGeneratePath:
         assert grid.increments.shape == (8, 3)
 
     @pytest.mark.parametrize("fine_step", [2.0**-4, 2.0**-11], ids=["whole", "streamed"])
-    def test_unit_blocks_join_to_the_whole_draw(self, fine_step):
-        # 2^4 steps of 2 normals: the three blocks are views into one draw
-        # of the whole lattice; 2^11: each block is drawn in pieces of 256
-        # steps, which must continue each path's stream
+    def test_pieces_join_to_the_whole_draw(self, fine_step):
+        # 3 unit blocks of 2^4 steps of 2 normals: one draw of the whole
+        # lattice; 2^11: pieces of 256 steps, which must continue each
+        # path's stream
         m = round(1 / fine_step)
-        blocks = [list(block) for block in increment_blocks(9, 3, 7, 3, fine_step, 2)]
+        pieces = list(increment_pieces(9, 3, 7, 3 * m, fine_step, 2))
         # step-major: row l of a piece is its step l of every path
-        pieces = [(16, 4, 2)] if m == 16 else [(_PIECE_STEPS, 4, 2)] * (m // _PIECE_STEPS)
-        assert [[p.shape for p in block] for block in blocks] == [pieces] * 3
-        if m == 16:
-            assert all(block[0].base is blocks[0][0].base for block in blocks)
+        shapes = [(48, 4, 2)] if m == 16 else [(_PIECE_STEPS, 4, 2)] * (3 * m // _PIECE_STEPS)
+        assert [p.shape for p in pieces] == shapes
         whole = np.stack([generate_increments(9, i, 3.0, fine_step, 2) for i in range(3, 7)], axis=1)
-        assert np.concatenate([p for block in blocks for p in block]).tobytes() == whole.tobytes()
-        assert list(increment_blocks(9, 3, 7, 0, fine_step, 2)) == []
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        assert list(increment_pieces(9, 3, 7, 0, fine_step, 2)) == []
+
+    def test_piece_arguments_are_checked_before_any_draw(self):
+        for args, message in [
+            ((9, 0, 2, 8, 0.3), "power of two"),
+            ((9, 0, 2, 8, 0.5, 0), "dim_noise must be positive"),
+            ((-1, 0, 2, 8, 0.5), "nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                increment_pieces(*args)
 
     @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
     def test_streamed_blocks_straddle_the_draw_tile(self, n_paths):
         # the draw fills path-major tiles of _DRAW_TILE paths; the path
         # counts fall short of, fill, and spill over one and two tiles
         assert _DRAW_TILE == 64 and _PIECE_STEPS == 256
-        # (m, K, widest lane factor, r, piece length): at m = 16 one draw of
-        # 256 steps covers 16 blocks and the last draw, of 128 steps, is
-        # short; at m = 2048 a block is drawn in pieces of 256 steps, or of
-        # a multiple of a wider lane factor
+        # (m, K, widest lane factor, r, piece lengths): at m = 16 a draw of
+        # 256 steps covers 16 unit blocks and the last draw, of 128 steps,
+        # is short; at m = 2048 every draw is 256 steps, or a multiple of a
+        # wider lane factor
         cases = [
-            (16, 40, 1, 1, 16),
-            (16, 40, 8, 2, 16),
-            (2048, 2, 1, 1, 256),
-            (2048, 2, 4, 2, 256),
-            (2048, 2, 512, 1, 512),
-            (2048, 1, 1024, 2, 1024),
+            (16, 40, 1, 1, [256, 256, 128]),
+            (16, 40, 8, 2, [256, 256, 128]),
+            (2048, 2, 1, 1, [256] * 16),
+            (2048, 2, 4, 2, [256] * 16),
+            (2048, 2, 512, 1, [512] * 8),
+            (2048, 1, 1024, 2, [1024] * 2),
         ]
-        for m, K, factor, r, piece in cases:
-            blocks = increment_blocks(4, 10, 10 + n_paths, K, 1.0 / m, r, factor)
-            pieces = [p for block in blocks for p in block]
-            assert [p.shape for p in pieces] == [(piece, n_paths, r)] * (K * m // piece)
+        for m, K, factor, r, lengths in cases:
+            pieces = list(increment_pieces(4, 10, 10 + n_paths, K * m, 1.0 / m, r, factor))
+            assert [p.shape for p in pieces] == [(s, n_paths, r) for s in lengths]
             joined = np.concatenate(pieces)
             for j in range(n_paths):
                 path = generate_increments(4, 10 + j, float(K), 1.0 / m, r)

@@ -90,6 +90,24 @@ class TestValidation:
         assert "initials must hold at least one initial value" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("weak-order", ["--T", "1", "--format", "json"]),
+            ("ergodicity", ["--K", "2", "--format", "json"]),
+            ("contraction", ["--K", "2", "--format", "json"]),
+        ],
+    )
+    def test_one_path_is_exit_2_and_writes_nothing(self, tmp_path, capsys, command, extra):
+        # a standard error needs two paths: one path would write Infinity,
+        # which is not JSON
+        code = run_cli(command, "--n-paths", "1", *extra, "--output", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert "n_paths must be an integer of at least 2, got 1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_problem_is_exit_2(self, tmp_path, capsys):
         code = run_cli("moments", "--problem", "fancy", "--output", str(tmp_path / "m.csv"))
         assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdepca.brownian import BrownianGrid, coarsen_array, generate_path, unit_blocks
+from sdepca.brownian import BrownianGrid, coarsen_array, generate_path
 from sdepca.integrators import (
     BeConfig,
     Lane,
@@ -283,9 +283,9 @@ class TestImplicitStart:
             ([Lane("be", 2, x0=[0.5]), Lane("be", 2, x0=[-0.5])], 1),
         ]:
             staged.clear()
-            runs = run_lanes(counting, lanes, unit_blocks(fine, m, K), n, m, K)
+            runs = run_lanes(counting, lanes, [fine.swapaxes(0, 1)], n, m, K)
             assert 0 < len(staged) <= levels * K
-            plain = run_lanes(problem, lanes, unit_blocks(fine, m, K), n, m, K)
+            plain = run_lanes(problem, lanes, [fine.swapaxes(0, 1)], n, m, K)
             for run, ref in zip(runs, plain):
                 assert run.finals.tobytes() == ref.finals.tobytes()
 
@@ -630,7 +630,7 @@ class TestBatchEngine:
         x0[2, [1, 3]] = 1e308
         # one lane per start on the same noise: the lanes share each tick's solve
         lanes = [Lane(scheme, x0=start, record=record) for start in x0]
-        runs = run_lanes(problem, lanes, unit_blocks(increments, cfg.m, K), n, cfg.m, K)
+        runs = run_lanes(problem, lanes, [increments.swapaxes(0, 1)], n, cfg.m, K)
         for start, run in zip(x0, runs):
             solo = run_scheme_batch(scheme, problem, cfg, increments, start, K, record=record)
             assert run.ok.tolist() == solo.ok.tolist()
@@ -683,7 +683,7 @@ class TestLaneRunner:
             Lane("ssbe", 2),
             Lane("be", 8, x0=[0.3], record="full"),
         ]
-        runs = run_lanes(problem, lanes, unit_blocks(fine, m, K), n, m, K)
+        runs = run_lanes(problem, lanes, [fine.swapaxes(0, 1)], n, m, K)
         for lane, run in zip(lanes, runs):
             # the lane alone on the coarsened lattice, at its own step size
             x0 = problem.initial_state if lane.x0 is None else lane.x0
@@ -703,10 +703,12 @@ class TestLaneRunner:
 
     @pytest.mark.parametrize("problem", [cubic_multiplicative(1.0, 1.0), nan_above], ids=["cubic", "nan_above"])
     def test_pieces_do_not_change_the_run(self, problem):
-        # the same fine blocks cut into pieces: whole steps of the widest
-        # lane (8 fine steps), of different lengths, or the whole block
+        # the same fine noise cut into pieces of whole steps of the widest
+        # lane (8 fine steps), of mixed lengths that cross the ends of the
+        # unit blocks of 32 steps, or one whole piece
         m, K, n = 32, 3, 7
         fine = np.stack([generate_path(5, i, 3.0, 1.0 / m, 1).increments for i in range(n)])
+        steps = fine.swapaxes(0, 1)
         exact = linear_exact_reference(LinearAdditiveParams(3.0, 1.0, 0.4)).lanes[0]
         lanes = [
             Lane("be", 4, record="full"),
@@ -717,11 +719,17 @@ class TestLaneRunner:
         ]
 
         def cut(*bounds):
-            for (block,) in unit_blocks(fine, m, K):
-                yield (block[a:b] for a, b in zip(bounds, bounds[1:]))
+            """Pieces of the fine noise between consecutive bounds."""
+            return (steps[a:b] for a, b in zip(bounds, bounds[1:]))
 
-        whole = run_lanes(problem, lanes, cut(0, m), n, m, K)
-        for bounds in [(0, 8, 16, 24, 32), (0, 16, 32), (0, 8, 32), (0, 24, 32)]:
+        whole = run_lanes(problem, lanes, cut(0, K * m), n, m, K)
+        for bounds in [
+            (0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96),
+            (0, 40, 56, 96),  # 40 crosses the first block's end, 56 the second's
+            (0, 24, 72, 80, 96),  # one piece holds all of the second block
+            (0, 8, 96),
+            (0, 88, 96),
+        ]:
             runs = run_lanes(problem, lanes, cut(*bounds), n, m, K)
             for run, ref in zip(runs, whole):
                 assert run.finals.tobytes() == ref.finals.tobytes()
@@ -730,20 +738,60 @@ class TestLaneRunner:
                 assert run.failures == ref.failures
         if problem is self.nan_above:
             assert any(l > 0 for run in whole for _, _, l, _ in run.failures)  # mid-block
-        # a piece must hold whole steps of every stepping lane, and a
-        # block's pieces all of its steps
+        # a piece must hold whole steps of every stepping lane, also where
+        # it crosses a block's end
         with pytest.raises(ValueError, match="does not hold whole steps of 8"):
-            run_lanes(problem, lanes, cut(0, 4, 32), n, m, K)
-        with pytest.raises(ValueError, match="hold 24 fine steps, not 32"):
-            run_lanes(problem, lanes, cut(0, 8, 24), n, m, K)
+            run_lanes(problem, lanes, cut(0, 4, 96), n, m, K)
+        with pytest.raises(ValueError, match="does not hold whole steps of 8"):
+            run_lanes(problem, lanes, cut(0, 36, 96), n, m, K)
+
+    def test_a_stream_that_ends_early_is_rejected(self):
+        problem = cubic_multiplicative(1.0, 1.0)
+        m, K, n = 8, 3, 2
+        steps = np.zeros((K * m, n, 1))
+        lanes = [Lane("be", 2), Lane("ssbe", 1)]
+        for pieces, held in [([steps[:16], steps[16:20]], 20), ([steps[:16]], 16), ([], 0)]:
+            with pytest.raises(ValueError, match=f"^the pieces hold {held} fine steps, not 24$"):
+                run_lanes(problem, lanes, pieces, n, m, K)
+
+    def test_the_runner_takes_no_piece_past_block_k(self):
+        # pieces of 5 steps at m = 8: the fourth piece crosses the end of
+        # block 2, the last block, and nothing after it may be drawn
+        problem = cubic_multiplicative(1.0, 1.0)
+        m, K, n = 8, 2, 3
+        fine = np.stack([generate_path(5, i, 4.0, 1.0 / m, 1).increments for i in range(n)])
+        steps = fine.swapaxes(0, 1)
+        taken = []
+
+        def pieces(length, limit):
+            for a in range(0, len(steps), length):
+                if len(taken) == limit:
+                    pytest.fail(f"the runner drew piece {limit + 1}")
+                taken.append(a)
+                yield steps[a : a + length]
+
+        lanes = [Lane("be", 1, record="full"), Lane("ssbe", 1)]
+        whole = run_lanes(problem, lanes, [steps], n, m, K)
+        runs = run_lanes(problem, lanes, pieces(5, 4), n, m, K)
+        assert taken == [0, 5, 10, 15]
+        for run, ref in zip(runs, whole):
+            assert run.finals.tobytes() == ref.finals.tobytes()
+            assert np.asarray(run.states).tobytes() == np.asarray(ref.states).tobytes()
+        taken.clear()
+        run_lanes(problem, lanes, pieces(16, 1), n, m, K)
+        assert taken == [0]
+        taken.clear()
+        for run in run_lanes(problem, lanes, pieces(5, 0), n, m, 0):
+            assert run.finals.tolist() == [[2.0]] * n
+        assert taken == []
 
     def test_lanes_that_cannot_share_a_run_are_rejected(self):
         problem = cubic_multiplicative(1.0, 1.0)
-        blocks = unit_blocks(np.zeros((2, 12, 1)), 12, 1)
+        pieces = [np.zeros((12, 2, 1))]
         with pytest.raises(ValueError, match="must divide one another"):
-            run_lanes(problem, [Lane("be", 2), Lane("be", 4), Lane("be", 6)], blocks, 2, 12, 1)
+            run_lanes(problem, [Lane("be", 2), Lane("be", 4), Lane("be", 6)], pieces, 2, 12, 1)
         with pytest.raises(ValueError, match="explicit"):
-            run_lanes(problem, [Lane("be", 2), Lane("em", 2)], blocks, 2, 12, 1)
+            run_lanes(problem, [Lane("be", 2), Lane("em", 2)], pieces, 2, 12, 1)
 
 
 class TestTrajectory:

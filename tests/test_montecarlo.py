@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sdepca.brownian import generate_increments, generate_path, unit_blocks
+from sdepca.brownian import generate_increments, generate_path
 from sdepca.integrators import (
     BeConfig,
     Lane,
@@ -52,8 +52,8 @@ def lane_finals(problem, lane, increments, fine_step, T):
     """Endpoints (n_paths, d) of one lane run alone on a batch of fine
     increments (n_paths, >= T/fine_step, r)."""
     m = round(1.0 / fine_step)
-    blocks = unit_blocks(increments, m, T)
-    return run_lanes(problem, [lane], blocks, increments.shape[0], m, T)[0].finals
+    pieces = [increments.swapaxes(0, 1)]
+    return run_lanes(problem, [lane], pieces, increments.shape[0], m, T)[0].finals
 
 
 def nan_above(threshold):
@@ -415,8 +415,9 @@ class TestStreamedNoise:
 
 
 class TestSpanArguments:
-    """Every estimator rejects a span width, worker count or path count that
-    is not a positive integer, naming the argument."""
+    """Every estimator rejects a span width or worker count that is not a
+    positive integer, and a path count below 2, naming the argument: a
+    standard error needs two paths."""
 
     @pytest.mark.parametrize(
         "estimate",
@@ -445,11 +446,12 @@ class TestSpanArguments:
         "name, value",
         [
             ("chunk_size", 0), ("chunk_size", -1), ("chunk_size", 2.5), ("n_workers", 0),
-            ("n_workers", 1.5), ("n_paths", 0), ("n_paths", -3),
+            ("n_workers", 1.5), ("n_paths", 0), ("n_paths", -3), ("n_paths", 1),
         ],
     )
     def test_bad_span_arguments_are_rejected(self, estimate, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+        rule = "an integer of at least 2" if name == "n_paths" else "a positive integer"
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
             estimate(**{name: value})
 
 
