@@ -50,7 +50,6 @@ from .montecarlo import (
     contraction_estimate,
     ergodic_mean_trace,
     ergodic_mean_traces,
-    estimate_weak_error,
     estimate_weak_errors,
     fit_order,
     linear_exact_reference,

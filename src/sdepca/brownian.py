@@ -34,11 +34,14 @@ _PIECE_STEPS = 256
 _DRAW_TILE = 64
 
 
-def _is_power_of_two(x: float) -> bool:
-    if x <= 0.0 or not math.isfinite(x):
-        return False
-    mantissa, _ = math.frexp(x)
-    return mantissa == 0.5
+def steps_per_unit(step: float, name: str = "fine_step") -> int:
+    """2^k for a step of 2^-k, 0 <= k <= 1023: every step size is one, so a
+    coarse increment is an exact sum of fine ones and 1/step is finite.
+    Anything else raises a ValueError that names ``name``."""
+    mantissa, exponent = math.frexp(step)
+    if mantissa != 0.5 or not 0 <= 1 - exponent <= 1023:
+        raise ValueError(f"{name} must be a power of two 2^-k with 0 <= k <= 1023, got {step!r}")
+    return 1 << (1 - exponent)
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,6 @@ class BrownianGrid:
         return self.increments.shape[0]
 
 
-def _validate_lattice(horizon: float, fine_step: float) -> int:
-    if not _is_power_of_two(fine_step):
-        raise ValueError(f"fine_step must be a power of two, got {fine_step}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    ratio = horizon / fine_step
-    if ratio != round(ratio):
-        raise ValueError(
-            f"horizon/fine_step must be an exact integer, got {horizon}/{fine_step}"
-        )
-    return int(round(ratio))
-
-
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Deterministic per-path generator keyed by (master_seed, path_index)."""
     if master_seed < 0 or path_index < 0:
@@ -85,12 +75,15 @@ def generate_increments(
     fine_step: float,
     dim_noise: int = 1,
 ) -> np.ndarray:
-    """Raw (n_steps, dim_noise) increment array for one path."""
-    n = _validate_lattice(horizon, fine_step)
+    """Raw (n_steps, dim_noise) increment array for one path over
+    ``horizon``, a positive whole number of fine steps."""
+    n = horizon * steps_per_unit(fine_step)
+    if not (n > 0 and float(n).is_integer()):
+        raise ValueError(f"horizon {horizon} is not a positive multiple of fine_step {fine_step}")
     if dim_noise < 1:
         raise ValueError(f"dim_noise must be positive, got {dim_noise}")
     rng = path_rng(master_seed, path_index)
-    return _draw_block([rng], n, dim_noise, math.sqrt(fine_step))[:, 0]
+    return _draw_block([rng], int(n), dim_noise, math.sqrt(fine_step))[:, 0]
 
 
 def piece_steps(factor: int) -> int:
@@ -119,7 +112,7 @@ def increment_pieces(
     path's Philox stream drawn in pieces continues where the previous draw
     stopped.  The arguments are checked at once; the draws are lazy.
     """
-    _validate_lattice(1.0, fine_step)
+    steps_per_unit(fine_step)
     if dim_noise < 1:
         raise ValueError(f"dim_noise must be positive, got {dim_noise}")
     rngs = [path_rng(master_seed, i) for i in range(lo, hi)]

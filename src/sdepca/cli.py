@@ -200,7 +200,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
                 cfg[key] = convert(raw) if isinstance(raw, str) else raw
             except ValidationError:
                 raise
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"bad value for {key}: {raw!r} ({exc})") from None
     if cfg["format"] not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {cfg['format']!r}")
@@ -381,7 +381,8 @@ def _cmd_check(cfg: dict) -> int:
         "probe": probe.to_dict(),
     }
     if ergodic:
-        rates = contraction_rates(params, 1.0 / cfg["m"], cfg["m"])
+        be = BeConfig(m=cfg["m"])
+        rates = contraction_rates(params, be.delta, be.m)
         result["contraction_rates"] = dataclasses.asdict(rates)
     path = _output_path(cfg, "check")
     if cfg["format"] == "json":
@@ -411,7 +412,8 @@ def _cmd_simulate(cfg: dict) -> int:
     if cfg["scheme"] not in ("be", "em", "ssbe"):
         raise ValidationError(f"unknown scheme {cfg['scheme']!r}")
     problem, _ = _build_problem(cfg)
-    fine_step = cfg["fine_step"] if cfg["fine_step"] is not None else 1.0 / cfg["m"]
+    be = BeConfig(m=cfg["m"])
+    fine_step = cfg["fine_step"] if cfg["fine_step"] is not None else be.delta
     try:
         grid = generate_path(
             cfg["master_seed"], cfg["path_index"], float(cfg["K"]), fine_step, problem.dim_noise
@@ -421,7 +423,7 @@ def _cmd_simulate(cfg: dict) -> int:
     if cfg["dump_path"]:
         write_path(grid, cfg["dump_path"])
     runner = {"be": simulate_be, "em": simulate_em, "ssbe": simulate_ssbe}[cfg["scheme"]]
-    trajectory = runner(problem, BeConfig(m=cfg["m"]), grid, cfg["K"])
+    trajectory = runner(problem, be, grid, cfg["K"])
     path = _output_path(cfg, "simulate")
     trajectory.to_csv(path)
     print(f"simulate[{cfg['scheme']}]: {trajectory.states.shape[0]} states -> {path}")

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .brownian import BrownianGrid, coarsen_array
+from .brownian import BrownianGrid, coarsen_array, steps_per_unit
 from .model import SdepcaProblem
 
 _MAX_HALVINGS = 30
@@ -547,6 +547,11 @@ def run_lanes(
     ]
     stepped = sorted((run for run in runs if not run.maps), key=lambda run: run.factor)
     mapped = [run for run in runs if run.maps]
+    for run in stepped:
+        if run.x0.shape[1] != problem.dim_state:
+            raise ValueError(
+                f"a lane start has {run.x0.shape[1]} entries, not dim_state {problem.dim_state}"
+            )
     if any(b.factor % a.factor for a, b in zip(stepped, stepped[1:])):
         raise ValueError(f"lane factors {[run.factor for run in stepped]} must divide one another")
     explicit = {run.lane.scheme == "em" for run in stepped}
@@ -714,8 +719,8 @@ def run_scheme_batch(
 
 def _simulate(scheme: str, problem, cfg, grid: BrownianGrid, K: int) -> Trajectory:
     """One path through one lane, on the grid coarsened to 1/m."""
-    fine_m = round(1.0 / grid.fine_step)
-    if fine_m < cfg.m or fine_m % cfg.m or abs(fine_m * grid.fine_step - 1.0) > 1e-9:
+    fine_m = steps_per_unit(grid.fine_step)
+    if fine_m % cfg.m:
         raise ValueError(
             f"grid with fine_step {grid.fine_step} is not coarsenable to delta 1/{cfg.m}"
         )

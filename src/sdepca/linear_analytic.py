@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import BrownianGrid
+from .brownian import BrownianGrid, steps_per_unit
 from .integrators import BlockMap, Lane, Trajectory, run_lanes
 
 
@@ -35,8 +35,10 @@ class LinearAdditiveParams:
     x0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.theta1 > 0.0:
-            raise ValueError(f"theta1 must be positive, got {self.theta1}")
+        if not 0.0 < self.theta1 < math.inf:
+            raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
+        if not (math.isfinite(self.theta2) and math.isfinite(self.x0)):
+            raise ValueError(f"theta2 and x0 must be finite, got {self.theta2} and {self.x0}")
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,7 @@ def exact_finals_batch(
     see; its law is exact up to the relative variance error of
     :func:`_fine_step_weights`.
     """
-    steps_per_unit = 1.0 / fine_step
-    npu = int(round(steps_per_unit))
-    if abs(steps_per_unit - npu) > 1e-9:
-        raise ValueError(f"fine_step {fine_step} does not divide the unit interval")
+    npu = steps_per_unit(fine_step)
     lane = Lane(exact_map(params), x0=[params.x0])
     (run,) = run_lanes(None, [lane], [increments.T[:, :, None]], increments.shape[0], npu, K)
     return run.finals[:, 0]
@@ -216,9 +215,7 @@ def exact_sample_path(params: LinearAdditiveParams, grid: BrownianGrid, K: int) 
     """
     if grid.dim_noise != 1:
         raise ValueError("exact sampler requires scalar noise")
-    npu = int(round(1.0 / grid.fine_step))
-    if abs(1.0 / grid.fine_step - npu) > 1e-9:
-        raise ValueError(f"fine_step {grid.fine_step} does not divide the unit interval")
+    npu = steps_per_unit(grid.fine_step)
     if grid.n_steps < K * npu:
         raise ValueError(f"horizon {grid.horizon} too short for K={K} blocks")
     dB = grid.increments[: K * npu, 0]

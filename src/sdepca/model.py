@@ -246,6 +246,8 @@ def probe_dissipativity(
     """
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     d = problem.dim_state
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     x1 = _uniform_ball(rng, n_probes, d, radius)

@@ -38,7 +38,7 @@ import numpy as np
 # exact_finals_batch are not called here since the estimators step through
 # run_lanes; they stay importable from this module because bench/tracing.py
 # wraps them here by name
-from .brownian import _is_power_of_two, coarsen_array, generate_increments, increment_pieces, piece_steps
+from .brownian import coarsen_array, generate_increments, increment_pieces, piece_steps, steps_per_unit
 from .integrators import BeConfig, BlockMap, Lane, run_lanes, run_scheme_batch
 from .linear_analytic import LinearAdditiveParams, exact_finals_batch, exact_map
 from .model import DissipativityParams, SdepcaProblem, check_moment_condition
@@ -141,11 +141,8 @@ def _mean_se(values: np.ndarray):
     """Means and standard errors over the last axis: floats for a 1-D sample."""
     mean = _kahan_mean(values)
     n = values.shape[-1]
-    if n < 2:
-        se = np.full(np.shape(mean), math.inf)
-    else:
-        dev = values - np.expand_dims(mean, -1)
-        se = np.sqrt(_kahan_mean(dev**2) * n / (n - 1) / n)
+    dev = values - np.expand_dims(mean, -1)
+    se = np.sqrt(_kahan_mean(dev**2) * n / (n - 1) / n)
     return mean, se if values.ndim > 1 else float(se)
 
 
@@ -213,7 +210,7 @@ def _lane_worker(
     ``(lane, path, k, l, kind)``, lane by lane.
     """
     widest = max(lane.factor for lane in lanes)
-    m = round(1.0 / fine_step)
+    m = steps_per_unit(fine_step)
     pieces = increment_pieces(master_seed, lo, hi, K * m, fine_step, problem.dim_noise, widest)
     runs = run_lanes(problem, lanes, pieces, hi - lo, m, K)
     records = [
@@ -278,8 +275,14 @@ def _chain_anchors(
 ) -> tuple[np.ndarray, list]:
     """Block anchors (K+1, n_starts, n_paths, d) of BE chains from each of
     ``starts``, one lane per start on the same noise, and their failure
-    records ``{"path", "start", "k", "l", "kind"}`` by (path, k, l, start)."""
-    lanes = [Lane("be", x0=start, record="anchors") for start in np.asarray(starts, dtype=float)]
+    records ``{"path", "start", "k", "l", "kind"}`` by (path, k, l, start).
+    A non-finite start and a step 1/m that is not 2^-k are rejected before
+    any span runs."""
+    starts = np.asarray(starts, dtype=float)
+    if not np.all(np.isfinite(starts)):
+        raise ValueError("initial values must be finite")
+    steps_per_unit(cfg.delta, f"the step 1/m for m = {cfg.m}")
+    lanes = [Lane("be", x0=start, record="anchors") for start in starts]
     anchors, records = _run_lanes_chunked(
         problem, lanes, K, cfg.delta, master_seed, n_paths, n_workers, chunk_size
     )
@@ -290,6 +293,18 @@ def _chain_anchors(
     return np.stack(anchors, axis=1), failures
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Ordinary least squares of y against x: ``(slope, intercept,
+    slope_se)``, the slope's standard error from the residuals."""
+    xc = x - x.mean()
+    sxx = np.dot(xc, xc)
+    slope = float(np.dot(xc, y - y.mean()) / sxx)
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - (y.mean() + slope * xc)
+    slope_se = math.sqrt(float(np.dot(resid, resid)) / max(x.size - 2, 1) / float(sxx))
+    return slope, intercept, slope_se
+
+
 def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, float]:
     """Ordinary least squares of log(error) against log(delta)."""
     deltas = np.asarray(deltas, dtype=float)
@@ -298,11 +313,7 @@ def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, 
         raise ValueError("need at least two (delta, error) pairs")
     if np.any(deltas <= 0.0) or np.any(errors <= 0.0):
         raise ValueError("deltas and errors must be strictly positive")
-    lx = np.log(deltas)
-    ly = np.log(errors)
-    xc = lx - lx.mean()
-    slope = float(np.dot(xc, ly - ly.mean()) / np.dot(xc, xc))
-    intercept = float(ly.mean() - slope * lx.mean())
+    slope, intercept, _ = _fit_line(np.log(deltas), np.log(errors))
     return slope, intercept
 
 
@@ -450,17 +461,13 @@ def estimate_weak_errors(
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ValueError("need at least one step size")
+    fine_m = steps_per_unit(fine_step)
     factors = []
     for d in deltas:
-        if not _is_power_of_two(d):
-            raise ValueError(f"step size {d} is not dyadic")
-        if d <= fine_step:
+        m = steps_per_unit(d, "step size")
+        if m >= fine_m:
             raise ValueError(f"step size {d} must exceed the fine step {fine_step}")
-        m = round(1.0 / d)
-        factor = round(d / fine_step)
-        if abs(m * d - 1.0) > 1e-12 or abs(factor * fine_step - d) > 1e-18:
-            raise ValueError(f"step size {d} is not coarsenable from {fine_step}")
-        factors.append(factor)
+        factors.append(fine_m // m)
 
     n_deltas = len(deltas)
     n_ref = len(reference.lanes)
@@ -531,22 +538,6 @@ def estimate_weak_errors(
     return reports
 
 
-def estimate_weak_error(
-    problem: SdepcaProblem,
-    reference: Reference,
-    deltas: Sequence[float],
-    n_paths: int,
-    T: int,
-    phi: TestFunction,
-    master_seed: int,
-    **kwargs,
-) -> WeakErrorReport:
-    """Single-test-function form of :func:`estimate_weak_errors`."""
-    return estimate_weak_errors(
-        problem, reference, deltas, n_paths, T, [phi], master_seed, **kwargs
-    )[phi]
-
-
 @dataclass
 class ErgodicityReport(_Report):
     """Mean traces of phi(Y_k) from several initial values, plus their spread.
@@ -601,8 +592,6 @@ def ergodic_mean_traces(
         initial_arr = np.asarray(initials, dtype=float)[:, None]
     if not initial_arr.size:
         raise ValueError("initials must hold at least one initial value")
-    if not np.all(np.isfinite(initial_arr)):
-        raise ValueError("initial values must be finite")
     anchors, failures = _chain_anchors(
         problem, cfg, initial_arr, K, n_paths, master_seed, n_workers, chunk_size
     )
@@ -702,13 +691,7 @@ def contraction_estimate(
     usable = np.flatnonzero(np.isfinite(msd) & (msd > _DECAY_FLOOR))
     factor = factor_se = None
     if usable.size >= 2:
-        ks = usable.astype(float)
-        ly = np.log(msd[usable])
-        kc = ks - ks.mean()
-        slope = float(np.dot(kc, ly - ly.mean()) / np.dot(kc, kc))
-        resid = ly - (ly.mean() + slope * kc)
-        dof = max(usable.size - 2, 1)
-        slope_se = math.sqrt(float(np.dot(resid, resid)) / dof / float(np.dot(kc, kc)))
+        slope, _, slope_se = _fit_line(usable.astype(float), np.log(msd[usable]))
         factor = math.exp(slope)
         factor_se = factor * slope_se
 

@@ -11,8 +11,30 @@ from sdepca.brownian import (
     generate_path,
     increment_pieces,
     read_path,
+    steps_per_unit,
     write_path,
 )
+
+
+class TestStepsPerUnit:
+    @given(st.integers(min_value=0, max_value=1023))
+    def test_dyadic_steps_give_their_power_of_two(self, k):
+        assert steps_per_unit(2.0**-k) == 2**k
+
+    @pytest.mark.parametrize(
+        "step", [0.0, -0.5, float("nan"), float("inf"), -float("inf"), 2.0, 3 * 2.0**-8, 2.0**-1074]
+    )
+    def test_other_steps_raise_naming_the_argument(self, step):
+        # 2^-1074 is subnormal: its 1/step overflows, so it is rejected
+        # rather than raising OverflowError further on
+        with pytest.raises(ValueError, match="^fine_step must be a power of two"):
+            steps_per_unit(step)
+        with pytest.raises(ValueError, match="^step size must be a power of two"):
+            steps_per_unit(step, "step size")
+
+    def test_lattices_above_a_unit_step_are_rejected(self):
+        with pytest.raises(ValueError, match="fine_step"):
+            generate_path(0, 0, 4.0, 2.0, 1)
 
 
 class TestGeneratePath:

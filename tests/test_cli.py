@@ -108,6 +108,44 @@ class TestValidation:
         assert "n_paths must be an integer of at least 2, got 1" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # NaN and Infinity are not JSON, and a NaN start fails every path
+            (["moments", "--x0", "nan", "--format", "json"], "theta2 and x0 must be finite"),
+            (["moments", "--theta2", "nan", "--format", "json"], "theta2 and x0 must be finite"),
+            (["moments", "--theta1", "inf"], "theta1 must be positive and finite"),
+            (["check", "--radius", "nan", "--format", "json"], "radius must be positive and finite"),
+            (["check", "--radius", "inf", "--format", "json"], "radius must be positive and finite"),
+            (["contraction", "--x=nan", "--n-paths", "20", "--K", "2"], "initial values must be finite"),
+            (["contraction", "--y=-inf", "--n-paths", "20", "--K", "2"], "initial values must be finite"),
+            (["ergodicity", "--initials", "0,nan", "--n-paths", "20", "--K", "2"],
+             "initial values must be finite"),
+            # every step is 2^-k with k <= 1023: 1/2^-1074 overflows a float,
+            # and the error names the argument
+            (["weak-order", "--fine-step", "2^-1074", "--n-paths", "2", "--T", "1"],
+             "detail=fine_step must be a power of two"),
+            (["simulate", "--fine-step", "2^-1074"], "detail=fine_step must be a power of two"),
+            (["ergodicity", "--m", "10", "--n-paths", "20", "--K", "2"],
+             "detail=the step 1/m for m = 10 must be a power of two"),
+            # these raised OverflowError and ZeroDivisionError
+            (["weak-order", "--fine-step", "2^2000"], "bad value for fine_step: '2^2000'"),
+            (["simulate", "--m", "0"], "m must be a positive integer, got 0"),
+            (["check", "--m", "0"], "m must be a positive integer, got 0"),
+        ],
+        ids=["moments-x0", "moments-theta2", "moments-theta1", "check-nan", "check-inf",
+             "contraction-x", "contraction-y", "ergodicity-initial", "weak-order-subnormal",
+             "simulate-subnormal", "ergodicity-m10", "weak-order-overflow", "simulate-m0",
+             "check-m0"],
+    )
+    def test_bad_input_is_exit_2_and_writes_nothing(self, tmp_path, capsys, args, message):
+        code = run_cli(*args, "--output", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_problem_is_exit_2(self, tmp_path, capsys):
         code = run_cli("moments", "--problem", "fancy", "--output", str(tmp_path / "m.csv"))
         assert code == 2

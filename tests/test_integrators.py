@@ -474,6 +474,12 @@ class TestSimulateBe:
         with pytest.raises(ValueError):
             simulate_be(problem, BeConfig(m=8), grid, 2)  # delta finer than grid
 
+    def test_hand_built_grid_must_be_dyadic(self):
+        problem = linear_additive(3.0, 1.0)
+        grid = dataclasses.replace(zero_noise_grid(1.0, 0.25), fine_step=1.0 / 3.0)
+        with pytest.raises(ValueError, match="^fine_step must be a power of two"):
+            simulate_be(problem, BeConfig(m=1), grid, 1)
+
     def test_horizon_too_short_rejected(self):
         problem = linear_additive(3.0, 1.0)
         grid = generate_path(0, 0, 2.0, 0.5, 1)
@@ -560,6 +566,13 @@ class TestSimulateSsbe:
 
 
 class TestBatchEngine:
+    def test_a_start_of_the_wrong_width_is_rejected(self):
+        # one noise column would drive a 2-column chain of the d = 1 problem
+        problem = linear_additive(3.0, 1.0)
+        increments = np.zeros((4, 8, 1))
+        with pytest.raises(ValueError, match="^a lane start has 2 entries, not dim_state 1"):
+            run_scheme_batch("be", problem, BeConfig(m=4), increments, np.array([1.0, 2.0]), 2)
+
     def test_batch_matches_per_path(self):
         problem = cubic_multiplicative(1.0, 1.0)
         cfg = BeConfig(m=8)

@@ -58,6 +58,24 @@ class TestLaw:
             LinearAdditiveParams(0.0, 1.0)
 
 
+class TestParams:
+    @pytest.mark.parametrize(
+        "theta1, theta2, x0, message",
+        [
+            (0.0, 1.0, 1.0, "theta1"),
+            (math.inf, 1.0, 1.0, "theta1"),
+            (math.nan, 1.0, 1.0, "theta1"),
+            (3.0, math.nan, 1.0, "theta2 and x0"),
+            (3.0, -math.inf, 1.0, "theta2 and x0"),
+            (3.0, 1.0, math.nan, "theta2 and x0"),
+            (3.0, 1.0, math.inf, "theta2 and x0"),
+        ],
+    )
+    def test_non_finite_or_non_positive_values_are_rejected(self, theta1, theta2, x0, message):
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            LinearAdditiveParams(theta1, theta2, x0)
+
+
 class TestExactMoments:
     def test_mean_at_zero_is_initial_value(self):
         assert exact_mean(PARAMS, 0.0) == PARAMS.x0

@@ -193,6 +193,12 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_dissipativity(problem, params(3.0, 1.0, 1e-9), 0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_radius_that_is_not_positive_and_finite(self, radius):
+        problem = linear_additive(3.0, 1.0)
+        with pytest.raises(ValueError, match="^radius must be positive and finite"):
+            probe_dissipativity(problem, params(3.0, 1.0, 1e-9), 10, radius, seed=0)
+
 
 class TestProblems:
     @pytest.mark.parametrize(

@@ -32,7 +32,6 @@ from sdepca.montecarlo import (
     contraction_estimate,
     ergodic_mean_trace,
     ergodic_mean_traces,
-    estimate_weak_error,
     estimate_weak_errors,
     fit_order,
     linear_exact_reference,
@@ -131,12 +130,13 @@ class TestWeakError:
             deltas=[2.0**-4, 2.0**-5],
             n_paths=60,
             T=2,
-            phi=TestFunction.COS_ABS,
+            phis=[TestFunction.COS_ABS],
             master_seed=5,
             fine_step=2.0**-8,
         )
-        base = estimate_weak_error(problem, reference, **kwargs)
-        threaded = estimate_weak_error(problem, reference, n_workers=3, chunk_size=7, **kwargs)
+        phi = TestFunction.COS_ABS
+        base = estimate_weak_errors(problem, reference, **kwargs)[phi]
+        threaded = estimate_weak_errors(problem, reference, n_workers=3, chunk_size=7, **kwargs)[phi]
         assert base.errors == threaded.errors
         assert base.half_widths == threaded.half_widths
         assert base.fitted_slope == threaded.fitted_slope
@@ -148,10 +148,10 @@ class TestWeakError:
 
         problem = cubic_multiplicative(1.0, 1.0)
         phi = TestFunction.ATAN_SQ
-        report = estimate_weak_error(
-            problem, ssbe_reference(problem), [2.0**-3, 2.0**-4], 8, 1, phi,
+        report = estimate_weak_errors(
+            problem, ssbe_reference(problem), [2.0**-3, 2.0**-4], 8, 1, [phi],
             master_seed=6, fine_step=2.0**-6,
-        )
+        )[phi]
         grids = [generate_path(6, i, 1.0, 2.0**-6, 1) for i in range(8)]
         target = np.mean([
             2.0 * phi(simulate_ssbe(problem, BeConfig(m=64), g, 1).states[-1])
@@ -165,16 +165,16 @@ class TestWeakError:
     def test_order_one_on_linear_problem(self):
         problem = linear_additive(3.0, 1.0)
         reference = linear_exact_reference(LIN)
-        report = estimate_weak_error(
+        report = estimate_weak_errors(
             problem,
             reference,
             [2.0**-4, 2.0**-5, 2.0**-6],
             300,
             2,
-            TestFunction.ATAN_ABS,
+            [TestFunction.ATAN_ABS],
             master_seed=12,
             fine_step=2.0**-9,
-        )
+        )[TestFunction.ATAN_ABS]
         assert 0.7 <= report.fitted_slope <= 1.3
         assert report.errors[0] > report.errors[-1]
         assert report.n_failed == 0
@@ -183,16 +183,16 @@ class TestWeakError:
         problem = linear_additive(3.0, 1.0)
         reference = linear_exact_reference(LIN)
         with pytest.warns(UserWarning, match="slope undefined"):
-            report = estimate_weak_error(
+            report = estimate_weak_errors(
                 problem,
                 reference,
                 [2.0**-4],
                 20,
                 1,
-                TestFunction.COS_ABS,
+                [TestFunction.COS_ABS],
                 master_seed=5,
                 fine_step=2.0**-6,
-            )
+            )[TestFunction.COS_ABS]
         assert report.fitted_slope is None
 
     def test_failure_budget_aborts(self):
@@ -200,13 +200,13 @@ class TestWeakError:
         # 30 paths that pass 0.3
         problem = nan_above(0.3)
         with pytest.raises(MonteCarloFailure, match="23 path failures out of 30"):
-            estimate_weak_error(
+            estimate_weak_errors(
                 problem,
                 ssbe_reference(problem),
                 [2.0**-3],
                 30,
                 1,
-                TestFunction.COS_ABS,
+                [TestFunction.COS_ABS],
                 master_seed=5,
                 fine_step=2.0**-5,
             )
@@ -216,13 +216,13 @@ class TestWeakError:
         logs = []
         for workers, chunk in ((1, 512), (3, 7)):
             with pytest.raises(MonteCarloFailure) as info:
-                estimate_weak_error(
+                estimate_weak_errors(
                     problem,
                     linear_exact_reference(LIN),
                     [2.0**-3],
                     30,
                     1,
-                    TestFunction.COS_ABS,
+                    [TestFunction.COS_ABS],
                     master_seed=5,
                     fine_step=2.0**-5,
                     n_workers=workers,
@@ -239,13 +239,13 @@ class TestWeakError:
         # one failed path
         problem = nan_above(0.3)
         with pytest.raises(MonteCarloFailure) as info:
-            estimate_weak_error(
+            estimate_weak_errors(
                 problem,
                 linear_exact_reference(LIN),
                 [2.0**-3, 2.0**-4],
                 30,
                 1,
-                TestFunction.COS_ABS,
+                [TestFunction.COS_ABS],
                 master_seed=5,
                 fine_step=2.0**-5,
             )
@@ -259,13 +259,13 @@ class TestWeakError:
         # records carry the lane's own step and are marked apart from BE's
         problem = nan_above(0.3)
         with pytest.raises(MonteCarloFailure) as info:
-            estimate_weak_error(
+            estimate_weak_errors(
                 problem,
                 ssbe_reference(problem),
                 [2.0**-3],
                 30,
                 1,
-                TestFunction.COS_ABS,
+                [TestFunction.COS_ABS],
                 master_seed=5,
                 fine_step=2.0**-5,
             )
@@ -287,39 +287,39 @@ class TestWeakError:
         problem = linear_additive(3.0, 1.0)
         reference = linear_exact_reference(LIN)
         with pytest.raises(ValueError):
-            estimate_weak_error(problem, reference, [0.3], 10, 1, TestFunction.COS_ABS, 0)
+            estimate_weak_errors(problem, reference, [0.3], 10, 1, [TestFunction.COS_ABS], 0)
         with pytest.raises(ValueError):
-            estimate_weak_error(
-                problem, reference, [2.0**-12], 10, 1, TestFunction.COS_ABS, 0
+            estimate_weak_errors(
+                problem, reference, [2.0**-12], 10, 1, [TestFunction.COS_ABS], 0
             )  # finer than the fine grid
         with pytest.raises(ValueError):
-            estimate_weak_error(problem, reference, [2.0**-4], 10, 1.5, TestFunction.COS_ABS, 0)
+            estimate_weak_errors(problem, reference, [2.0**-4], 10, 1.5, [TestFunction.COS_ABS], 0)
         with pytest.raises(ValueError, match="another problem"):
-            estimate_weak_error(
+            estimate_weak_errors(
                 problem, ssbe_reference(linear_additive(3.0, 1.0)), [2.0**-4], 10, 1,
-                TestFunction.COS_ABS, 0,
+                [TestFunction.COS_ABS], 0,
             )
         with pytest.raises(TypeError):  # a whole-lattice callable is no reference
-            estimate_weak_error(
+            estimate_weak_errors(
                 problem, lambda increments, fine_step, T: None, [2.0**-4], 10, 1,
-                TestFunction.COS_ABS, 0,
+                [TestFunction.COS_ABS], 0,
             )
         with pytest.raises(ValueError, match="^need at least one step size"):
-            estimate_weak_error(problem, reference, [], 10, 1, TestFunction.COS_ABS, 0)
+            estimate_weak_errors(problem, reference, [], 10, 1, [TestFunction.COS_ABS], 0)
 
     def test_report_serialization(self, tmp_path):
         problem = linear_additive(3.0, 1.0)
         reference = linear_exact_reference(LIN)
-        report = estimate_weak_error(
+        report = estimate_weak_errors(
             problem,
             reference,
             [2.0**-4, 2.0**-5],
             25,
             1,
-            TestFunction.COS_ABS,
+            [TestFunction.COS_ABS],
             master_seed=3,
             fine_step=2.0**-7,
-        )
+        )[TestFunction.COS_ABS]
         csv_file = tmp_path / "weak.csv"
         json_file = tmp_path / "weak.json"
         report.to_csv(csv_file)
@@ -371,9 +371,9 @@ class TestStreamedNoise:
             reference = linear_exact_reference(LIN)
         tracemalloc.start()
         try:
-            estimate_weak_error(
+            estimate_weak_errors(
                 problem, reference, [2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9], n_paths, T,
-                TestFunction.COS_ABS, master_seed=3,
+                [TestFunction.COS_ABS], master_seed=3,
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -422,11 +422,11 @@ class TestSpanArguments:
     @pytest.mark.parametrize(
         "estimate",
         [
-            lambda n_paths=8, **kw: estimate_weak_error(
+            lambda n_paths=8, **kw: estimate_weak_errors(
                 linear_additive(3.0, 1.0), linear_exact_reference(LIN), [2.0**-2, 2.0**-3],
-                n_paths=n_paths, T=1, phi=TestFunction.COS_ABS, master_seed=1, fine_step=2.0**-4,
+                n_paths=n_paths, T=1, phis=[TestFunction.COS_ABS], master_seed=1, fine_step=2.0**-4,
                 **kw,
-            ),
+            )[TestFunction.COS_ABS],
             lambda n_paths=8, **kw: ergodic_mean_traces(
                 linear_additive(3.0, 1.0), BeConfig(m=4), [0.0, 1.0], 2, n_paths=n_paths,
                 phis=[TestFunction.COS_ABS], master_seed=1, **kw,
@@ -456,6 +456,21 @@ class TestSpanArguments:
 
 
 class TestErgodicTrace:
+    def test_a_start_of_the_wrong_width_is_rejected(self):
+        # one noise column would drive a 2-column chain of the d = 1 problem
+        with pytest.raises(ValueError, match="^a lane start has 2 entries, not dim_state 1"):
+            ergodic_mean_traces(
+                cubic_multiplicative(1.0, 1.0), BeConfig(m=4), [[1.0, 2.0]], 2, 8,
+                [TestFunction.COS_ABS], 1,
+            )
+
+    def test_a_step_that_is_not_dyadic_is_rejected_naming_m(self):
+        with pytest.raises(ValueError, match="^the step 1/m for m = 10 must be a power of two"):
+            ergodic_mean_traces(
+                linear_additive(3.0, 1.0), BeConfig(m=10), [0.0, 1.0], 2, 8,
+                [TestFunction.COS_ABS], 1,
+            )
+
     def test_identical_initials_zero_spread(self):
         problem = linear_additive(3.0, 1.0)
         report = ergodic_mean_trace(
@@ -579,6 +594,21 @@ class TestContraction:
         problem = linear_additive(3.0, 1.0)
         with pytest.raises(ValueError):
             contraction_estimate(problem, BeConfig(m=4), 1.0, 1.0, 10, 5, master_seed=0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_initials_rejected_before_any_run(self, x, y):
+        def drift(x, y):
+            pytest.fail("the chains ran")
+
+        problem = SdepcaProblem(
+            dim_state=1,
+            dim_noise=1,
+            drift=drift,
+            diffusion=lambda x, y: np.ones(x.shape + (1,)),
+            initial_state=[0.0],
+        )
+        with pytest.raises(ValueError, match="^initial values must be finite"):
+            contraction_estimate(problem, BeConfig(m=4), x, y, 10, 5, master_seed=0)
 
     def test_cubic_decay_beats_analytic_bound(self):
         problem = cubic_multiplicative(1.0, 1.0)
@@ -841,15 +871,15 @@ class TestWeakOrderSupplementary:
     def test_anchor_only_noise_slope_in_band(self):
         problem = cubic_multiplicative(0.0, 1.0)
         reference = ssbe_reference(problem)
-        report = estimate_weak_error(
+        report = estimate_weak_errors(
             problem,
             reference,
             [2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9],
             500,
             6,
-            TestFunction.EXP_NEG_SQ,
+            [TestFunction.EXP_NEG_SQ],
             master_seed=2024,
-        )
+        )[TestFunction.EXP_NEG_SQ]
         assert 0.7 <= report.fitted_slope <= 1.3
 
     def test_linear_moment_bias_shrinks_with_step(self):
