@@ -61,9 +61,11 @@ class BrownianGrid:
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
-    """Deterministic per-path generator keyed by (master_seed, path_index)."""
-    if master_seed < 0 or path_index < 0:
-        raise ValueError("master_seed and path_index must be nonnegative")
+    """Deterministic per-path generator keyed by (master_seed, path_index),
+    each an integer in [0, 2^64): the two words of a Philox key."""
+    for name, value in (("master_seed", master_seed), ("path_index", path_index)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} must be a nonnegative integer below 2^64, got {value}")
     key = np.array([master_seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .brownian import generate_path, write_path
+from .brownian import generate_path, steps_per_unit, write_path
 from .integrators import (
     BeConfig,
     NonConvergenceError,
@@ -33,7 +34,7 @@ from .integrators import (
     simulate_ssbe,
 )
 from .linear_analytic import LinearAdditiveParams, exact_mean, exact_variance, law
-from .model import contraction_rates, check_ergodicity_condition, check_moment_condition, probe_dissipativity, DissipativityParams
+from .model import contraction_rates, check_ergodicity_condition, check_moment_condition, probe_dissipativity
 from .montecarlo import (
     EXAMPLE1_WEAK_PHIS,
     EXAMPLE2_WEAK_PHIS,
@@ -46,11 +47,14 @@ from .montecarlo import (
     ssbe_reference,
     write_csv,
 )
-from .problems import default_dissipativity, make_problem
+from .problems import BUILTINS, default_dissipativity, make_problem
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+#: Most points on the time grid of ``moments``, t = 0 included.
+_MAX_GRID_POINTS = 10**6
 
 
 class ValidationError(Exception):
@@ -70,12 +74,9 @@ def _parse_step(text: str) -> float:
     return float(token)
 
 
-def _parse_step_list(text: str) -> list[float]:
-    return [_parse_step(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(parse):
+    """A parser of comma-separated lists of what ``parse`` reads."""
+    return lambda text: [parse(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_phi(text: str) -> TestFunction:
@@ -85,10 +86,6 @@ def _parse_phi(text: str) -> TestFunction:
         raise ValidationError(
             f"unknown test function {text!r}; known: {[t.value for t in TestFunction]}"
         ) from None
-
-
-def _parse_phi_list(text: str) -> list[TestFunction]:
-    return [_parse_phi(tok) for tok in text.split(",") if tok.strip()]
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -124,13 +121,13 @@ _SPECS = {
         **_COMMON,
         "T": (int, None),
         "fine_step": (_parse_step, 2.0**-11),
-        "deltas": (_parse_step_list, [2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9]),
+        "deltas": (_list_of(_parse_step), [2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9]),
         "n_paths": (int, None),
-        "phis": (_parse_phi_list, None),
+        "phis": (_list_of(_parse_phi), None),
     },
     "ergodicity": {
         **_COMMON,
-        "initials": (_parse_float_list, [-2.0, -1.0, 0.0, 1.0, 2.0]),
+        "initials": (_list_of(float), [-2.0, -1.0, 0.0, 1.0, 2.0]),
         "K": (int, 30),
         "n_paths": (int, 2000),
         "phi": (_parse_phi, TestFunction.ATAN_ABS),
@@ -210,19 +207,14 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
 
 def _build_problem(cfg: dict):
+    """The built-in problem that ``cfg`` names, and its parameters besides
+    ``x0``."""
     name = cfg["problem"]
-    if name == "linear-additive":
-        kwargs = {"theta1": cfg["theta1"], "theta2": cfg["theta2"]}
-    elif name == "cubic-multiplicative":
-        kwargs = {"a": cfg["a"], "b": cfg["b"]}
-    else:
+    if name not in BUILTINS:
         raise ValidationError(f"unknown problem {name!r}")
-    if cfg["x0"] is not None:
-        kwargs["x0"] = cfg["x0"]
-    try:
-        return make_problem(name, **kwargs), kwargs
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
+    kwargs = {key: cfg[key] for key in BUILTINS[name].params}
+    x0 = {} if cfg["x0"] is None else {"x0": cfg["x0"]}
+    return make_problem(name, **kwargs, **x0), kwargs
 
 
 def _output_path(cfg: dict, command: str, suffix: str = "") -> Path:
@@ -247,10 +239,18 @@ def _write_report(report, path: Path, fmt: str) -> None:
 def _cmd_moments(cfg: dict) -> int:
     if cfg["problem"] != "linear-additive":
         raise ValidationError("moments requires the linear-additive problem (analytic law)")
-    if cfg["grid_step"] <= 0.0 or cfg["t_max"] <= 0.0:
-        raise ValidationError("t_max and grid_step must be positive")
-    params = LinearAdditiveParams(cfg["theta1"], cfg["theta2"], cfg["x0"] if cfg["x0"] is not None else 1.0)
-    n = int(round(cfg["t_max"] / cfg["grid_step"]))
+    for key in ("t_max", "grid_step"):
+        if not 0.0 < cfg[key] < math.inf:
+            raise ValidationError(f"{key} must be positive and finite, got {cfg[key]}")
+    ratio = cfg["t_max"] / cfg["grid_step"]
+    if not ratio < _MAX_GRID_POINTS or round(ratio) + 1 > _MAX_GRID_POINTS:
+        raise ValidationError(
+            f"t_max / grid_step must give at most {_MAX_GRID_POINTS} grid points,"
+            f" got t_max={cfg['t_max']} and grid_step={cfg['grid_step']}"
+        )
+    n = round(ratio)
+    problem, kwargs = _build_problem(cfg)
+    params = LinearAdditiveParams(**kwargs, x0=float(problem.initial_state[0]))
     ts = [k * cfg["grid_step"] for k in range(n + 1)]
     means = [exact_mean(params, t) for t in ts]
     variances = [exact_variance(params, t) for t in ts]
@@ -278,7 +278,7 @@ def _cmd_weak_order(cfg: dict) -> int:
         EXAMPLE1_WEAK_PHIS if is_linear else EXAMPLE2_WEAK_PHIS
     )
     if is_linear:
-        params = LinearAdditiveParams(kwargs["theta1"], kwargs["theta2"], float(problem.initial_state[0]))
+        params = LinearAdditiveParams(**kwargs, x0=float(problem.initial_state[0]))
         reference = linear_exact_reference(params)
     else:
         reference = ssbe_reference(problem)
@@ -330,10 +330,10 @@ def _cmd_ergodicity(cfg: dict) -> int:
 def _cmd_contraction(cfg: dict) -> int:
     problem, kwargs = _build_problem(cfg)
     try:
-        params = default_dissipativity(cfg["problem"], **{k: v for k, v in kwargs.items() if k != "x0"})
+        params = default_dissipativity(cfg["problem"], **kwargs)
         if not check_ergodicity_condition(params):
             params = None
-    except (KeyError, ValueError):
+    except ValueError:
         params = None
     report = contraction_estimate(
         problem,
@@ -356,17 +356,9 @@ def _cmd_contraction(cfg: dict) -> int:
 
 def _cmd_check(cfg: dict) -> int:
     problem, kwargs = _build_problem(cfg)
-    defaults = default_dissipativity(cfg["problem"], **{k: v for k, v in kwargs.items() if k != "x0"})
-    try:
-        params = DissipativityParams(
-            lambda1=cfg["lambda1"] if cfg["lambda1"] is not None else defaults.lambda1,
-            lambda2=cfg["lambda2"] if cfg["lambda2"] is not None else defaults.lambda2,
-            lambda3=cfg["lambda3"] if cfg["lambda3"] is not None else defaults.lambda3,
-            f00_norm_sq=defaults.f00_norm_sq,
-            g00_norm_sq=defaults.g00_norm_sq,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    defaults = default_dissipativity(cfg["problem"], **kwargs)
+    overrides = {key: cfg[key] for key in ("lambda1", "lambda2", "lambda3") if cfg[key] is not None}
+    params = dataclasses.replace(defaults, **overrides)
     ergodic = check_ergodicity_condition(params)
     moment_ok = check_moment_condition(params, cfg["p"])
     probe = probe_dissipativity(problem, params, cfg["n_probes"], cfg["radius"], cfg["master_seed"])
@@ -381,9 +373,7 @@ def _cmd_check(cfg: dict) -> int:
         "probe": probe.to_dict(),
     }
     if ergodic:
-        be = BeConfig(m=cfg["m"])
-        rates = contraction_rates(params, be.delta, be.m)
-        result["contraction_rates"] = dataclasses.asdict(rates)
+        result["contraction_rates"] = dataclasses.asdict(contraction_rates(params, cfg["m"]))
     path = _output_path(cfg, "check")
     if cfg["format"] == "json":
         path.write_text(json.dumps(result, indent=2) + "\n")
@@ -413,7 +403,10 @@ def _cmd_simulate(cfg: dict) -> int:
         raise ValidationError(f"unknown scheme {cfg['scheme']!r}")
     problem, _ = _build_problem(cfg)
     be = BeConfig(m=cfg["m"])
-    fine_step = cfg["fine_step"] if cfg["fine_step"] is not None else be.delta
+    fine_step = cfg["fine_step"]
+    if fine_step is None:
+        steps_per_unit(be.delta, f"the step 1/m for m = {be.m}")
+        fine_step = be.delta
     try:
         grid = generate_path(
             cfg["master_seed"], cfg["path_index"], float(cfg["K"]), fine_step, problem.dim_noise

@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .brownian import path_rng
+
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Margin beyond which a probed inequality counts as violated; absorbs
@@ -140,16 +142,15 @@ def check_moment_condition(params: DissipativityParams, p: int) -> bool:
     return margin > 4.0 * params.lambda3 * (p - 1)
 
 
-def contraction_rates(params: DissipativityParams, delta: float, m: int) -> ContractionRates:
+def contraction_rates(params: DissipativityParams, m: int) -> ContractionRates:
     """Evaluate every closed-form contraction quantity for step size delta = 1/m.
 
-    Requires the ergodicity condition to hold.  delta may be 1 (m = 1); the
+    Requires the ergodicity condition to hold.  m may be 1 (delta = 1); the
     discrete constants remain valid contraction factors for any delta in (0, 1].
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if not (0.0 < delta <= 1.0) or abs(delta * m - 1.0) > 1e-12:
-        raise ValueError(f"delta must equal 1/m with delta in (0, 1], got delta={delta}, m={m}")
+    delta = 1.0 / m
     if not check_ergodicity_condition(params):
         raise ValueError("ergodicity condition lambda1 - lambda2 - 2*lambda3 - 1 > 0 fails")
 
@@ -224,6 +225,8 @@ def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np
     return v * rad[:, None]
 
 
+# an overflow shows as a margin that is not finite, which raises
+@np.errstate(over="ignore", invalid="ignore")
 def probe_dissipativity(
     problem: SdepcaProblem,
     params: DissipativityParams,
@@ -242,14 +245,15 @@ def probe_dissipativity(
                            <= lambda3 (|x1-x2|^2 + |y1-y2|^2).
 
     Margins are lhs - rhs, so any positive worst margin above tolerance is a
-    counterexample to the supplied constants.
+    counterexample to the supplied constants.  A margin that is not finite
+    tests nothing, so coefficients that overflow on the ball raise.
     """
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     d = problem.dim_state
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = path_rng(seed, 0)
     x1 = _uniform_ball(rng, n_probes, d, radius)
     x2 = _uniform_ball(rng, n_probes, d, radius)
     y1 = _uniform_ball(rng, n_probes, d, radius)
@@ -272,6 +276,11 @@ def probe_dissipativity(
         np.sum((g_x1_y1 - g_x2_y2) ** 2, axis=(1, 2))
         - params.lambda3 * (dx_sq + dy_sq)
     )
+
+    if not all(np.all(np.isfinite(margin)) for margin in (monotone_margin, anchor_margin, diff_margin)):
+        raise ValueError(
+            f"the coefficients overflow on the ball of radius {radius}: a probe margin is not finite"
+        )
 
     return ProbeReport(
         n_probes=n_probes,

@@ -699,7 +699,7 @@ def contraction_estimate(
     if params is not None:
         from .model import contraction_rates
 
-        bound = contraction_rates(params, cfg.delta, cfg.m).rbar1_block
+        bound = contraction_rates(params, cfg.m).rbar1_block
 
     return ContractionReport(
         x=x_arr.tolist(),

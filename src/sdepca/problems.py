@@ -8,14 +8,19 @@ Two families are provided:
   multiplicative noise, dX = (-X^3 - 10X + 2*X([t]) + 1) dt
   + (a*X + b*X([t])) dB.
 
-Custom problems are constructed directly as :class:`~sdepca.model.SdepcaProblem`;
-the registry only covers the named built-ins that the CLI accepts.
+:data:`BUILTINS` alone names them and their parameters; each builder checks
+its own.  Custom problems are constructed directly as
+:class:`~sdepca.model.SdepcaProblem`.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
+from .linear_analytic import LinearAdditiveParams
 from .model import DissipativityParams, SdepcaProblem
 
 #: Nominal diffusion Lipschitz constant for problems with constant diffusion;
@@ -25,8 +30,7 @@ CONSTANT_DIFFUSION_LAMBDA3 = 1e-9
 
 def linear_additive(theta1: float, theta2: float, x0: float = 1.0) -> SdepcaProblem:
     """Scalar linear problem with additive unit noise."""
-    if theta1 <= 0.0:
-        raise ValueError(f"theta1 must be positive, got {theta1}")
+    LinearAdditiveParams(theta1, theta2, x0)
 
     def drift(x, y):
         return -theta1 * x + theta2 * y
@@ -56,6 +60,8 @@ def linear_additive(theta1: float, theta2: float, x0: float = 1.0) -> SdepcaProb
 
 def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
     """Scalar cubic-drift problem with linear multiplicative noise."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got {a} and {b}")
 
     def drift(x, y):
         # x * x * x, not x**3: numpy's pow takes a slow path for negative
@@ -105,9 +111,7 @@ def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
     )
 
 
-def linear_additive_dissipativity(
-    theta1: float, theta2: float, lambda3: float = CONSTANT_DIFFUSION_LAMBDA3
-) -> DissipativityParams:
+def linear_additive_dissipativity(theta1: float, theta2: float) -> DissipativityParams:
     """Dissipativity constants of the linear problem.
 
     The drift is exactly -theta1-monotone in x and theta2-Lipschitz in the
@@ -117,7 +121,7 @@ def linear_additive_dissipativity(
     return DissipativityParams(
         lambda1=theta1,
         lambda2=theta2**2,
-        lambda3=lambda3,
+        lambda3=CONSTANT_DIFFUSION_LAMBDA3,
         f00_norm_sq=0.0,
         g00_norm_sq=1.0,
     )
@@ -142,27 +146,31 @@ def cubic_multiplicative_dissipativity(a: float, b: float) -> DissipativityParam
     )
 
 
-PROBLEM_NAMES = ("linear-additive", "cubic-multiplicative")
+class Builtin(NamedTuple):
+    """A built-in's parameters besides ``x0``, builder and dissipativity."""
+
+    params: tuple[str, ...]
+    build: Callable[..., SdepcaProblem]
+    dissipativity: Callable[..., DissipativityParams]
+
+
+BUILTINS = {
+    "linear-additive": Builtin(("theta1", "theta2"), linear_additive, linear_additive_dissipativity),
+    "cubic-multiplicative": Builtin(("a", "b"), cubic_multiplicative, cubic_multiplicative_dissipativity),
+}
+
+
+def _builtin(name: str) -> Builtin:
+    if name not in BUILTINS:
+        raise KeyError(f"unknown problem {name!r}; known: {tuple(BUILTINS)}")
+    return BUILTINS[name]
 
 
 def make_problem(name: str, **params: float) -> SdepcaProblem:
-    """Build a registered problem by name.
-
-    ``linear-additive`` takes ``theta1``, ``theta2`` and optional ``x0``
-    (default 1.0); ``cubic-multiplicative`` takes ``a``, ``b`` and optional
-    ``x0`` (default 2.0).
-    """
-    if name == "linear-additive":
-        return linear_additive(**params)
-    if name == "cubic-multiplicative":
-        return cubic_multiplicative(**params)
-    raise KeyError(f"unknown problem {name!r}; known: {PROBLEM_NAMES}")
+    """Build the built-in ``name`` from its parameters and an optional ``x0``."""
+    return _builtin(name).build(**params)
 
 
 def default_dissipativity(name: str, **params: float) -> DissipativityParams:
-    """Dissipativity constants matching :func:`make_problem` arguments."""
-    if name == "linear-additive":
-        return linear_additive_dissipativity(params["theta1"], params["theta2"])
-    if name == "cubic-multiplicative":
-        return cubic_multiplicative_dissipativity(params["a"], params["b"])
-    raise KeyError(f"unknown problem {name!r}; known: {PROBLEM_NAMES}")
+    """Dissipativity constants of the built-in ``name`` from exactly its parameters."""
+    return _builtin(name).dissipativity(**params)

@@ -10,6 +10,7 @@ from sdepca.brownian import (
     generate_increments,
     generate_path,
     increment_pieces,
+    path_rng,
     read_path,
     steps_per_unit,
     write_path,
@@ -35,6 +36,23 @@ class TestStepsPerUnit:
     def test_lattices_above_a_unit_step_are_rejected(self):
         with pytest.raises(ValueError, match="fine_step"):
             generate_path(0, 0, 4.0, 2.0, 1)
+
+
+class TestPathRng:
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_keys_outside_two_words_raise_naming_the_argument(self, value):
+        # these raised OverflowError from numpy's uint64 conversion
+        with pytest.raises(ValueError, match=rf"^master_seed must be a nonnegative integer below 2\^64, got {value}$"):
+            path_rng(value, 0)
+        with pytest.raises(ValueError, match=rf"^path_index must be a nonnegative integer below 2\^64, got {value}$"):
+            path_rng(0, value)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32, 2**63, 2**64 - 1])
+    def test_index_zero_is_the_stream_of_a_one_word_key(self, seed):
+        # the dissipativity probe used Philox(key=np.uint64(seed)) and now
+        # draws from path_rng(seed, 0); its reports depend on these agreeing
+        one_word = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        assert np.array_equal(path_rng(seed, 0).random(64), one_word.random(64))
 
 
 class TestGeneratePath:

@@ -132,11 +132,46 @@ class TestValidation:
             (["weak-order", "--fine-step", "2^2000"], "bad value for fine_step: '2^2000'"),
             (["simulate", "--m", "0"], "m must be a positive integer, got 0"),
             (["check", "--m", "0"], "m must be a positive integer, got 0"),
+            # each builder checks its own parameters; these ran every path
+            # and exited 3, or named lambda3
+            (["simulate", "--theta1", "nan"], "detail=theta1 must be positive and finite, got nan"),
+            (["ergodicity", "--theta1", "inf", "--n-paths", "20", "--K", "2"],
+             "detail=theta1 must be positive and finite, got inf"),
+            (["contraction", "--theta1", "nan", "--n-paths", "20", "--K", "2"],
+             "detail=theta1 must be positive and finite, got nan"),
+            (["weak-order", "--problem", "cubic-multiplicative", "--a", "nan", "--n-paths", "20", "--T", "1"],
+             "detail=a and b must be finite, got nan and 1.0"),
+            (["contraction", "--problem", "cubic-multiplicative", "--b=inf", "--n-paths", "20", "--K", "2"],
+             "detail=a and b must be finite, got 1.0 and inf"),
+            (["check", "--problem", "cubic-multiplicative", "--a", "nan"],
+             "detail=a and b must be finite, got nan and 1.0"),
+            # a seed or path index is one word of a Philox key; these raised
+            # OverflowError
+            (["check", "--master-seed", "-1"], "detail=master_seed must be a nonnegative integer below 2^64"),
+            (["check", "--master-seed", str(2**64)], "detail=master_seed must be a nonnegative integer below 2^64"),
+            (["ergodicity", "--master-seed", str(2**64), "--n-paths", "20", "--K", "2"],
+             "detail=master_seed must be a nonnegative integer below 2^64"),
+            (["simulate", "--path-index", str(2**64)], "detail=path_index must be a nonnegative integer below 2^64"),
+            # the moments grid is bounded before it is built: 1e300 / 1e-300
+            # raised OverflowError, and one point over the bound would be built
+            (["moments", "--t-max", "1e300", "--grid-step", "1e-300"], "must give at most 1000000 grid points"),
+            (["moments", "--t-max", "1000000", "--grid-step", "1"], "must give at most 1000000 grid points"),
+            (["moments", "--t-max", "nan"], "detail=t_max must be positive and finite, got nan"),
+            (["moments", "--grid-step", "0"], "detail=grid_step must be positive and finite, got 0.0"),
+            # margins of NaN and -inf passed the probe, and are not JSON
+            (["check", "--n-probes", "100", "--radius", "1e300", "--format", "json"],
+             "detail=the coefficients overflow on the ball of radius 1e+300"),
+            # simulate's default fine step is 1/m, and its error names m
+            (["simulate", "--m", "3"], "detail=the step 1/m for m = 3 must be a power of two"),
         ],
         ids=["moments-x0", "moments-theta2", "moments-theta1", "check-nan", "check-inf",
              "contraction-x", "contraction-y", "ergodicity-initial", "weak-order-subnormal",
              "simulate-subnormal", "ergodicity-m10", "weak-order-overflow", "simulate-m0",
-             "check-m0"],
+             "check-m0", "simulate-theta1", "ergodicity-theta1", "contraction-theta1",
+             "weak-order-cubic-a", "contraction-cubic-b", "check-cubic-a", "check-seed-negative",
+             "check-seed-2^64", "ergodicity-seed-2^64", "simulate-index-2^64",
+             "moments-grid-overflow", "moments-grid-bound", "moments-t-max-nan",
+             "moments-grid-step-0", "check-probe-overflow", "simulate-m3"],
     )
     def test_bad_input_is_exit_2_and_writes_nothing(self, tmp_path, capsys, args, message):
         code = run_cli(*args, "--output", str(tmp_path / "out"))

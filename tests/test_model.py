@@ -14,9 +14,12 @@ from sdepca.model import (
     probe_dissipativity,
 )
 from sdepca.problems import (
+    BUILTINS,
     cubic_multiplicative,
     cubic_multiplicative_dissipativity,
+    default_dissipativity,
     linear_additive,
+    linear_additive_dissipativity,
     make_problem,
 )
 
@@ -67,13 +70,13 @@ class TestConditions:
 class TestContractionRates:
     def test_weakly_coupled_scalar_case(self):
         # near-pure mean reversion: alpha ~ 5, r(1) ~ e^-5
-        r = contraction_rates(params(3.0, 1e-9, 1e-9), 1.0, 1)
+        r = contraction_rates(params(3.0, 1e-9, 1e-9), 1)
         assert r.alpha == pytest.approx(5.0, rel=1e-8)
         assert r.beta == pytest.approx(4e-9, rel=1e-12)
         assert r.r_one == pytest.approx(math.exp(-5.0), rel=1e-6)
 
     def test_cubic_constants_half_step(self):
-        r = contraction_rates(params(10, 4, 2), 0.5, 2)
+        r = contraction_rates(params(10, 4, 2), 2)
         assert r.alpha2 == pytest.approx(17.0 / 10.5, rel=1e-14)
         assert r.beta2 == pytest.approx(6.0 / 10.5, rel=1e-14)
         ratio = r.beta2 / r.alpha2
@@ -84,7 +87,7 @@ class TestContractionRates:
         l1, l2, l3, f00, g00 = 6.0, 1.5, 0.5, 0.3, 0.7
         m = 8
         delta = 1.0 / m
-        r = contraction_rates(params(l1, l2, l3, f00, g00), delta, m)
+        r = contraction_rates(params(l1, l2, l3, f00, g00), m)
         denom = 1.0 + (2 * l1 - 1) * delta
         assert r.alpha == 2 * l1 - 2 * l3 - 1
         assert r.beta == 2 * (l2 + l3)
@@ -111,20 +114,20 @@ class TestContractionRates:
         if not check_ergodicity_condition(p):
             return
         m = 2**log2m
-        r = contraction_rates(p, 1.0 / m, m)
+        r = contraction_rates(p, m)
         assert 0.0 < r.beta / r.alpha < 1.0
         assert 0.0 < r.r_one < 1.0
         assert 0.0 < r.rbar1_block < 1.0
 
     def test_rbar1_strictly_decreasing_in_l(self):
-        r = contraction_rates(params(10, 4, 2), 1.0 / 16, 16)
+        r = contraction_rates(params(10, 4, 2), 16)
         values = [r.rbar1_at(l) for l in range(16)]
         assert all(0.0 < v < 1.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(r.rbar1_block, rel=1e-14)
 
     def test_r1_at_matches_block_constants(self):
-        r = contraction_rates(params(10, 4, 2), 0.25, 4)
+        r = contraction_rates(params(10, 4, 2), 4)
         ratio = r.beta1 / r.alpha1
         assert r.r1_at(2) == pytest.approx(
             ratio + (1 - ratio) * math.exp(-r.alpha1 * 3 * 0.25), rel=1e-14
@@ -132,15 +135,13 @@ class TestContractionRates:
 
     def test_rejects_violated_preconditions(self):
         with pytest.raises(ValueError):
-            contraction_rates(params(1, 1, 1), 0.5, 2)  # not ergodic
-        with pytest.raises(ValueError):
-            contraction_rates(params(10, 4, 2), 0.5, 3)  # delta != 1/m
-        with pytest.raises(ValueError):
-            contraction_rates(params(10, 4, 2), 2.0, 2)
+            contraction_rates(params(1, 1, 1), 2)  # not ergodic
+        with pytest.raises(ValueError, match="^m must be a positive integer, got 0"):
+            contraction_rates(params(10, 4, 2), 0)
 
     def test_deterministic_and_pure(self):
         p = params(10, 4, 2, 1.0, 0.0)
-        assert contraction_rates(p, 0.125, 8) == contraction_rates(p, 0.125, 8)
+        assert contraction_rates(p, 8) == contraction_rates(p, 8)
 
 
 class TestProbe:
@@ -199,6 +200,13 @@ class TestProbe:
         with pytest.raises(ValueError, match="^radius must be positive and finite"):
             probe_dissipativity(problem, params(3.0, 1.0, 1e-9), 10, radius, seed=0)
 
+    @pytest.mark.parametrize("radius", [1e100, 1e300])
+    def test_coefficients_that_overflow_on_the_ball_raise(self, radius):
+        # the margins came out NaN or -inf, and the report said passed
+        problem = cubic_multiplicative(1.0, 1.0)
+        with pytest.raises(ValueError, match="^the coefficients overflow on the ball of radius"):
+            probe_dissipativity(problem, cubic_multiplicative_dissipativity(1.0, 1.0), 100, radius, seed=0)
+
 
 class TestProblems:
     @pytest.mark.parametrize(
@@ -221,6 +229,44 @@ class TestProblems:
         assert p.initial_state[0] == 0.5
         with pytest.raises(KeyError):
             make_problem("unknown-problem")
+
+    @pytest.mark.parametrize(
+        "name, kwargs, message",
+        [
+            *[("linear-additive", {"theta1": v, "theta2": 1.0}, "theta1 must be positive and finite")
+              for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
+            *[("linear-additive", {"theta1": 3.0, "theta2": v}, "theta2 and x0 must be finite")
+              for v in (math.nan, math.inf, -math.inf)],
+            *[("cubic-multiplicative", {"a": v, "b": 1.0}, "a and b must be finite")
+              for v in (math.nan, math.inf, -math.inf)],
+            *[("cubic-multiplicative", {"a": 1.0, "b": v}, "a and b must be finite")
+              for v in (math.nan, math.inf, -math.inf)],
+            *[("linear-additive", {"theta1": 3.0, "theta2": 1.0, "x0": v}, "theta2 and x0 must be finite")
+              for v in (math.nan, math.inf)],
+            *[("cubic-multiplicative", {"a": 1.0, "b": 1.0, "x0": v}, "initial_state must be finite")
+              for v in (math.nan, math.inf)],
+        ],
+    )
+    def test_builders_reject_parameters_naming_them(self, name, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make_problem(name, **kwargs)
+
+    def test_default_dissipativity_is_the_family_constants(self):
+        assert default_dissipativity("linear-additive", theta1=2.5, theta2=-1.5) == (
+            linear_additive_dissipativity(2.5, -1.5)
+        )
+        assert default_dissipativity("cubic-multiplicative", a=0.5, b=-2.0) == (
+            cubic_multiplicative_dissipativity(0.5, -2.0)
+        )
+        # exactly the family's parameters: x0 is not one of them
+        with pytest.raises(TypeError):
+            default_dissipativity("linear-additive", theta1=2.5, theta2=1.0, x0=1.0)
+
+    def test_unknown_name_lists_the_builtins(self):
+        assert set(BUILTINS) == {"linear-additive", "cubic-multiplicative"}
+        for lookup in (make_problem, default_dissipativity):
+            with pytest.raises(KeyError, match="'linear-additive', 'cubic-multiplicative'"):
+                lookup("fancy")
 
     def test_coefficients_are_total_and_batchable(self):
         for problem in (linear_additive(3.0, 1.0), cubic_multiplicative(1.0, 1.0)):
