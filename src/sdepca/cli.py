@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -59,6 +60,18 @@ _MAX_GRID_POINTS = 10**6
 
 class ValidationError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose errors are validation errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word such as -1,0.5 or -1e6 is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def _emit_error(code: str, detail: str) -> None:
@@ -164,7 +177,7 @@ _SPECS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdepca",
         description="Simulation and invariant-measure diagnostics for SDEs "
         "with piecewise-constant arguments.",
@@ -434,9 +447,8 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _resolve(args, args.command)
         return _RUNNERS[args.command](cfg)
     except (ValidationError, FileNotFoundError, ValueError) as exc:

@@ -272,11 +272,12 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
     """
     n = rhs.shape[0]
     status = np.zeros(n, dtype=np.int8)
-    # without a start, x is rhs until some rows take a step and others do not
     x = rhs if start is None else start(rhs)
+    if x is rhs:  # x is written in place, and rhs is the caller's
+        x = rhs.copy()
     res, rnorm = _residual(drift, x, y, delta, rhs)
     if (rnorm <= _NEWTON_TOL).all():  # every row has converged at its start
-        return (rhs.copy() if x is rhs else x), status, rnorm
+        return x, status, rnorm
     # rows still iterating or converged; a row whose residual is not finite
     # cannot take a Newton step and has failed
     open_rows = rnorm < np.inf
@@ -315,8 +316,6 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
         if n_take == n:
             x, res, rnorm = x_new, r_new, rn_new
             continue
-        if x is rhs:
-            x = rhs.copy()
         keep = take[:, None]
         np.copyto(x, x_new, where=keep)
         np.copyto(res, r_new, where=keep)
@@ -325,8 +324,6 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
         # out of iterations: the rows still above the tolerance leave the loop
         open_rows &= rnorm <= _NEWTON_TOL
 
-    if x is rhs:
-        x = rhs.copy()
     if np.count_nonzero(open_rows) == n:  # every row has converged
         return x, status, rnorm
     # A row that left the loop, because its residual stopped falling or it

@@ -9,7 +9,7 @@ at each step size on an exact coarsening of the same increments; the chain
 estimators run one BE lane per start on the same noise.  Per-path
 quantities are computed independently of how paths are grouped into
 batches, and reductions run in path-index order with compensated summation,
-so results are bit-identical for any worker count or chunk size.
+so results are bit-identical for any worker count.
 
 Expectations are estimated by plain sample means with normal-approximation
 95% confidence half-widths (1.96 * sd / sqrt(N)); path counts are >= 1000 in
@@ -49,8 +49,7 @@ _Z95 = 1.96
 _DECAY_FLOOR = 1e-280
 #: Share of paths that may fail before an estimate is abandoned.
 _MAX_FAILURE_FRACTION = 1e-3
-#: Noise that one default span holds at once: a piece of 256 steps of 2048
-#: paths at r = 1.
+#: Most noise that one span holds at once: 256 steps of 2048 paths at r = 1.
 _SPAN_NOISE_BYTES = 4 * 2**20
 
 
@@ -158,7 +157,7 @@ def _count_failed(ok: np.ndarray, failures: list) -> int:
     if n_failed > _MAX_FAILURE_FRACTION * ok.size:
         logged = {e["path"] for e in failures}
         unlogged = [{"path": int(p)} for p in np.flatnonzero(~ok) if p not in logged]
-        # by path, so the log does not depend on the chunking
+        # by path, so the log does not depend on the spans
         raise MonteCarloFailure(sorted(failures + unlogged, key=lambda e: e["path"]), ok.size)
     return n_failed
 
@@ -220,14 +219,13 @@ def _lane_worker(
 
 
 def _run_lanes_chunked(
-    problem, lanes, K, fine_step, master_seed, n_paths, n_workers, chunk_size
+    problem, lanes, K, fine_step, master_seed, n_paths, n_workers
 ) -> tuple[list, list]:
     """:func:`_lane_worker` over all paths in consecutive spans: each lane's
     results joined along the path axis, and the records in span order.
 
-    A span is ``chunk_size`` paths.  When that is None, each worker gets one
-    span, of at most ``_SPAN_NOISE_BYTES`` of noise held at once: one piece
-    of fine steps of the widest lane.
+    A span is ``ceil(n_paths / n_workers)`` paths, capped at ``_SPAN_NOISE_BYTES``
+    of noise held at once: one piece of fine steps of the widest lane.
 
     With several workers the spans run in worker processes, at most one per
     CPU.  Threads do not pay here: the solver steps in Python and holds the
@@ -244,12 +242,9 @@ def _run_lanes_chunked(
         raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
         raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
-    if chunk_size is None:
-        path_bytes = 8 * problem.dim_noise * piece_steps(max(lane.factor for lane in lanes))
-        chunk_size = min(-(-n_paths // n_workers), max(1, _SPAN_NOISE_BYTES // path_bytes))
-    elif not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
-        raise ValueError(f"chunk_size must be a positive integer or None, got {chunk_size!r}")
-    spans = [(i, min(i + chunk_size, n_paths)) for i in range(0, n_paths, chunk_size)]
+    path_bytes = 8 * problem.dim_noise * piece_steps(max(lane.factor for lane in lanes))
+    width = min(-(-n_paths // n_workers), max(1, _SPAN_NOISE_BYTES // path_bytes))
+    spans = [(i, min(i + width, n_paths)) for i in range(0, n_paths, width)]
     worker = partial(_lane_worker, problem, lanes, K, fine_step, master_seed)
     if hasattr(os, "sched_getaffinity"):
         n_cpus = len(os.sched_getaffinity(0))
@@ -271,7 +266,7 @@ def _run_lanes_chunked(
 
 
 def _chain_anchors(
-    problem, cfg, starts, K, n_paths, master_seed, n_workers, chunk_size
+    problem, cfg, starts, K, n_paths, master_seed, n_workers
 ) -> tuple[np.ndarray, list]:
     """Block anchors (K+1, n_starts, n_paths, d) of BE chains from each of
     ``starts``, one lane per start on the same noise, and their failure
@@ -284,7 +279,7 @@ def _chain_anchors(
     steps_per_unit(cfg.delta, f"the step 1/m for m = {cfg.m}")
     lanes = [Lane("be", x0=start, record="anchors") for start in starts]
     anchors, records = _run_lanes_chunked(
-        problem, lanes, K, cfg.delta, master_seed, n_paths, n_workers, chunk_size
+        problem, lanes, K, cfg.delta, master_seed, n_paths, n_workers
     )
     failures = [
         {"path": path, "start": start, "k": k, "l": l, "kind": kind}
@@ -427,7 +422,6 @@ def estimate_weak_errors(
     *,
     fine_step: float = 2.0**-11,
     n_workers: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> dict[TestFunction, WeakErrorReport]:
     """Coupled weak-error tables for several test functions on shared paths.
 
@@ -444,10 +438,9 @@ def estimate_weak_errors(
     its step size ``delta``; a reference lane's carry its own step (1 for a
     lane that maps whole blocks) and ``"reference": True``.
 
-    A span is ``chunk_size`` paths.  The default None gives each of the
-    ``n_workers`` worker processes one span, capped so that the piece of
-    noise a span holds stays within 4 MiB: 2048 paths at r = 1.  The
-    reports do not depend on either.
+    A span is one worker's share of the paths, ``ceil(n_paths / n_workers)``,
+    capped so that the piece of noise it holds stays within 4 MiB: 2048 paths
+    at r = 1.  The reports do not depend on the worker count.
     """
     if int(T) != T or T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
@@ -482,7 +475,7 @@ def estimate_weak_errors(
     ] + [{"delta": delta} for delta in deltas]
     # the reference's endpoints (its lanes), then BE's at each step size
     finals, records = _run_lanes_chunked(
-        problem, lanes, T, fine_step, master_seed, n_paths, n_workers, chunk_size
+        problem, lanes, T, fine_step, master_seed, n_paths, n_workers
     )
     finals = np.stack(finals)
     failure_log = [
@@ -572,7 +565,6 @@ def ergodic_mean_traces(
     master_seed: int,
     *,
     n_workers: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> dict[TestFunction, ErgodicityReport]:
     """Estimate E phi(Y_k), k = 0..K, from each initial value, for each of
     ``phis`` on one run of the chains.
@@ -581,7 +573,7 @@ def ergodic_mean_traces(
     index i uses the same noise for every initial), so the spread directly
     measures how fast the chains forget their starting point.  Each report
     equals that of :func:`ergodic_mean_trace` with its test function alone.
-    ``n_workers`` and ``chunk_size`` are as in :func:`estimate_weak_errors`.
+    ``n_workers`` is as in :func:`estimate_weak_errors`.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -592,9 +584,7 @@ def ergodic_mean_traces(
         initial_arr = np.asarray(initials, dtype=float)[:, None]
     if not initial_arr.size:
         raise ValueError("initials must hold at least one initial value")
-    anchors, failures = _chain_anchors(
-        problem, cfg, initial_arr, K, n_paths, master_seed, n_workers, chunk_size
-    )
+    anchors, failures = _chain_anchors(problem, cfg, initial_arr, K, n_paths, master_seed, n_workers)
     reports = {}
     for phi in phis:
         # a huge state overflows phi; _path_means counts such a path as failed
@@ -661,15 +651,14 @@ def contraction_estimate(
     *,
     params: Optional[DissipativityParams] = None,
     n_workers: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ContractionReport:
     """Mean-square distance E|Y_k^x - Y_k^y|^2 of noise-coupled chains.
 
     Each path index drives both chains with identical increments.  The decay
     factor per unit time is fitted on the log of the positive part of the
     trace; when dissipativity constants are supplied, the analytic per-block
-    contraction factor is attached for comparison.  ``n_workers`` and
-    ``chunk_size`` are as in :func:`estimate_weak_errors`.
+    contraction factor is attached for comparison.  ``n_workers`` is as in
+    :func:`estimate_weak_errors`.
     """
     x_arr = np.asarray(x, dtype=float).reshape(problem.dim_state)
     y_arr = np.asarray(y, dtype=float).reshape(problem.dim_state)
@@ -679,7 +668,7 @@ def contraction_estimate(
         raise ValueError("K must be >= 1")
 
     anchors, failures = _chain_anchors(
-        problem, cfg, np.stack([x_arr, y_arr]), K, n_paths, master_seed, n_workers, chunk_size
+        problem, cfg, np.stack([x_arr, y_arr]), K, n_paths, master_seed, n_workers
     )
     # a huge state overflows the square; _path_means counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -745,11 +734,10 @@ def moment_estimate(
     *,
     params: Optional[DissipativityParams] = None,
     n_workers: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> MomentReport:
     """Monte Carlo trace of the 2p-th moment of the block anchors.
 
-    ``n_workers`` and ``chunk_size`` are as in :func:`estimate_weak_errors`.
+    ``n_workers`` is as in :func:`estimate_weak_errors`.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -760,7 +748,7 @@ def moment_estimate(
             f"moment condition fails for p={p}; the 2p-th moment may be unbounded"
         )
     anchors, failures = _chain_anchors(
-        problem, cfg, [problem.initial_state], K, n_paths, master_seed, n_workers, chunk_size
+        problem, cfg, [problem.initial_state], K, n_paths, master_seed, n_workers
     )
     # a huge state overflows the power; _path_means counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):

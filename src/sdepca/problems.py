@@ -62,6 +62,8 @@ def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
     """Scalar cubic-drift problem with linear multiplicative noise."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"a and b must be finite, got {a} and {b}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
 
     def drift(x, y):
         # x * x * x, not x**3: numpy's pow takes a slow path for negative

@@ -2,8 +2,8 @@
 
 Each test prints one `ACCEPTANCE <id>: PASS/FAIL` line (run with `pytest -s`
 to see them live).  The expensive Monte Carlo runs are computed once per
-session, twice each: with one worker and with several workers on a different
-chunking, writing output files both times so the determinism criterion can
+session, twice each: with one worker and with two, whose spans of paths are
+narrower, writing output files both times so the determinism criterion can
 compare raw bytes.
 
 The two claims of the paper are checked where they can be resolved:
@@ -23,11 +23,13 @@ The two claims of the paper are checked where they can be resolved:
 
 import math
 import time
+from contextlib import contextmanager, nullcontext
 
 import mpmath
 import numpy as np
 import pytest
 
+from sdepca import montecarlo
 from sdepca.integrators import BeConfig, be_mean_multiplier, be_step, solve_implicit
 from sdepca.linear_analytic import (
     LinearAdditiveParams,
@@ -76,6 +78,16 @@ def write_outputs(report, stem):
     return [json_path, csv_path]
 
 
+@contextmanager
+def spans_of(n_paths):
+    """Spans of at most ``n_paths`` paths of one 256-step piece of noise at
+    r = 1, in place of the cap of 2048, where one span per worker would give
+    the run on two workers the spans of the run on one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_SPAN_NOISE_BYTES", n_paths * 256 * 8)
+        yield
+
+
 @pytest.fixture(scope="session")
 def outdir(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
@@ -87,11 +99,11 @@ def weak_order_example1(outdir):
     reference = linear_exact_reference(LIN_PARAMS)
     runs = {}
     elapsed = {}
-    for label, workers, chunk in (("a", 1, 512), ("b", 2, 500)):
+    for label, workers in (("a", 1), ("b", 2)):
         t0 = time.time()
         reports = estimate_weak_errors(
             problem, reference, DELTAS, 1000, 5, EXAMPLE1_WEAK_PHIS, MASTER_SEED,
-            fine_step=FINE_STEP, n_workers=workers, chunk_size=chunk,
+            fine_step=FINE_STEP, n_workers=workers,
         )
         elapsed[label] = time.time() - t0
         files = []
@@ -105,8 +117,8 @@ def weak_order_example1(outdir):
 #: all four mean-gap slopes in band in 71% of runs at 4000 paths, 89% at
 #: 8000, 97% at 12 000 and 98% at 16 000.  16 000 paths take about 105 s on
 #: one core of a 2-core box, and run "b" about 60 s on two worker processes,
-#: inside the 600 s budget.  Chunks of 2000+ paths halve the per-path solver
-#: overhead against chunks of 512.
+#: inside the 600 s budget.  Spans of 2000+ paths halve the per-path solver
+#: overhead against spans of 512.
 EXAMPLE2_PATHS = 16_000
 
 
@@ -116,12 +128,14 @@ def weak_order_example2(outdir):
     reference = ssbe_reference(problem)
     runs = {}
     elapsed = {}
-    for label, workers, chunk in (("a", 1, 2048), ("b", 2, 2000)):
+    # spans of 2048 paths on one worker, and of 2000 on two
+    for label, workers, spans in (("a", 1, nullcontext()), ("b", 2, spans_of(2000))):
         t0 = time.time()
-        reports = estimate_weak_errors(
-            problem, reference, DELTAS, EXAMPLE2_PATHS, 6, EXAMPLE2_WEAK_PHIS, MASTER_SEED,
-            fine_step=FINE_STEP, n_workers=workers, chunk_size=chunk,
-        )
+        with spans:
+            reports = estimate_weak_errors(
+                problem, reference, DELTAS, EXAMPLE2_PATHS, 6, EXAMPLE2_WEAK_PHIS, MASTER_SEED,
+                fine_step=FINE_STEP, n_workers=workers,
+            )
         elapsed[label] = time.time() - t0
         files = []
         for phi in EXAMPLE2_WEAK_PHIS:
@@ -138,14 +152,14 @@ def ergodicity_runs(outdir):
         ("ex2", cubic_multiplicative(1.0, 1.0), EXAMPLE2_ERGODIC_PHIS),
     ]
     runs = {}
-    for label, workers, chunk in (("a", 1, 512), ("b", 2, 1000)):
+    for label, workers in (("a", 1), ("b", 2)):
         reports = {}
         files = []
         for name, problem, phis in cases:
             for phi in phis:
                 report = ergodic_mean_trace(
                     problem, cfg, [-2.0, -1.0, 0.0, 1.0, 2.0], 30, 2000, phi,
-                    MASTER_SEED, n_workers=workers, chunk_size=chunk,
+                    MASTER_SEED, n_workers=workers,
                 )
                 reports[(name, phi)] = report
                 files += write_outputs(report, outdir / f"ergodic_{label}_{name}_{phi.value}")
@@ -160,13 +174,10 @@ def contraction_runs(outdir):
     cubic = cubic_multiplicative(1.0, 1.0)
     params2 = cubic_multiplicative_dissipativity(1.0, 1.0)
     runs = {}
-    for label, workers, chunk in (("a", 1, 512), ("b", 2, 1000)):
-        rep1 = contraction_estimate(
-            lin, cfg, 2.0, -2.0, 2000, 20, MASTER_SEED, n_workers=workers, chunk_size=chunk
-        )
+    for label, workers in (("a", 1), ("b", 2)):
+        rep1 = contraction_estimate(lin, cfg, 2.0, -2.0, 2000, 20, MASTER_SEED, n_workers=workers)
         rep2 = contraction_estimate(
-            cubic, cfg, 2.0, -2.0, 2000, 20, MASTER_SEED, params=params2,
-            n_workers=workers, chunk_size=chunk,
+            cubic, cfg, 2.0, -2.0, 2000, 20, MASTER_SEED, params=params2, n_workers=workers
         )
         files = write_outputs(rep1, outdir / f"contraction_{label}_ex1")
         files += write_outputs(rep2, outdir / f"contraction_{label}_ex2")
@@ -181,14 +192,14 @@ def moment_runs(outdir):
     cubic = cubic_multiplicative(1.0, 1.0)
     params2 = cubic_multiplicative_dissipativity(1.0, 1.0)
     runs = {}
-    for label, workers, chunk in (("a", 1, 512), ("b", 2, 5000)):
-        rep2 = moment_estimate(
-            cubic, cfg, 1, 1000, 50, MASTER_SEED, params=params2,
-            n_workers=workers, chunk_size=chunk,
-        )
-        rep1 = moment_estimate(
-            lin, cfg, 1, 10_000, 30, MASTER_SEED, n_workers=workers, chunk_size=chunk
-        )
+    # the linear moment's 10 000 paths: spans of 2048 on one worker, and
+    # of 5000 on two
+    for label, workers, spans in (("a", 1, nullcontext()), ("b", 2, spans_of(5000))):
+        with spans:
+            rep2 = moment_estimate(
+                cubic, cfg, 1, 1000, 50, MASTER_SEED, params=params2, n_workers=workers
+            )
+            rep1 = moment_estimate(lin, cfg, 1, 10_000, 30, MASTER_SEED, n_workers=workers)
         files = write_outputs(rep2, outdir / f"moment_{label}_ex2")
         files += write_outputs(rep1, outdir / f"moment_{label}_ex1")
         runs[label] = ((rep1, rep2), files)

@@ -181,6 +181,43 @@ class TestValidation:
         assert message in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["weak-order", "--bogus", "1"], "detail=unrecognized arguments: --bogus 1"),
+            (["ergodicity", "--K"], "detail=argument --K: expected one argument"),
+            ([], "detail=the following arguments are required: command"),
+        ],
+        ids=["unknown-flag", "missing-value", "no-command"],
+    )
+    def test_argument_errors_are_exit_2_with_the_error_line(
+        self, tmp_path, monkeypatch, capsys, args, message
+    ):
+        # an argument error is a validation error: one error_code line
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, key, value",
+        [
+            (["ergodicity", "--n-paths", "20", "--K", "2"], "--initials", "-1,0.5"),
+            (["simulate"], "--x0", "-1e6"),
+            (["contraction", "--n-paths", "20", "--K", "2"], "--y", "-2.5e-1"),
+        ],
+        ids=["list", "exponent", "fraction-exponent"],
+    )
+    def test_a_negative_value_after_an_option_is_its_value(self, tmp_path, args, key, value):
+        # a word that starts with '-' and a digit after an option is its value
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run_cli(*args, key, value, "--output", str(spaced)) == 0
+        assert run_cli(*args, f"{key}={value}", "--output", str(joined)) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_unknown_problem_is_exit_2(self, tmp_path, capsys):
         code = run_cli("moments", "--problem", "fancy", "--output", str(tmp_path / "m.csv"))
         assert code == 2

@@ -243,8 +243,8 @@ class TestProblems:
               for v in (math.nan, math.inf, -math.inf)],
             *[("linear-additive", {"theta1": 3.0, "theta2": 1.0, "x0": v}, "theta2 and x0 must be finite")
               for v in (math.nan, math.inf)],
-            *[("cubic-multiplicative", {"a": 1.0, "b": 1.0, "x0": v}, "initial_state must be finite")
-              for v in (math.nan, math.inf)],
+            *[("cubic-multiplicative", {"a": 1.0, "b": 1.0, "x0": v}, "x0 must be finite")
+              for v in (math.nan, math.inf, -math.inf)],
         ],
     )
     def test_builders_reject_parameters_naming_them(self, name, kwargs, message):

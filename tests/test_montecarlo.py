@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -136,7 +137,8 @@ class TestWeakError:
         )
         phi = TestFunction.COS_ABS
         base = estimate_weak_errors(problem, reference, **kwargs)[phi]
-        threaded = estimate_weak_errors(problem, reference, n_workers=3, chunk_size=7, **kwargs)[phi]
+        # nine workers take spans of 7 paths
+        threaded = estimate_weak_errors(problem, reference, n_workers=9, **kwargs)[phi]
         assert base.errors == threaded.errors
         assert base.half_widths == threaded.half_widths
         assert base.fitted_slope == threaded.fitted_slope
@@ -214,7 +216,8 @@ class TestWeakError:
     def test_failure_log_identical_across_workers(self):
         problem = nan_above(0.3)
         logs = []
-        for workers, chunk in ((1, 512), (3, 7)):
+        # one span of 30 paths, and five of 6
+        for workers in (1, 5):
             with pytest.raises(MonteCarloFailure) as info:
                 estimate_weak_errors(
                     problem,
@@ -226,7 +229,6 @@ class TestWeakError:
                     master_seed=5,
                     fine_step=2.0**-5,
                     n_workers=workers,
-                    chunk_size=chunk,
                 )
             logs.append(info.value.failures)
         assert logs[0] and logs[0] == logs[1]
@@ -397,8 +399,8 @@ class TestStreamedNoise:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_default_spans_match_small_chunks(self, n_workers):
-        # the default span is one per worker, so its width depends on the
-        # worker count; the reports must not
+        # a span is one per worker, so its width depends on the worker
+        # count; the reports must not
         linear = linear_additive(3.0, 1.0)
         cubic = cubic_multiplicative(1.0, 1.0)
         phis = [TestFunction.COS_ABS, TestFunction.SIN_SQ]
@@ -409,15 +411,46 @@ class TestStreamedNoise:
             (ergodic_mean_traces, chains, {}),
         ):
             default = estimate(*args, n_workers=n_workers, **kwargs)
-            small = estimate(*args, chunk_size=7, **kwargs)
+            # spans of 7 paths of the 60, and of 5 of the 40
+            small = estimate(*args, n_workers=9, **kwargs)
             for phi in phis:
                 assert json.dumps(default[phi].as_dict()) == json.dumps(small[phi].as_dict())
 
+    @pytest.mark.parametrize(
+        "n_workers, factor, dim_noise, widths",
+        [
+            # one span per worker, of at most 4 MiB of noise: 2048 paths of
+            # one piece of 256 fine steps at r = 1
+            (1, 1, 1, [2048, 2048, 904]),
+            (2, 1, 1, [2048, 2048, 904]),
+            (3, 1, 1, [1667, 1667, 1666]),
+            (4, 1, 1, [1250] * 4),
+            # a piece holds whole steps of the widest lane, here 512 fine steps
+            (3, 512, 1, [1024] * 4 + [904]),
+            # and one column per noise dimension
+            (1, 1, 2, [1024] * 4 + [904]),
+        ],
+    )
+    def test_span_widths_follow_from_the_worker_count(
+        self, monkeypatch, n_workers, factor, dim_noise, widths
+    ):
+        import sdepca.montecarlo as mc
+
+        def span_bounds(problem, lanes, K, fine_step, master_seed, lo, hi):
+            return [np.zeros((hi - lo, 1))], [(lo, hi)]
+
+        monkeypatch.setattr(mc, "_lane_worker", span_bounds)
+        problem = dataclasses.replace(linear_additive(3.0, 1.0), dim_noise=dim_noise)
+        lanes = [Lane("be"), Lane("be", factor)]
+        _, spans = mc._run_lanes_chunked(problem, lanes, 1, 2.0**-10, 1, 5000, n_workers)
+        assert [hi - lo for lo, hi in spans] == widths
+        assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]
+
 
 class TestSpanArguments:
-    """Every estimator rejects a span width or worker count that is not a
-    positive integer, and a path count below 2, naming the argument: a
-    standard error needs two paths."""
+    """Every estimator rejects a worker count that is not a positive
+    integer, and a path count below 2, naming the argument: a standard error
+    needs two paths."""
 
     @pytest.mark.parametrize(
         "estimate",
@@ -445,8 +478,7 @@ class TestSpanArguments:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("chunk_size", 0), ("chunk_size", -1), ("chunk_size", 2.5), ("n_workers", 0),
-            ("n_workers", 1.5), ("n_paths", 0), ("n_paths", -3), ("n_paths", 1),
+            ("n_workers", 0), ("n_workers", 1.5), ("n_paths", 0), ("n_paths", -3), ("n_paths", 1),
         ],
     )
     def test_bad_span_arguments_are_rejected(self, estimate, name, value):
@@ -503,7 +535,8 @@ class TestErgodicTrace:
             master_seed=3,
         )
         a = ergodic_mean_trace(problem, BeConfig(m=4), **kwargs)
-        b = ergodic_mean_trace(problem, BeConfig(m=4), n_workers=4, chunk_size=7, **kwargs)
+        # five workers take spans of 6 paths
+        b = ergodic_mean_trace(problem, BeConfig(m=4), n_workers=5, **kwargs)
         assert a.traces == b.traces
         assert a.spread == b.spread
 
@@ -514,7 +547,7 @@ class TestErgodicTrace:
         problem = cubic_multiplicative(1.0, 1.0)
         phis = [TestFunction.ATAN_ABS, TestFunction.SIN_SQ, TestFunction.EXP_NEG_SQ]
         args = (problem, BeConfig(m=4), [-1.0, 2.0], 4, 40)
-        kwargs = dict(master_seed=3, n_workers=n_workers, chunk_size=16)
+        kwargs = dict(master_seed=3, n_workers=n_workers)
         reports = ergodic_mean_traces(*args, phis, **kwargs)
         assert list(reports) == phis
         for phi in phis:
@@ -622,8 +655,9 @@ class TestContraction:
     def test_deterministic_across_workers(self):
         problem = cubic_multiplicative(1.0, 1.0)
         a = contraction_estimate(problem, BeConfig(m=4), 1.0, -1.0, 30, 5, master_seed=9)
+        # eight workers take spans of 4 paths
         b = contraction_estimate(
-            problem, BeConfig(m=4), 1.0, -1.0, 30, 5, master_seed=9, n_workers=3, chunk_size=4
+            problem, BeConfig(m=4), 1.0, -1.0, 30, 5, master_seed=9, n_workers=8
         )
         assert a.mean_sq_diffs == b.mean_sq_diffs
         assert a.fitted_decay_factor == b.fitted_decay_factor
@@ -656,7 +690,8 @@ class TestStackedStartsMatchSoloRuns:
         problem = cubic_multiplicative(1.0, 1.0)
         cfg, K, n, phi = BeConfig(m=4), 5, 13, TestFunction.SIN_SQ
         initials = [-1.5, 0.25, 2.0]
-        report = ergodic_mean_trace(problem, cfg, initials, K, n, phi, 11, chunk_size=5)
+        # three workers take spans of 5, 5 and 3 paths
+        report = ergodic_mean_trace(problem, cfg, initials, K, n, phi, 11, n_workers=3)
         traces, ses = [], []
         for x0 in initials:
             means, errs = hand_means(phi(solo_anchors(problem, cfg, [x0], K, n, 11)))
@@ -677,7 +712,7 @@ class TestStackedStartsMatchSoloRuns:
     def test_contraction(self):
         problem = cubic_multiplicative(1.0, 1.0)
         cfg, K, n = BeConfig(m=4), 6, 13
-        report = contraction_estimate(problem, cfg, 1.5, -0.5, n, K, 11, chunk_size=5)
+        report = contraction_estimate(problem, cfg, 1.5, -0.5, n, K, 11, n_workers=3)
         diff = solo_anchors(problem, cfg, [1.5], K, n, 11)
         diff -= solo_anchors(problem, cfg, [-0.5], K, n, 11)
         msd, ses = hand_means(np.sum(diff * diff, axis=-1))
@@ -726,7 +761,7 @@ class TestEmptySample:
 
 class TestChainFailureBudget:
     """The chain estimators abort once a few paths fail, like the weak-error
-    estimator, with the same failure records for any workers and chunks."""
+    estimator, with the same failure records for any worker count."""
 
     # few paths get above 1.5
     problem = nan_above(1.5)
@@ -759,9 +794,10 @@ class TestChainFailureBudget:
     )
     def test_failed_paths_past_the_budget_abort(self, estimate, interleaved):
         logs = []
-        for workers, chunk in ((1, 512), (3, 7)):
+        # one span of 30 paths, and five of 6
+        for workers in (1, 5):
             with pytest.raises(MonteCarloFailure) as info:
-                estimate(self.problem, n_workers=workers, chunk_size=chunk)
+                estimate(self.problem, n_workers=workers)
             logs.append(info.value.failures)
         paths = [entry["path"] for entry in logs[0]]
         assert 0 < len(set(paths)) < 30
