@@ -37,15 +37,11 @@ from .integrators import (
 from .linear_analytic import LinearAdditiveParams, exact_mean, exact_variance, law
 from .model import contraction_rates, check_ergodicity_condition, check_moment_condition, probe_dissipativity
 from .montecarlo import (
-    EXAMPLE1_WEAK_PHIS,
-    EXAMPLE2_WEAK_PHIS,
     MonteCarloFailure,
     TestFunction,
     contraction_estimate,
-    ergodic_mean_trace,
+    ergodic_mean_traces,
     estimate_weak_errors,
-    linear_exact_reference,
-    ssbe_reference,
     write_csv,
 )
 from .problems import BUILTINS, default_dissipativity, make_problem
@@ -115,23 +111,26 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_COMMON = {
-    "problem": (str, "linear-additive"),
-    "theta1": (float, 3.0),
-    "theta2": (float, 1.0),
-    "a": (float, 1.0),
-    "b": (float, 1.0),
-    "x0": (float, None),
-    "master_seed": (int, 2024),
-    "output": (str, None),
-    "format": (str, "csv"),
-    "threads": (int, 1),
-}
+#: Every built-in's parameters, each defaulting to its entry in BUILTINS.
+_PARAMS = {key: (float, None) for entry in BUILTINS.values() for key in entry.params}
+_PROBLEM = {"problem": (str, "linear-additive"), **_PARAMS}
+_X0 = {"x0": (float, None)}
+_SEED = {"master_seed": (int, 2024)}
+_OUTPUT = {"output": (str, None), "format": (str, "csv")}
+_THREADS = {"threads": (int, 1)}
+#: The built-in whose law ``moments`` writes in closed form.
+_MOMENTS_PROBLEM = "linear-additive"
 
+#: Each subcommand's options: exactly those that its runner reads.
 _SPECS = {
-    "moments": {**_COMMON, "t_max": (float, 10.0), "grid_step": (float, 0.05)},
+    "moments": {
+        **{key: _PARAMS[key] for key in BUILTINS[_MOMENTS_PROBLEM].params},
+        **_X0, **_OUTPUT,
+        "t_max": (float, 10.0),
+        "grid_step": (float, 0.05),
+    },
     "weak-order": {
-        **_COMMON,
+        **_PROBLEM, **_X0, **_SEED, **_OUTPUT, **_THREADS,
         "T": (int, None),
         "fine_step": (_parse_step, 2.0**-11),
         "deltas": (_list_of(_parse_step), [2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9]),
@@ -139,15 +138,15 @@ _SPECS = {
         "phis": (_list_of(_parse_phi), None),
     },
     "ergodicity": {
-        **_COMMON,
+        **_PROBLEM, **_SEED, **_OUTPUT, **_THREADS,
         "initials": (_list_of(float), [-2.0, -1.0, 0.0, 1.0, 2.0]),
         "K": (int, 30),
         "n_paths": (int, 2000),
-        "phi": (_parse_phi, TestFunction.ATAN_ABS),
+        "phis": (_list_of(_parse_phi), [TestFunction.ATAN_ABS]),
         "m": (int, 16),
     },
     "contraction": {
-        **_COMMON,
+        **_PROBLEM, **_SEED, **_OUTPUT, **_THREADS,
         "x": (float, 2.0),
         "y": (float, -2.0),
         "K": (int, 20),
@@ -155,7 +154,7 @@ _SPECS = {
         "m": (int, 16),
     },
     "check": {
-        **_COMMON,
+        **_PROBLEM, **_SEED, **_OUTPUT,
         "lambda1": (float, None),
         "lambda2": (float, None),
         "lambda3": (float, None),
@@ -165,7 +164,8 @@ _SPECS = {
         "m": (int, 16),
     },
     "simulate": {
-        **_COMMON,
+        **_PROBLEM, **_X0, **_SEED,
+        "output": (str, None),
         "K": (int, 5),
         "m": (int, 16),
         "fine_step": (_parse_step, None),
@@ -200,38 +200,38 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     cfg = {}
     for key, (convert, default) in spec.items():
-        raw = getattr(args, key, None)
-        if raw is None and key in file_values:
-            raw = file_values[key]
+        raw = getattr(args, key)
         if raw is None:
-            cfg[key] = default
-        else:
-            try:
-                cfg[key] = convert(raw) if isinstance(raw, str) else raw
-            except ValidationError:
-                raise
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"bad value for {key}: {raw!r} ({exc})") from None
-    if cfg["format"] not in ("csv", "json"):
+            raw = file_values.get(key)
+        try:
+            cfg[key] = default if raw is None else convert(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"bad value for {key}: {raw!r} ({exc})") from None
+    if cfg.get("format", "csv") not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {cfg['format']!r}")
-    if cfg["threads"] < 1:
+    if cfg.get("threads", 1) < 1:
         raise ValidationError("threads must be >= 1")
     return cfg
 
 
-def _build_problem(cfg: dict):
-    """The built-in problem that ``cfg`` names, and its parameters besides
-    ``x0``."""
-    name = cfg["problem"]
+def _build_problem(cfg: dict, name: str | None = None):
+    """The built-in problem ``name``, by default the one that ``cfg`` names,
+    and its parameters besides ``x0``: each from ``cfg`` if set there, else
+    its default in BUILTINS.  A parameter that it does not take is an error."""
+    name = cfg["problem"] if name is None else name
     if name not in BUILTINS:
         raise ValidationError(f"unknown problem {name!r}")
-    kwargs = {key: cfg[key] for key in BUILTINS[name].params}
-    x0 = {} if cfg["x0"] is None else {"x0": cfg["x0"]}
+    params = BUILTINS[name].params
+    for key in _PARAMS:
+        if key not in params and cfg.get(key) is not None:
+            raise ValidationError(f"problem {name} takes no {key}; its parameters are {list(params)}")
+    kwargs = {key: default if cfg[key] is None else cfg[key] for key, default in params.items()}
+    x0 = {} if cfg.get("x0") is None else {"x0": cfg["x0"]}
     return make_problem(name, **kwargs, **x0), kwargs
 
 
 def _output_path(cfg: dict, command: str, suffix: str = "") -> Path:
-    ext = cfg["format"]
+    ext = cfg.get("format", "csv")
     if cfg["output"]:
         base = Path(cfg["output"])
         if suffix:
@@ -249,9 +249,17 @@ def _write_report(report, path: Path, fmt: str) -> None:
         report.to_csv(path)
 
 
+def _write_reports(cfg: dict, command: str, phis, reports, summary) -> None:
+    """Each test function's report, in a file of its own named after it when
+    there are several, and a stdout line with ``summary(report)``."""
+    for phi in phis:
+        report = reports[phi]
+        path = _output_path(cfg, command, phi.value if len(phis) > 1 else "")
+        _write_report(report, path, cfg["format"])
+        print(f"{command}[{phi.value}]: {summary(report)} -> {path}")
+
+
 def _cmd_moments(cfg: dict) -> int:
-    if cfg["problem"] != "linear-additive":
-        raise ValidationError("moments requires the linear-additive problem (analytic law)")
     for key in ("t_max", "grid_step"):
         if not 0.0 < cfg[key] < math.inf:
             raise ValidationError(f"{key} must be positive and finite, got {cfg[key]}")
@@ -262,7 +270,7 @@ def _cmd_moments(cfg: dict) -> int:
             f" got t_max={cfg['t_max']} and grid_step={cfg['grid_step']}"
         )
     n = round(ratio)
-    problem, kwargs = _build_problem(cfg)
+    problem, kwargs = _build_problem(cfg, _MOMENTS_PROBLEM)
     params = LinearAdditiveParams(**kwargs, x0=float(problem.initial_state[0]))
     ts = [k * cfg["grid_step"] for k in range(n + 1)]
     means = [exact_mean(params, t) for t in ts]
@@ -284,20 +292,13 @@ def _slope_text(slope) -> str:
 
 def _cmd_weak_order(cfg: dict) -> int:
     problem, kwargs = _build_problem(cfg)
-    is_linear = cfg["problem"] == "linear-additive"
-    T = cfg["T"] if cfg["T"] is not None else (5 if is_linear else 6)
-    n_paths = cfg["n_paths"] if cfg["n_paths"] is not None else (1000 if is_linear else 2000)
-    phis = cfg["phis"] if cfg["phis"] is not None else list(
-        EXAMPLE1_WEAK_PHIS if is_linear else EXAMPLE2_WEAK_PHIS
-    )
-    if is_linear:
-        params = LinearAdditiveParams(**kwargs, x0=float(problem.initial_state[0]))
-        reference = linear_exact_reference(params)
-    else:
-        reference = ssbe_reference(problem)
+    preset = BUILTINS[cfg["problem"]].weak
+    T = preset.T if cfg["T"] is None else cfg["T"]
+    n_paths = preset.n_paths if cfg["n_paths"] is None else cfg["n_paths"]
+    phis = list(preset.phis) if cfg["phis"] is None else cfg["phis"]
     reports = estimate_weak_errors(
         problem,
-        reference,
+        preset.reference(problem, **kwargs),
         cfg["deltas"],
         n_paths,
         T,
@@ -306,37 +307,35 @@ def _cmd_weak_order(cfg: dict) -> int:
         fine_step=cfg["fine_step"],
         n_workers=cfg["threads"],
     )
-    for phi in phis:
-        report = reports[phi]
-        suffix = phi.value if len(phis) > 1 else ""
-        path = _output_path(cfg, "weak-order", suffix)
-        _write_report(report, path, cfg["format"])
+
+    def summary(report):
         note = "" if report.gap_resolved else " (unresolved: finest mean gap within its 95% half-width)"
-        print(
-            f"weak-order[{phi.value}]: slope={_slope_text(report.fitted_slope)}"
-            f" mean_gap_slope={_slope_text(report.mean_gap_slope)}{note} -> {path}"
+        return (
+            f"slope={_slope_text(report.fitted_slope)}"
+            f" mean_gap_slope={_slope_text(report.mean_gap_slope)}{note}"
         )
+
+    _write_reports(cfg, "weak-order", phis, reports, summary)
     return EXIT_OK
 
 
 def _cmd_ergodicity(cfg: dict) -> int:
     problem, _ = _build_problem(cfg)
-    report = ergodic_mean_trace(
+    reports = ergodic_mean_traces(
         problem,
         BeConfig(m=cfg["m"]),
         cfg["initials"],
         cfg["K"],
         cfg["n_paths"],
-        cfg["phi"],
+        cfg["phis"],
         cfg["master_seed"],
         n_workers=cfg["threads"],
     )
-    path = _output_path(cfg, "ergodicity")
-    _write_report(report, path, cfg["format"])
-    print(
-        f"ergodicity[{cfg['phi'].value}]: spread(K)={report.spread[-1]:.3e} "
-        f"pooled_se={report.pooled_se[-1]:.3e} -> {path}"
-    )
+
+    def summary(report):
+        return f"spread(K)={report.spread[-1]:.3e} pooled_se={report.pooled_se[-1]:.3e}"
+
+    _write_reports(cfg, "ergodicity", cfg["phis"], reports, summary)
     return EXIT_OK
 
 
@@ -410,8 +409,6 @@ def _cmd_check(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    if cfg["format"] != "csv":
-        raise ValidationError("simulate writes trajectories as csv only")
     if cfg["scheme"] not in ("be", "em", "ssbe"):
         raise ValidationError(f"unknown scheme {cfg['scheme']!r}")
     problem, _ = _build_problem(cfg)

@@ -177,16 +177,16 @@ def _path_means(values: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndar
 
 #: The span worker of a forked pool process, set by its initializer; it
 #: stays None in the parent.
-_CHUNK_WORKER = None
+_SPAN_WORKER = None
 
 
-def _install_chunk_worker(worker) -> None:
-    global _CHUNK_WORKER
-    _CHUNK_WORKER = worker
+def _install_span_worker(worker) -> None:
+    global _SPAN_WORKER
+    _SPAN_WORKER = worker
 
 
-def _call_chunk_worker(span: tuple[int, int]):
-    return _CHUNK_WORKER(*span)
+def _call_span_worker(span: tuple[int, int]):
+    return _SPAN_WORKER(*span)
 
 
 def _lane_worker(
@@ -218,7 +218,7 @@ def _lane_worker(
     return [run.finals if run.anchors is None else run.anchors for run in runs], records
 
 
-def _run_lanes_chunked(
+def _run_lanes_in_spans(
     problem, lanes, K, fine_step, master_seed, n_paths, n_workers
 ) -> tuple[list, list]:
     """:func:`_lane_worker` over all paths in consecutive spans: each lane's
@@ -257,10 +257,10 @@ def _run_lanes_chunked(
         with ProcessPoolExecutor(
             max_workers=n_procs,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=_install_chunk_worker,
+            initializer=_install_span_worker,
             initargs=(worker,),
         ) as pool:
-            outs = list(pool.map(_call_chunk_worker, spans))
+            outs = list(pool.map(_call_span_worker, spans))
     results = [np.concatenate(parts, axis=-2) for parts in zip(*(out for out, _ in outs))]
     return results, [record for _, records in outs for record in records]
 
@@ -278,7 +278,7 @@ def _chain_anchors(
         raise ValueError("initial values must be finite")
     steps_per_unit(cfg.delta, f"the step 1/m for m = {cfg.m}")
     lanes = [Lane("be", x0=start, record="anchors") for start in starts]
-    anchors, records = _run_lanes_chunked(
+    anchors, records = _run_lanes_in_spans(
         problem, lanes, K, cfg.delta, master_seed, n_paths, n_workers
     )
     failures = [
@@ -304,8 +304,8 @@ def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, 
     """Ordinary least squares of log(error) against log(delta)."""
     deltas = np.asarray(deltas, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if len(deltas) < 2 or len(deltas) != len(errors):
-        raise ValueError("need at least two (delta, error) pairs")
+    if len(set(deltas.tolist())) < 2 or len(deltas) != len(errors):
+        raise ValueError(f"need (delta, error) pairs at two distinct deltas, got {deltas.tolist()}")
     if np.any(deltas <= 0.0) or np.any(errors <= 0.0):
         raise ValueError("deltas and errors must be strictly positive")
     slope, intercept, _ = _fit_line(np.log(deltas), np.log(errors))
@@ -456,7 +456,9 @@ def estimate_weak_errors(
         raise ValueError("need at least one step size")
     fine_m = steps_per_unit(fine_step)
     factors = []
-    for d in deltas:
+    for i, d in enumerate(deltas):
+        if d in deltas[:i]:
+            raise ValueError(f"step size {d} is repeated")
         m = steps_per_unit(d, "step size")
         if m >= fine_m:
             raise ValueError(f"step size {d} must exceed the fine step {fine_step}")
@@ -474,7 +476,7 @@ def estimate_weak_errors(
         for lane in reference.lanes
     ] + [{"delta": delta} for delta in deltas]
     # the reference's endpoints (its lanes), then BE's at each step size
-    finals, records = _run_lanes_chunked(
+    finals, records = _run_lanes_in_spans(
         problem, lanes, T, fine_step, master_seed, n_paths, n_workers
     )
     finals = np.stack(finals)

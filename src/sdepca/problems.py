@@ -8,8 +8,9 @@ Two families are provided:
   multiplicative noise, dX = (-X^3 - 10X + 2*X([t]) + 1) dt
   + (a*X + b*X([t])) dB.
 
-:data:`BUILTINS` alone names them and their parameters; each builder checks
-its own.  Custom problems are constructed directly as
+:data:`BUILTINS` alone names them, their parameters with their defaults, and
+their weak-order experiments; each builder checks its own parameters.
+Custom problems are constructed directly as
 :class:`~sdepca.model.SdepcaProblem`.
 """
 
@@ -22,6 +23,9 @@ import numpy as np
 
 from .linear_analytic import LinearAdditiveParams
 from .model import DissipativityParams, SdepcaProblem
+from .montecarlo import (
+    EXAMPLE1_WEAK_PHIS, EXAMPLE2_WEAK_PHIS, Reference, TestFunction, linear_exact_reference, ssbe_reference,
+)
 
 #: Nominal diffusion Lipschitz constant for problems with constant diffusion;
 #: lambda3 must be strictly positive but can be taken arbitrarily small.
@@ -148,17 +152,41 @@ def cubic_multiplicative_dissipativity(a: float, b: float) -> DissipativityParam
     )
 
 
-class Builtin(NamedTuple):
-    """A built-in's parameters besides ``x0``, builder and dissipativity."""
+def _linear_additive_reference(problem: SdepcaProblem, theta1: float, theta2: float) -> Reference:
+    """The exact solution of the linear problem from its start."""
+    x0 = float(problem.initial_state[0])
+    return linear_exact_reference(LinearAdditiveParams(theta1, theta2, x0))
 
-    params: tuple[str, ...]
+
+class WeakPreset(NamedTuple):
+    """A weak-order experiment: T, path count, test functions, and the
+    reference from the problem and its parameters."""
+
+    T: int
+    n_paths: int
+    phis: tuple[TestFunction, ...]
+    reference: Callable[..., Reference]
+
+
+class Builtin(NamedTuple):
+    """A built-in's parameters besides ``x0`` with their defaults, builder,
+    dissipativity and weak-order experiment."""
+
+    params: dict[str, float]
     build: Callable[..., SdepcaProblem]
     dissipativity: Callable[..., DissipativityParams]
+    weak: WeakPreset
 
 
 BUILTINS = {
-    "linear-additive": Builtin(("theta1", "theta2"), linear_additive, linear_additive_dissipativity),
-    "cubic-multiplicative": Builtin(("a", "b"), cubic_multiplicative, cubic_multiplicative_dissipativity),
+    "linear-additive": Builtin(
+        {"theta1": 3.0, "theta2": 1.0}, linear_additive, linear_additive_dissipativity,
+        WeakPreset(5, 1000, EXAMPLE1_WEAK_PHIS, _linear_additive_reference),
+    ),
+    "cubic-multiplicative": Builtin(
+        {"a": 1.0, "b": 1.0}, cubic_multiplicative, cubic_multiplicative_dissipativity,
+        WeakPreset(6, 2000, EXAMPLE2_WEAK_PHIS, lambda problem, a, b: ssbe_reference(problem)),
+    ),
 }
 
 

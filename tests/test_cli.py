@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdepca.brownian import read_path
-from sdepca.cli import main
+from sdepca.cli import build_parser, main
 from sdepca.linear_analytic import LinearAdditiveParams, exact_mean, exact_variance
 
 
@@ -219,9 +219,119 @@ class TestValidation:
         assert spaced.read_bytes() == joined.read_bytes()
 
     def test_unknown_problem_is_exit_2(self, tmp_path, capsys):
-        code = run_cli("moments", "--problem", "fancy", "--output", str(tmp_path / "m.csv"))
+        code = run_cli("check", "--problem", "fancy", "--output", str(tmp_path / "c.csv"))
         assert code == 2
         assert "error_code=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["weak-order", "--problem", "linear-additive", "--a", "5", "--n-paths", "20", "--T", "1"],
+             "detail=problem linear-additive takes no a"),
+            (["check", "--problem", "cubic-multiplicative", "--theta1", "2"],
+             "detail=problem cubic-multiplicative takes no theta1"),
+            (["simulate", "--b=-1"], "detail=problem linear-additive takes no b"),
+        ],
+        ids=["weak-order-a", "check-theta1", "simulate-b"],
+    )
+    def test_a_parameter_of_another_problem_is_exit_2(self, tmp_path, capsys, args, message):
+        # it used to be read and ignored: the run wrote the bytes of the run
+        # without it
+        code = run_cli(*args, "--output", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_parameter_of_another_problem_in_a_config_file_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = cubic-multiplicative\na = 2\ntheta2 = 0.5\n")
+        out = tmp_path / "c.csv"
+        code = run_cli(
+            "contraction", "--config", str(cfg), "--n-paths", "20", "--K", "2", "--output", str(out)
+        )
+        assert code == 2
+        assert "detail=problem cubic-multiplicative takes no theta2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_step_size_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # it ran every path and then crashed with ZeroDivisionError (exit 1)
+        code = run_cli(
+            "weak-order", "--deltas", "2^-3,2^-3", "--n-paths", "20", "--T", "1",
+            "--output", str(tmp_path / "w.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert "detail=step size 0.125 is repeated" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+#: Each subcommand's options: exactly those that it reads.
+OPTIONS = {
+    "moments": {"theta1", "theta2", "x0", "output", "format", "t_max", "grid_step"},
+    "weak-order": {
+        "problem", "theta1", "theta2", "a", "b", "x0", "master_seed", "output", "format", "threads",
+        "T", "fine_step", "deltas", "n_paths", "phis",
+    },
+    "ergodicity": {
+        "problem", "theta1", "theta2", "a", "b", "master_seed", "output", "format", "threads",
+        "initials", "K", "n_paths", "phis", "m",
+    },
+    "contraction": {
+        "problem", "theta1", "theta2", "a", "b", "master_seed", "output", "format", "threads",
+        "x", "y", "K", "n_paths", "m",
+    },
+    "check": {
+        "problem", "theta1", "theta2", "a", "b", "master_seed", "output", "format",
+        "lambda1", "lambda2", "lambda3", "p", "n_probes", "radius", "m",
+    },
+    "simulate": {
+        "problem", "theta1", "theta2", "a", "b", "x0", "master_seed", "output",
+        "K", "m", "fine_step", "path_index", "scheme", "dump_path",
+    },
+}
+
+
+class TestOptions:
+    def test_each_subcommand_takes_exactly_its_options(self):
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        found = {
+            name: {a.dest for a in sub._actions if a.dest not in ("help", "config")}
+            for name, sub in commands.choices.items()
+        }
+        assert found == OPTIONS
+        assert sum(len(keys) for keys in found.values()) == 79
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--problem", "linear-additive"],
+            ["moments", "--a", "1"],
+            ["moments", "--b", "1"],
+            ["moments", "--master-seed", "1"],
+            ["moments", "--threads", "2"],
+            ["ergodicity", "--x0", "1"],
+            ["contraction", "--x0", "1"],
+            ["check", "--x0", "1"],
+            ["check", "--threads", "2"],
+            ["simulate", "--threads", "2"],
+            ["simulate", "--format", "csv"],
+        ],
+        ids=lambda args: " ".join(args[:2]),
+    )
+    def test_an_option_that_a_subcommand_does_not_read_is_exit_2(
+        self, tmp_path, monkeypatch, capsys, args
+    ):
+        # each of these was accepted and changed nothing, or accepted one value
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert f"detail=unrecognized arguments: {args[1]} {args[2]}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_value_is_exit_2(self, tmp_path, capsys):
         code = run_cli("moments", "--t-max", "soon", "--output", str(tmp_path / "m.csv"))
@@ -298,6 +408,7 @@ class TestMoments:
             assert variance == pytest.approx(exact_variance(params, t), rel=1e-12, abs=1e-15)
 
     def test_rejects_cubic_problem(self, tmp_path):
+        # the law is that of the linear problem, which takes no --problem
         code = run_cli(
             "moments", "--problem", "cubic-multiplicative", "--output", str(tmp_path / "m.csv")
         )
@@ -324,6 +435,7 @@ class TestSimulate:
         assert increments.shape == (8, 1)
 
     def test_json_format_rejected(self, tmp_path):
+        # a trajectory is written as csv alone, so simulate takes no --format
         code = run_cli("simulate", "--format", "json", "--output", str(tmp_path / "t.json"))
         assert code == 2
 
@@ -469,13 +581,28 @@ class TestConfigFile:
             "--K", "3",
             "--n-paths", "16",
             "--m", "4",
-            "--phi", "atan_abs",
+            "--phis", "atan_abs",
             "--output", str(out),
         )
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "k,trace_0,trace_1,spread"
         assert len(lines) == 5
+
+    def test_ergodicity_phis_fan_out_as_single_runs(self, tmp_path, capsys):
+        # the test functions share one run of the chains; each file and
+        # stdout line is that of a run with its test function alone
+        args = ("ergodicity", "--initials=-1,1", "--K", "3", "--n-paths", "16", "--m", "4", "--format", "json")
+        both = tmp_path / "both"
+        both.mkdir()
+        assert run_cli(*args, "--phis", "atan_abs,sin_sq", "--output", str(both / "erg.json")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(p.name for p in both.iterdir()) == ["erg_atan_abs.json", "erg_sin_sq.json"]
+        for phi, line in zip(("atan_abs", "sin_sq"), lines):
+            fanned, single = both / f"erg_{phi}.json", tmp_path / f"{phi}.json"
+            assert run_cli(*args, "--phis", phi, "--output", str(single)) == 0
+            assert fanned.read_bytes() == single.read_bytes()
+            assert line.replace(str(fanned), str(single)) == capsys.readouterr().out.strip()
 
     def test_contraction_smoke(self, tmp_path):
         out = tmp_path / "con.json"

@@ -122,6 +122,13 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             fit_order([0.5, -0.25], [0.1, 0.2])
 
+    @pytest.mark.parametrize("deltas", [[0.5, 0.5], [0.25, 0.25, 0.25]])
+    def test_one_distinct_delta_is_rejected(self, deltas):
+        # equal deltas have no spread in log(delta); this raised
+        # ZeroDivisionError
+        with pytest.raises(ValueError, match="two distinct deltas"):
+            fit_order(deltas, [float(k + 1) for k in range(len(deltas))])
+
 
 class TestWeakError:
     def test_deterministic_across_workers_and_chunks(self):
@@ -180,6 +187,25 @@ class TestWeakError:
         assert 0.7 <= report.fitted_slope <= 1.3
         assert report.errors[0] > report.errors[-1]
         assert report.n_failed == 0
+
+    @pytest.mark.parametrize(
+        "deltas", [[2.0**-3, 2.0**-3], [2.0**-2, 2.0**-3, 2.0**-3]], ids=["only", "among-others"]
+    )
+    def test_repeated_step_size_is_rejected_before_any_run(self, monkeypatch, deltas):
+        # two equal step sizes crashed in the slope fit after every path ran,
+        # or ran a duplicate lane and reported it twice
+        import sdepca.montecarlo as mc
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the lanes ran")
+
+        monkeypatch.setattr(mc, "_run_lanes_in_spans", no_run)
+        problem = linear_additive(3.0, 1.0)
+        with pytest.raises(ValueError, match="step size 0.125 is repeated"):
+            estimate_weak_errors(
+                problem, linear_exact_reference(LIN), deltas, 20, 1, [TestFunction.COS_ABS], 1,
+                fine_step=2.0**-6,
+            )
 
     def test_single_delta_flags_undefined_slope(self):
         problem = linear_additive(3.0, 1.0)
@@ -442,7 +468,7 @@ class TestStreamedNoise:
         monkeypatch.setattr(mc, "_lane_worker", span_bounds)
         problem = dataclasses.replace(linear_additive(3.0, 1.0), dim_noise=dim_noise)
         lanes = [Lane("be"), Lane("be", factor)]
-        _, spans = mc._run_lanes_chunked(problem, lanes, 1, 2.0**-10, 1, 5000, n_workers)
+        _, spans = mc._run_lanes_in_spans(problem, lanes, 1, 2.0**-10, 1, 5000, n_workers)
         assert [hi - lo for lo, hi in spans] == widths
         assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]
 
