@@ -11,9 +11,7 @@ from .integrators import (
     Trajectory,
     be_mean_multiplier,
     be_step,
-    simulate_be,
-    simulate_em,
-    simulate_ssbe,
+    simulate,
     solve_implicit,
 )
 from .linear_analytic import (
@@ -39,7 +37,6 @@ from .model import (
 from .montecarlo import (
     ContractionReport,
     ErgodicityReport,
-    ExtrapolatedReference,
     MomentReport,
     MonteCarloFailure,
     RecursionBoundReport,

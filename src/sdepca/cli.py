@@ -26,14 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .brownian import generate_path, steps_per_unit, write_path
-from .integrators import (
-    BeConfig,
-    NonConvergenceError,
-    NonFiniteError,
-    simulate_be,
-    simulate_em,
-    simulate_ssbe,
-)
+from .integrators import SCHEMES, BeConfig, NonConvergenceError, NonFiniteError, simulate
 from .linear_analytic import LinearAdditiveParams, exact_mean, exact_variance, law
 from .model import contraction_rates, check_ergodicity_condition, check_moment_condition, probe_dissipativity
 from .montecarlo import (
@@ -409,7 +402,7 @@ def _cmd_check(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    if cfg["scheme"] not in ("be", "em", "ssbe"):
+    if cfg["scheme"] not in SCHEMES:
         raise ValidationError(f"unknown scheme {cfg['scheme']!r}")
     problem, _ = _build_problem(cfg)
     be = BeConfig(m=cfg["m"])
@@ -425,8 +418,7 @@ def _cmd_simulate(cfg: dict) -> int:
         raise ValidationError(str(exc)) from None
     if cfg["dump_path"]:
         write_path(grid, cfg["dump_path"])
-    runner = {"be": simulate_be, "em": simulate_em, "ssbe": simulate_ssbe}[cfg["scheme"]]
-    trajectory = runner(problem, be, grid, cfg["K"])
+    trajectory = simulate(cfg["scheme"], problem, be, grid, cfg["K"])
     path = _output_path(cfg, "simulate")
     trajectory.to_csv(path)
     print(f"simulate[{cfg['scheme']}]: {trajectory.states.shape[0]} states -> {path}")
@@ -448,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _resolve(args, args.command)
         return _RUNNERS[args.command](cfg)
-    except (ValidationError, FileNotFoundError, ValueError) as exc:
+    except (ValidationError, OSError, ValueError) as exc:
         _emit_error("invalid_config", str(exc))
         return EXIT_VALIDATION
     except (NonConvergenceError, NonFiniteError, MonteCarloFailure) as exc:

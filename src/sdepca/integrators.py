@@ -10,15 +10,16 @@ implicit map strongly monotone, so the solve has a unique solution for every
 step size, and one damped Newton solve finds it, from the problem's
 ``implicit_start``, staged once per block, or else from the explicit part.
 
-Explicit Euler and split-step backward Euler are provided as references.  A
-single path runs through ``simulate_be`` and friends, returning a
-:class:`Trajectory`.  Batches run through :func:`run_lanes`: a :class:`Lane`
-is one scheme at one coarsening of a fine step, over a batch of paths, and
-the runner advances any set of lanes one piece of fine noise at a time,
-cut at the ends of the unit blocks.  Lanes that step at the same fine tick
-share one implicit solve, with a step size per row.  Rows are advanced
-independently - a row's iterates never depend on the other rows - so a
-merged run, a batched run and a per-path run agree bit for bit.
+Explicit Euler and split-step backward Euler are provided as references;
+:data:`SCHEMES` names all three.  A single path runs through
+:func:`simulate`, returning a :class:`Trajectory`.  Batches run through
+:func:`run_lanes`: a :class:`Lane` is one scheme at one coarsening of a
+fine step, over a batch of paths, and the runner advances any set of lanes
+one piece of fine noise at a time, cut at the ends of the unit blocks.
+Lanes that step at the same fine tick share one implicit solve, with a step
+size per row.  Rows are advanced independently - a row's iterates never
+depend on the other rows - so a merged run, a batched run and a per-path
+run agree bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ import numpy as np
 
 from .brownian import BrownianGrid, coarsen_array, steps_per_unit
 from .model import SdepcaProblem
+
+#: The stepping schemes: backward Euler, explicit Euler and split-step BE.
+SCHEMES = ("be", "em", "ssbe")
 
 _MAX_HALVINGS = 30
 #: Absolute residual tolerance and iteration budget of the implicit solve.
@@ -410,7 +414,7 @@ class BlockMap:
 class Lane:
     """One scheme over a batch of paths, stepping every ``factor`` fine steps.
 
-    ``scheme`` is "be", "ssbe" or "em", or a :class:`BlockMap`, such as an
+    ``scheme`` is one of :data:`SCHEMES`, or a :class:`BlockMap`, such as an
     exact solution, which advances the states once per unit block from its
     fine increments, folded piece by piece; a map lane ignores ``factor``.
     ``x0`` is one start (d,) or per-path starts (n_paths, d); ``None`` is
@@ -427,7 +431,7 @@ class Lane:
     record: str = "final"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scheme, BlockMap) and self.scheme not in ("be", "em", "ssbe"):
+        if not isinstance(self.scheme, BlockMap) and self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record not in ("final", "anchors", "full"):
             raise ValueError(f"unknown record mode {self.record!r}")
@@ -714,8 +718,13 @@ def run_scheme_batch(
     return run_lanes(problem, [lane], pieces, increments.shape[0], cfg.m, K)[0]
 
 
-def _simulate(scheme: str, problem, cfg, grid: BrownianGrid, K: int) -> Trajectory:
-    """One path through one lane, on the grid coarsened to 1/m."""
+def simulate(
+    scheme: str, problem: SdepcaProblem, cfg: BeConfig, grid: BrownianGrid, K: int
+) -> Trajectory:
+    """One path of ``scheme``, one of :data:`SCHEMES`, over K unit blocks on
+    the grid coarsened to 1/m: "be" is backward Euler, "em" explicit Euler,
+    which may legitimately blow up on stiff problems, and "ssbe" split-step
+    backward Euler, the implicit drift update and then the diffusion kick."""
     fine_m = steps_per_unit(grid.fine_step)
     if fine_m % cfg.m:
         raise ValueError(
@@ -732,21 +741,6 @@ def _simulate(scheme: str, problem, cfg, grid: BrownianGrid, K: int) -> Trajecto
         problem_tag=problem.tag,
         path_index=grid.path_index,
     )
-
-
-def simulate_be(problem: SdepcaProblem, cfg: BeConfig, grid: BrownianGrid, K: int) -> Trajectory:
-    """Backward Euler over K unit blocks, anchor frozen at each block start."""
-    return _simulate("be", problem, cfg, grid, K)
-
-
-def simulate_em(problem: SdepcaProblem, cfg: BeConfig, grid: BrownianGrid, K: int) -> Trajectory:
-    """Explicit Euler reference; may legitimately blow up on stiff problems."""
-    return _simulate("em", problem, cfg, grid, K)
-
-
-def simulate_ssbe(problem: SdepcaProblem, cfg: BeConfig, grid: BrownianGrid, K: int) -> Trajectory:
-    """Split-step backward Euler: implicit drift update, then diffusion kick."""
-    return _simulate("ssbe", problem, cfg, grid, K)
 
 
 def be_mean_multiplier(theta1: float, theta2: float, m: int) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -157,31 +156,21 @@ def _fine_step_weights(params: LinearAdditiveParams, h: float) -> tuple[float, f
 def exact_map(params: LinearAdditiveParams) -> BlockMap:
     """The exact solution over one unit block, as a map lane of the runner.
 
-    ``fold`` carries the stochastic convolution over the block's fine
-    increments by :func:`fold_convolution`; ``finish`` adds the anchor's
-    relaxation ``x * mu(1)`` at the block's end.
+    ``fold`` carries the stochastic convolution ``integral`` over the
+    block's fine increments (steps, ...), one step at a time by the
+    recursion of :func:`_fine_step_weights`:
+    ``integral = decay * integral + weight * dB``; ``finish`` adds the
+    anchor's relaxation ``x * mu(1)`` at the block's end.
     """
     mu_one = mu_fraction(params, 1.0)
-    return BlockMap(
-        fold=partial(fold_convolution, params),
-        finish=lambda x, integral: x * mu_one + integral,
-    )
 
+    def fold(integral: np.ndarray, increments: np.ndarray, fine_step: float) -> np.ndarray:
+        decay, weight = _fine_step_weights(params, fine_step)
+        for dB in increments:
+            integral = decay * integral + weight * dB
+        return integral
 
-def fold_convolution(
-    params: LinearAdditiveParams,
-    integral: np.ndarray,
-    increments: np.ndarray,
-    fine_step: float,
-) -> np.ndarray:
-    """The stochastic convolution ``integral`` carried over fine increments
-    (steps, ...), one step at a time by the recursion of
-    :func:`_fine_step_weights`: ``integral = decay * integral + weight * dB``.
-    """
-    decay, weight = _fine_step_weights(params, fine_step)
-    for dB in increments:
-        integral = decay * integral + weight * dB
-    return integral
+    return BlockMap(fold=fold, finish=lambda x, integral: x * mu_one + integral)
 
 
 def exact_finals_batch(

@@ -41,7 +41,7 @@ import numpy as np
 from .brownian import coarsen_array, generate_increments, increment_pieces, piece_steps, steps_per_unit
 from .integrators import BeConfig, BlockMap, Lane, run_lanes, run_scheme_batch
 from .linear_analytic import LinearAdditiveParams, exact_finals_batch, exact_map
-from .model import DissipativityParams, SdepcaProblem, check_moment_condition
+from .model import DissipativityParams, SdepcaProblem, check_moment_condition, contraction_rates
 
 _Z95 = 1.96
 #: Mean-square differences below this floor are treated as fully decayed when
@@ -145,6 +145,13 @@ def _mean_se(values: np.ndarray):
     return mean, se if values.ndim > 1 else float(se)
 
 
+def _reject_repeats(values: list, what: str) -> None:
+    """Raise a ``ValueError`` naming the first of ``values`` that is repeated."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{what} {value} is repeated")
+
+
 def _count_failed(ok: np.ndarray, failures: list) -> int:
     """Number of failed paths, those False in ``ok``, within the failure budget.
 
@@ -246,12 +253,10 @@ def _run_lanes_in_spans(
     width = min(-(-n_paths // n_workers), max(1, _SPAN_NOISE_BYTES // path_bytes))
     spans = [(i, min(i + width, n_paths)) for i in range(0, n_paths, width)]
     worker = partial(_lane_worker, problem, lanes, K, fine_step, master_seed)
-    if hasattr(os, "sched_getaffinity"):
-        n_cpus = len(os.sched_getaffinity(0))
-    else:
-        n_cpus = os.cpu_count() or 1
-    n_procs = min(n_workers, len(spans), n_cpus)
-    if n_procs <= 1 or not sys.platform.startswith("linux"):
+    n_procs = 1
+    if sys.platform.startswith("linux"):
+        n_procs = min(n_workers, len(spans), len(os.sched_getaffinity(0)))
+    if n_procs <= 1:
         outs = [worker(*span) for span in spans]
     else:
         with ProcessPoolExecutor(
@@ -371,16 +376,30 @@ class WeakErrorReport(_Report):
 class Reference:
     """The reference solution of a weak-error estimate, as lanes of the runner.
 
-    ``lanes[0]`` gives the endpoints X(T) that the pathwise metric couples
-    with the scheme under test.  The lanes' factors count fine steps: in
-    :func:`estimate_weak_errors` they step on the fine lattice in the same
-    run as backward Euler at each step size.  ``problem`` gives the
-    coefficients of a stepping lane, and the estimate must be of the same
-    problem; it is None for a lane that maps whole blocks.
+    ``lanes`` is one lane, or one scheme's lane at the fine step h and its
+    copy at 2h, twice the factor, from the same start.  ``lanes[0]`` gives
+    the endpoints that the pathwise metric couples with the scheme under
+    test.  With the pair, the per-path 2 phi(X_h) - phi(X_{2h}) estimates
+    E phi(X(T)) with an O(h^2) bias (Talay & Tubaro 1990).  The lanes'
+    factors count fine steps: in :func:`estimate_weak_errors` they step on
+    the fine lattice in the same run as backward Euler at each step size.
+    ``problem`` gives the coefficients of a stepping lane, and the estimate
+    must be of the same problem; it is None for a lane that maps whole blocks.
     """
 
     problem: Optional[SdepcaProblem]
     lanes: tuple
+
+    def __post_init__(self) -> None:
+        if len(self.lanes) == 2:
+            fine, coarse = self.lanes
+            same_start = np.array_equal(coarse.x0, fine.x0)
+            if same_start and (coarse.scheme, coarse.factor) == (fine.scheme, 2 * fine.factor):
+                return
+        if len(self.lanes) != 1:
+            raise ValueError(
+                "a reference is one lane, or a lane and its copy at twice the factor from one start"
+            )
 
 
 def linear_exact_reference(params: LinearAdditiveParams) -> Reference:
@@ -389,18 +408,7 @@ def linear_exact_reference(params: LinearAdditiveParams) -> Reference:
     return Reference(None, (Lane(exact_map(params), x0=np.array([float(params.x0)])),))
 
 
-@dataclass(frozen=True)
-class ExtrapolatedReference(Reference):
-    """A weak-order-1 reference with its O(h) weak bias cancelled.
-
-    ``lanes`` are one scheme at the fine step h and at 2h, on the same
-    fine increments.  The pathwise metric couples the endpoints X_h with the
-    scheme under test; the per-path 2 phi(X_h) - phi(X_{2h}) estimates
-    E phi(X(T)) with an O(h^2) bias (Talay & Tubaro 1990).
-    """
-
-
-def ssbe_reference(problem: SdepcaProblem) -> ExtrapolatedReference:
+def ssbe_reference(problem: SdepcaProblem) -> Reference:
     """Split-step backward Euler at the fine step, extrapolated over h and 2h.
 
     Split-step BE has weak order 1.  On the cubic experiment its bias at
@@ -408,7 +416,7 @@ def ssbe_reference(problem: SdepcaProblem) -> ExtrapolatedReference:
     error at delta = 2^-9, so the plain fine-step mean would flatten the
     weak-error curve.  The extrapolation removes that O(h) term.
     """
-    return ExtrapolatedReference(problem, (Lane("ssbe"), Lane("ssbe", 2)))
+    return Reference(problem, (Lane("ssbe"), Lane("ssbe", 2)))
 
 
 def estimate_weak_errors(
@@ -431,7 +439,7 @@ def estimate_weak_errors(
     its own coarsening of every piece.  So all errors are measured on the
     same Brownian path, and every test function is evaluated on the same
     simulated endpoints.
-    An :class:`ExtrapolatedReference` also runs at twice the fine step, and
+    A :class:`Reference` of two lanes also runs at twice the fine step, and
     its extrapolated values stand for E phi(X(T)) in ``mean_gaps``.  Paths
     that fail anywhere are dropped pairwise across all step sizes, within
     the failure budget of :func:`_count_failed`.  A BE lane's records carry
@@ -447,6 +455,7 @@ def estimate_weak_errors(
     T = int(T)
     if not phis:
         raise ValueError("need at least one test function")
+    _reject_repeats([phi.value for phi in phis], "test function")
     if not isinstance(reference, Reference):
         raise TypeError("reference must be a Reference, such as ssbe_reference(problem)")
     if reference.problem is not None and reference.problem is not problem:
@@ -454,11 +463,10 @@ def estimate_weak_errors(
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ValueError("need at least one step size")
+    _reject_repeats(deltas, "step size")
     fine_m = steps_per_unit(fine_step)
     factors = []
-    for i, d in enumerate(deltas):
-        if d in deltas[:i]:
-            raise ValueError(f"step size {d} is repeated")
+    for d in deltas:
         m = steps_per_unit(d, "step size")
         if m >= fine_m:
             raise ValueError(f"step size {d} must exceed the fine step {fine_step}")
@@ -466,7 +474,7 @@ def estimate_weak_errors(
 
     n_deltas = len(deltas)
     n_ref = len(reference.lanes)
-    extrapolated = isinstance(reference, ExtrapolatedReference)
+    extrapolated = n_ref == 2
     lanes = [*reference.lanes, *(Lane("be", factor) for factor in factors)]
     marks = [
         {
@@ -581,6 +589,7 @@ def ergodic_mean_traces(
         raise ValueError("K must be nonnegative")
     if not phis:
         raise ValueError("need at least one test function")
+    _reject_repeats([phi.value for phi in phis], "test function")
     initial_arr = np.atleast_2d(np.asarray(initials, dtype=float))
     if initial_arr.shape[0] == 1 and problem.dim_state == 1 and len(initials) > 1:
         initial_arr = np.asarray(initials, dtype=float)[:, None]
@@ -688,8 +697,6 @@ def contraction_estimate(
 
     bound = None
     if params is not None:
-        from .model import contraction_rates
-
         bound = contraction_rates(params, cfg.m).rbar1_block
 
     return ContractionReport(

@@ -163,6 +163,11 @@ class TestValidation:
              "detail=the coefficients overflow on the ball of radius 1e+300"),
             # simulate's default fine step is 1/m, and its error names m
             (["simulate", "--m", "3"], "detail=the step 1/m for m = 3 must be a power of two"),
+            # a repeated test function ran once and was written twice
+            (["weak-order", "--phis", "cos_abs,cos_abs", "--n-paths", "20", "--T", "1"],
+             "detail=test function cos_abs is repeated"),
+            (["ergodicity", "--phis", "sin_sq,sin_sq", "--n-paths", "20", "--K", "2"],
+             "detail=test function sin_sq is repeated"),
         ],
         ids=["moments-x0", "moments-theta2", "moments-theta1", "check-nan", "check-inf",
              "contraction-x", "contraction-y", "ergodicity-initial", "weak-order-subnormal",
@@ -171,7 +176,8 @@ class TestValidation:
              "weak-order-cubic-a", "contraction-cubic-b", "check-cubic-a", "check-seed-negative",
              "check-seed-2^64", "ergodicity-seed-2^64", "simulate-index-2^64",
              "moments-grid-overflow", "moments-grid-bound", "moments-t-max-nan",
-             "moments-grid-step-0", "check-probe-overflow", "simulate-m3"],
+             "moments-grid-step-0", "check-probe-overflow", "simulate-m3",
+             "weak-order-repeated-phi", "ergodicity-repeated-phi"],
     )
     def test_bad_input_is_exit_2_and_writes_nothing(self, tmp_path, capsys, args, message):
         code = run_cli(*args, "--output", str(tmp_path / "out"))
@@ -217,6 +223,52 @@ class TestValidation:
         assert run_cli(*args, key, value, "--output", str(spaced)) == 0
         assert run_cli(*args, f"{key}={value}", "--output", str(joined)) == 0
         assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_unknown_scheme_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--scheme", "rk4", "--dump-path", str(tmp_path / "path.spca"),
+            "--output", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert "detail=unknown scheme 'rk4'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--output", "{dir}"],
+            ["simulate", "--K", "1", "--dump-path", "{dir}", "--output", "{file}"],
+            ["check", "--config", "{dir}", "--output", "{file}"],
+        ],
+        ids=["output", "dump-path", "config"],
+    )
+    def test_a_path_that_cannot_be_opened_is_exit_2(self, tmp_path, capsys, args):
+        # a directory given as a file was an IsADirectoryError traceback (exit 1)
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        paths = {"dir": str(directory), "file": str(tmp_path / "out.csv")}
+        code = run_cli(*(arg.format(**paths) for arg in args))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert "Is a directory" in err
+        assert list(tmp_path.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
+
+    def test_an_unreadable_config_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("K = 1\n")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(cfg), "read_text", denied)
+        code = run_cli("simulate", "--config", str(cfg), "--output", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error_code=invalid_config detail=[Errno 13]")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_problem_is_exit_2(self, tmp_path, capsys):
         code = run_cli("check", "--problem", "fancy", "--output", str(tmp_path / "c.csv"))

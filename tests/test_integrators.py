@@ -17,9 +17,7 @@ from sdepca.integrators import (
     be_step,
     run_lanes,
     run_scheme_batch,
-    simulate_be,
-    simulate_em,
-    simulate_ssbe,
+    simulate,
     solve_implicit,
 )
 from sdepca.linear_analytic import LinearAdditiveParams
@@ -333,7 +331,7 @@ class TestImplicitStart:
         problem = cubic_multiplicative(1.0, 1.0, x0=x0)
         cfg, K = BeConfig(m=8), 3
         grid = generate_path(31, 2, float(K), cfg.delta)
-        trajectory = simulate_be(problem, cfg, grid, K)
+        trajectory = simulate("be", problem, cfg, grid, K)
         x = problem.initial_state
         states = [x]
         for n in range(K * cfg.m):
@@ -432,7 +430,7 @@ class TestBeStep:
 class TestSimulateBe:
     def test_zero_noise_anchor(self):
         problem = linear_additive(3.0, 1.0)
-        trajectory = simulate_be(problem, BeConfig(m=2), zero_noise_grid(2.0, 0.5), 2)
+        trajectory = simulate("be", problem, BeConfig(m=2), zero_noise_grid(2.0, 0.5), 2)
         assert trajectory.anchor(0)[0] == 1.0
         assert trajectory.anchor(1)[0] == pytest.approx(0.44, abs=1e-12)
 
@@ -446,7 +444,7 @@ class TestSimulateBe:
             initial_state=[2.5],
         )
         grid = generate_path(5, 0, 3.0, 2.0**-3, 1)
-        trajectory = simulate_be(frozen, BeConfig(m=8), grid, 3)
+        trajectory = simulate("be", frozen, BeConfig(m=8), grid, 3)
         assert np.all(trajectory.states == 2.5)
 
     def test_mean_multiplier_law(self):
@@ -454,7 +452,8 @@ class TestSimulateBe:
         for theta1, theta2, m in [(3.0, 1.0, 2), (3.0, 1.0, 16), (2.5, -1.0, 8)]:
             problem = linear_additive(theta1, theta2, x0=1.0)
             K = 6
-            trajectory = simulate_be(problem, BeConfig(m=m), zero_noise_grid(float(K), 1.0 / m), K)
+            grid = zero_noise_grid(float(K), 1.0 / m)
+            trajectory = simulate("be", problem, BeConfig(m=m), grid, K)
             mult = be_mean_multiplier(theta1, theta2, m)
             for k in range(K + 1):
                 assert trajectory.anchor(k)[0] == pytest.approx(mult**k, rel=1e-10)
@@ -472,19 +471,24 @@ class TestSimulateBe:
         problem = linear_additive(3.0, 1.0)
         grid = generate_path(0, 0, 2.0, 0.5, 1)
         with pytest.raises(ValueError):
-            simulate_be(problem, BeConfig(m=8), grid, 2)  # delta finer than grid
+            simulate("be", problem, BeConfig(m=8), grid, 2)  # delta finer than grid
 
     def test_hand_built_grid_must_be_dyadic(self):
         problem = linear_additive(3.0, 1.0)
         grid = dataclasses.replace(zero_noise_grid(1.0, 0.25), fine_step=1.0 / 3.0)
         with pytest.raises(ValueError, match="^fine_step must be a power of two"):
-            simulate_be(problem, BeConfig(m=1), grid, 1)
+            simulate("be", problem, BeConfig(m=1), grid, 1)
 
     def test_horizon_too_short_rejected(self):
         problem = linear_additive(3.0, 1.0)
         grid = generate_path(0, 0, 2.0, 0.5, 1)
         with pytest.raises(ValueError):
-            simulate_be(problem, BeConfig(m=2), grid, 4)
+            simulate("be", problem, BeConfig(m=2), grid, 4)
+
+    def test_unknown_scheme_rejected(self):
+        problem = linear_additive(3.0, 1.0)
+        with pytest.raises(ValueError, match="^unknown scheme 'rk4'"):
+            simulate("rk4", problem, BeConfig(m=2), zero_noise_grid(1.0, 0.5), 1)
 
 
 class TestSimulateEm:
@@ -498,20 +502,20 @@ class TestSimulateEm:
             initial_state=[0.0],
         )
         grid = generate_path(8, 1, 2.0, 2.0**-2, 1)
-        trajectory = simulate_em(pure, BeConfig(m=4), grid, 2)
+        trajectory = simulate("em", pure, BeConfig(m=4), grid, 2)
         expected = np.concatenate([[0.0], np.cumsum(grid.increments[:, 0])])
         np.testing.assert_allclose(trajectory.states[:, 0], expected, rtol=0, atol=1e-15)
 
     def test_matches_exact_decay_at_small_step(self):
         problem = linear_additive(3.0, 0.0, x0=1.0)
         m = 256
-        trajectory = simulate_em(problem, BeConfig(m=m), zero_noise_grid(1.0, 1.0 / m), 1)
+        trajectory = simulate("em", problem, BeConfig(m=m), zero_noise_grid(1.0, 1.0 / m), 1)
         assert trajectory.anchor(1)[0] == pytest.approx(math.exp(-3.0), abs=5 * 3.0**2 / m)
 
     def test_cubic_blowup_raises(self):
         problem = cubic_multiplicative(1.0, 1.0, x0=10.0)
         try:
-            simulate_em(problem, BeConfig(m=2), zero_noise_grid(4.0, 0.5), 4)
+            simulate("em", problem, BeConfig(m=2), zero_noise_grid(4.0, 0.5), 4)
         except NonFiniteError as err:
             assert err.k is not None
         else:
@@ -523,8 +527,8 @@ class TestSimulateSsbe:
         problem = cubic_multiplicative(1.0, 1.0)
         grid = zero_noise_grid(2.0, 0.25)
         cfg = BeConfig(m=4)
-        t_be = simulate_be(problem, cfg, grid, 2)
-        t_ssbe = simulate_ssbe(problem, cfg, grid, 2)
+        t_be = simulate("be", problem, cfg, grid, 2)
+        t_ssbe = simulate("ssbe", problem, cfg, grid, 2)
         np.testing.assert_allclose(t_be.states, t_ssbe.states, rtol=0, atol=1e-12)
 
     def test_zero_drift_reduces_to_explicit(self):
@@ -538,8 +542,8 @@ class TestSimulateSsbe:
         )
         grid = generate_path(3, 2, 2.0, 2.0**-2, 1)
         cfg = BeConfig(m=4)
-        t_ssbe = simulate_ssbe(pure, cfg, grid, 2)
-        t_em = simulate_em(pure, cfg, grid, 2)
+        t_ssbe = simulate("ssbe", pure, cfg, grid, 2)
+        t_em = simulate("em", pure, cfg, grid, 2)
         np.testing.assert_allclose(t_ssbe.states, t_em.states, rtol=0, atol=1e-14)
 
     def test_self_convergence_on_cubic(self):
@@ -580,7 +584,7 @@ class TestBatchEngine:
         increments = np.stack([g.increments for g in grids])
         run = run_scheme_batch("be", problem, cfg, increments, problem.initial_state, 3, record="final")
         for i, grid in enumerate(grids):
-            solo = simulate_be(problem, cfg, grid, 3)
+            solo = simulate("be", problem, cfg, grid, 3)
             assert run.finals[i, 0] == solo.states[-1, 0]
 
     def test_failures_are_isolated(self):
@@ -811,7 +815,7 @@ class TestTrajectory:
     def test_csv_round_trip_exact(self, tmp_path):
         problem = linear_additive(3.0, 1.0)
         grid = generate_path(2, 7, 2.0, 2.0**-2, 1)
-        trajectory = simulate_be(problem, BeConfig(m=4), grid, 2)
+        trajectory = simulate("be", problem, BeConfig(m=4), grid, 2)
         target = tmp_path / "trajectory.csv"
         trajectory.to_csv(target)
         header = target.read_text().splitlines()[0]

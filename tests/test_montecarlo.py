@@ -13,7 +13,7 @@ from sdepca.integrators import (
     be_mean_multiplier,
     run_lanes,
     run_scheme_batch,
-    simulate_be,
+    simulate,
 )
 from sdepca.linear_analytic import (
     LinearAdditiveParams,
@@ -37,6 +37,7 @@ from sdepca.montecarlo import (
     fit_order,
     linear_exact_reference,
     moment_estimate,
+    Reference,
     ssbe_reference,
 )
 from sdepca.problems import (
@@ -153,8 +154,6 @@ class TestWeakError:
         assert base.mean_gap_half_widths == threaded.mean_gap_half_widths
 
     def test_mean_gaps_use_extrapolated_reference(self):
-        from sdepca.integrators import simulate_ssbe
-
         problem = cubic_multiplicative(1.0, 1.0)
         phi = TestFunction.ATAN_SQ
         report = estimate_weak_errors(
@@ -163,12 +162,14 @@ class TestWeakError:
         )[phi]
         grids = [generate_path(6, i, 1.0, 2.0**-6, 1) for i in range(8)]
         target = np.mean([
-            2.0 * phi(simulate_ssbe(problem, BeConfig(m=64), g, 1).states[-1])
-            - phi(simulate_ssbe(problem, BeConfig(m=32), g, 1).states[-1])
+            2.0 * phi(simulate("ssbe", problem, BeConfig(m=64), g, 1).states[-1])
+            - phi(simulate("ssbe", problem, BeConfig(m=32), g, 1).states[-1])
             for g in grids
         ])
         for m, gap in zip((8, 16), report.mean_gaps):
-            scheme = np.mean([phi(simulate_be(problem, BeConfig(m=m), g, 1).states[-1]) for g in grids])
+            scheme = np.mean(
+                [phi(simulate("be", problem, BeConfig(m=m), g, 1).states[-1]) for g in grids]
+            )
             assert gap == pytest.approx(abs(target - scheme), rel=1e-12, abs=1e-15)
 
     def test_order_one_on_linear_problem(self):
@@ -206,6 +207,31 @@ class TestWeakError:
                 problem, linear_exact_reference(LIN), deltas, 20, 1, [TestFunction.COS_ABS], 1,
                 fine_step=2.0**-6,
             )
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda phis: estimate_weak_errors(
+                linear_additive(3.0, 1.0), linear_exact_reference(LIN), [2.0**-3], 20, 1, phis, 1,
+                fine_step=2.0**-6,
+            ),
+            lambda phis: ergodic_mean_traces(
+                linear_additive(3.0, 1.0), BeConfig(m=4), [0.0, 1.0], 2, 20, phis, 1
+            ),
+        ],
+        ids=["weak", "ergodic"],
+    )
+    def test_repeated_test_function_is_rejected_before_any_run(self, monkeypatch, estimate):
+        # a repeated test function was run and reported twice
+        import sdepca.montecarlo as mc
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the lanes ran")
+
+        monkeypatch.setattr(mc, "_run_lanes_in_spans", no_run)
+        phis = [TestFunction.COS_ABS, TestFunction.SIN_SQ, TestFunction.COS_ABS]
+        with pytest.raises(ValueError, match="^test function cos_abs is repeated$"):
+            estimate(phis)
 
     def test_single_delta_flags_undefined_slope(self):
         problem = linear_additive(3.0, 1.0)
@@ -628,7 +654,7 @@ class TestTimeAverage:
         problem = linear_additive(3.0, 1.0)
         m, K = 64, 2000
         grid = generate_path(77, 0, float(K), 1.0 / m, 1)
-        trajectory = simulate_be(problem, BeConfig(m=m), grid, K)
+        trajectory = simulate("be", problem, BeConfig(m=m), grid, K)
 
         def sq_norm(x):
             return np.sum(x * x, axis=-1)
@@ -958,29 +984,48 @@ class TestWeakOrderSupplementary:
 
 class TestReferences:
     def test_ssbe_reference_matches_simulator(self):
-        from sdepca.integrators import simulate_ssbe
-
         problem = cubic_multiplicative(1.0, 1.0)
         grid = generate_path(44, 0, 2.0, 2.0**-6, 1)
         reference = ssbe_reference(problem)
         finals = lane_finals(problem, reference.lanes[0], grid.increments[None], 2.0**-6, 2)
-        solo = simulate_ssbe(problem, BeConfig(m=64), grid, 2)
+        solo = simulate("ssbe", problem, BeConfig(m=64), grid, 2)
         assert finals[0, 0] == solo.states[-1, 0]
 
     def test_ssbe_reference_extrapolates_over_h_and_2h(self):
-        from sdepca.integrators import simulate_ssbe
-
         problem = cubic_multiplicative(1.0, 1.0)
         grid = generate_path(44, 0, 2.0, 2.0**-6, 1)
         reference = ssbe_reference(problem)
         incs = grid.increments[None]
         fine = lane_finals(problem, reference.lanes[0], incs, 2.0**-6, 2)
         coarse = lane_finals(problem, reference.lanes[1], incs, 2.0**-6, 2)
-        x_h = simulate_ssbe(problem, BeConfig(m=64), grid, 2).states[-1]
-        x_2h = simulate_ssbe(problem, BeConfig(m=32), grid, 2).states[-1]
+        x_h = simulate("ssbe", problem, BeConfig(m=64), grid, 2).states[-1]
+        x_2h = simulate("ssbe", problem, BeConfig(m=32), grid, 2).states[-1]
         for phi in TestFunction:
             got = (2.0 * phi(fine) - phi(coarse))[0]
             assert got == 2.0 * phi(x_h) - phi(x_2h)
+
+    @pytest.mark.parametrize(
+        "lanes",
+        [
+            (Lane("ssbe"), Lane("be", 2)),
+            (Lane("ssbe"), Lane("ssbe", 4)),
+            (Lane("ssbe", 2), Lane("ssbe")),
+            (Lane("ssbe"), Lane("ssbe", 2, x0=np.array([0.5]))),
+            (Lane("ssbe"), Lane("ssbe", 2), Lane("ssbe", 4)),
+            (),
+        ],
+        ids=["another-scheme", "four-times", "half", "another-start", "three-lanes", "no-lane"],
+    )
+    def test_a_reference_is_one_lane_or_an_h_2h_pair(self, lanes):
+        with pytest.raises(ValueError, match="^a reference is one lane, or a lane and its copy"):
+            Reference(cubic_multiplicative(1.0, 1.0), lanes)
+
+    def test_an_h_2h_pair_from_one_start_is_a_reference(self):
+        problem = cubic_multiplicative(1.0, 1.0)
+        assert type(ssbe_reference(problem)) is Reference
+        start = np.array([0.5])
+        pair = (Lane("ssbe", x0=start), Lane("ssbe", 2, x0=start.copy()))
+        assert Reference(problem, pair).lanes == pair
 
     def test_linear_reference_matches_path_sampler(self):
         from sdepca.linear_analytic import exact_sample_path
