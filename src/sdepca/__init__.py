@@ -19,10 +19,8 @@ from .linear_analytic import (
     LinearLaw,
     exact_mean,
     exact_sample_integer,
-    exact_sample_path,
     exact_variance,
     law,
-    stationary_region,
 )
 from .model import (
     ContractionRates,

@@ -46,18 +46,19 @@ def steps_per_unit(step: float, name: str = "fine_step") -> int:
 
 @dataclass(frozen=True)
 class BrownianGrid:
-    """An immutable lattice of i.i.d. N(0, fine_step) increment vectors."""
+    """An immutable lattice of i.i.d. N(0, fine_step) increments, (n_steps, dim_noise)."""
 
     fine_step: float
-    horizon: float
-    dim_noise: int
     increments: np.ndarray
-    master_seed: int
     path_index: int
 
     @property
     def n_steps(self) -> int:
         return self.increments.shape[0]
+
+    @property
+    def dim_noise(self) -> int:
+        return self.increments.shape[1]
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
@@ -154,14 +155,7 @@ def generate_path(
 ) -> BrownianGrid:
     """Generate one fine lattice; same arguments always give the same grid."""
     increments = generate_increments(master_seed, path_index, horizon, fine_step, dim_noise)
-    return BrownianGrid(
-        fine_step=fine_step,
-        horizon=horizon,
-        dim_noise=dim_noise,
-        increments=increments,
-        master_seed=master_seed,
-        path_index=path_index,
-    )
+    return BrownianGrid(fine_step=fine_step, increments=increments, path_index=path_index)
 
 
 def coarsen_array(increments: np.ndarray, factor: int) -> np.ndarray:

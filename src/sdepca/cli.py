@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -223,15 +225,21 @@ def _build_problem(cfg: dict, name: str | None = None):
     return make_problem(name, **kwargs, **x0), kwargs
 
 
+def _check_writable(*paths: Path) -> None:
+    """Fail before any run if a file of ``paths`` is a directory or its directory is missing."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def _output_path(cfg: dict, command: str, suffix: str = "") -> Path:
-    ext = cfg.get("format", "csv")
-    if cfg["output"]:
-        base = Path(cfg["output"])
-        if suffix:
-            return base.with_name(base.stem + f"_{suffix}" + base.suffix)
-        return base
-    name = f"sdepca_{command}{'_' + suffix if suffix else ''}.{ext}"
-    return Path(name)
+    """``--output`` or ``sdepca_<command>.<format>``, with ``_<suffix>`` after its stem, checked."""
+    base = Path(cfg["output"] or f"sdepca_{command}.{cfg.get('format', 'csv')}")
+    path = base.with_name(f"{base.stem}_{suffix}{base.suffix}") if suffix else base
+    _check_writable(base, path)
+    return path
 
 
 def _write_report(report, path: Path, fmt: str) -> None:
@@ -242,14 +250,16 @@ def _write_report(report, path: Path, fmt: str) -> None:
         report.to_csv(path)
 
 
-def _write_reports(cfg: dict, command: str, phis, reports, summary) -> None:
-    """Each test function's report, in a file of its own named after it when
-    there are several, and a stdout line with ``summary(report)``."""
-    for phi in phis:
-        report = reports[phi]
-        path = _output_path(cfg, command, phi.value if len(phis) > 1 else "")
-        _write_report(report, path, cfg["format"])
-        print(f"{command}[{phi.value}]: {summary(report)} -> {path}")
+def _report_paths(cfg: dict, command: str, phis) -> dict:
+    """Each test function's output path, named after it when there are several."""
+    return {phi: _output_path(cfg, command, phi.value if len(phis) > 1 else "") for phi in phis}
+
+
+def _write_reports(cfg: dict, command: str, paths: dict, reports, summary) -> None:
+    """Each test function's report at its path, and a stdout line with ``summary(report)``."""
+    for phi, path in paths.items():
+        _write_report(reports[phi], path, cfg["format"])
+        print(f"{command}[{phi.value}]: {summary(reports[phi])} -> {path}")
 
 
 def _cmd_moments(cfg: dict) -> int:
@@ -265,10 +275,10 @@ def _cmd_moments(cfg: dict) -> int:
     n = round(ratio)
     problem, kwargs = _build_problem(cfg, _MOMENTS_PROBLEM)
     params = LinearAdditiveParams(**kwargs, x0=float(problem.initial_state[0]))
+    path = _output_path(cfg, "moments")
     ts = [k * cfg["grid_step"] for k in range(n + 1)]
     means = [exact_mean(params, t) for t in ts]
     variances = [exact_variance(params, t) for t in ts]
-    path = _output_path(cfg, "moments")
     if cfg["format"] == "json":
         table = {"t": ts, "mean": means, "variance": variances}
         path.write_text(json.dumps(table, indent=2) + "\n")
@@ -289,6 +299,7 @@ def _cmd_weak_order(cfg: dict) -> int:
     T = preset.T if cfg["T"] is None else cfg["T"]
     n_paths = preset.n_paths if cfg["n_paths"] is None else cfg["n_paths"]
     phis = list(preset.phis) if cfg["phis"] is None else cfg["phis"]
+    paths = _report_paths(cfg, "weak-order", phis)
     reports = estimate_weak_errors(
         problem,
         preset.reference(problem, **kwargs),
@@ -308,12 +319,13 @@ def _cmd_weak_order(cfg: dict) -> int:
             f" mean_gap_slope={_slope_text(report.mean_gap_slope)}{note}"
         )
 
-    _write_reports(cfg, "weak-order", phis, reports, summary)
+    _write_reports(cfg, "weak-order", paths, reports, summary)
     return EXIT_OK
 
 
 def _cmd_ergodicity(cfg: dict) -> int:
     problem, _ = _build_problem(cfg)
+    paths = _report_paths(cfg, "ergodicity", cfg["phis"])
     reports = ergodic_mean_traces(
         problem,
         BeConfig(m=cfg["m"]),
@@ -328,7 +340,7 @@ def _cmd_ergodicity(cfg: dict) -> int:
     def summary(report):
         return f"spread(K)={report.spread[-1]:.3e} pooled_se={report.pooled_se[-1]:.3e}"
 
-    _write_reports(cfg, "ergodicity", cfg["phis"], reports, summary)
+    _write_reports(cfg, "ergodicity", paths, reports, summary)
     return EXIT_OK
 
 
@@ -340,6 +352,7 @@ def _cmd_contraction(cfg: dict) -> int:
             params = None
     except ValueError:
         params = None
+    path = _output_path(cfg, "contraction")
     report = contraction_estimate(
         problem,
         BeConfig(m=cfg["m"]),
@@ -351,7 +364,6 @@ def _cmd_contraction(cfg: dict) -> int:
         params=params,
         n_workers=cfg["threads"],
     )
-    path = _output_path(cfg, "contraction")
     _write_report(report, path, cfg["format"])
     factor = "nan" if report.fitted_decay_factor is None else f"{report.fitted_decay_factor:.4e}"
     bound = "n/a" if report.bound is None else f"{report.bound:.4e}"
@@ -364,6 +376,7 @@ def _cmd_check(cfg: dict) -> int:
     defaults = default_dissipativity(cfg["problem"], **kwargs)
     overrides = {key: cfg[key] for key in ("lambda1", "lambda2", "lambda3") if cfg[key] is not None}
     params = dataclasses.replace(defaults, **overrides)
+    path = _output_path(cfg, "check")
     ergodic = check_ergodicity_condition(params)
     moment_ok = check_moment_condition(params, cfg["p"])
     probe = probe_dissipativity(problem, params, cfg["n_probes"], cfg["radius"], cfg["master_seed"])
@@ -379,7 +392,6 @@ def _cmd_check(cfg: dict) -> int:
     }
     if ergodic:
         result["contraction_rates"] = dataclasses.asdict(contraction_rates(params, cfg["m"]))
-    path = _output_path(cfg, "check")
     if cfg["format"] == "json":
         path.write_text(json.dumps(result, indent=2) + "\n")
     else:
@@ -410,6 +422,9 @@ def _cmd_simulate(cfg: dict) -> int:
     if fine_step is None:
         steps_per_unit(be.delta, f"the step 1/m for m = {be.m}")
         fine_step = be.delta
+    path = _output_path(cfg, "simulate")
+    if cfg["dump_path"]:
+        _check_writable(Path(cfg["dump_path"]))
     try:
         grid = generate_path(
             cfg["master_seed"], cfg["path_index"], float(cfg["K"]), fine_step, problem.dim_noise
@@ -419,8 +434,8 @@ def _cmd_simulate(cfg: dict) -> int:
     if cfg["dump_path"]:
         write_path(grid, cfg["dump_path"])
     trajectory = simulate(cfg["scheme"], problem, be, grid, cfg["K"])
-    path = _output_path(cfg, "simulate")
-    trajectory.to_csv(path)
+    header = "t," + ",".join(f"x_{j}" for j in range(problem.dim_state))
+    write_csv(path, header, trajectory.times(), *trajectory.states.T)
     print(f"simulate[{cfg['scheme']}]: {trajectory.states.shape[0]} states -> {path}")
     return EXIT_OK
 

@@ -12,14 +12,14 @@ step size, and one damped Newton solve finds it, from the problem's
 
 Explicit Euler and split-step backward Euler are provided as references;
 :data:`SCHEMES` names all three.  A single path runs through
-:func:`simulate`, returning a :class:`Trajectory`.  Batches run through
-:func:`run_lanes`: a :class:`Lane` is one scheme at one coarsening of a
-fine step, over a batch of paths, and the runner advances any set of lanes
-one piece of fine noise at a time, cut at the ends of the unit blocks.
-Lanes that step at the same fine tick share one implicit solve, with a step
-size per row.  Rows are advanced independently - a row's iterates never
-depend on the other rows - so a merged run, a batched run and a per-path
-run agree bit for bit.
+:func:`simulate`, returning a :class:`Trajectory` of its states at the steps
+of 1/m.  Batches run through :func:`run_lanes`: a :class:`Lane` is one
+scheme at one coarsening of a fine step, over a batch of paths, and the
+runner advances any set of lanes one piece of fine noise at a time, cut at
+the ends of the unit blocks.  Lanes that step at the same fine tick share
+one implicit solve, with a step size per row.  Rows are advanced
+independently - a row's iterates never depend on the other rows - so a
+merged run, a batched run and a per-path run agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -101,8 +100,6 @@ class Trajectory:
 
     states: np.ndarray
     m: int
-    problem_tag: str = "custom"
-    path_index: int = 0
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=float)
@@ -111,10 +108,6 @@ class Trajectory:
         if not np.all(np.isfinite(states)):
             raise ValueError("trajectory contains non-finite states")
         object.__setattr__(self, "states", states)
-
-    @property
-    def delta(self) -> float:
-        return 1.0 / self.m
 
     @property
     def n_anchors(self) -> int:
@@ -131,16 +124,6 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         return np.arange(self.states.shape[0]) / self.m
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write `t,x_0,...,x_{d-1}` rows with round-trip-exact f64 text."""
-        d = self.states.shape[1]
-        header = "t," + ",".join(f"x_{j}" for j in range(d))
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for n in range(self.states.shape[0]):
-                row = [f"{n / self.m:.17g}"] + [f"{v:.17g}" for v in self.states[n]]
-                fh.write(",".join(row) + "\n")
 
 
 @dataclass
@@ -735,12 +718,7 @@ def simulate(
     if run.failures:
         _, k, l, kind = run.failures[0]
         raise _failure_error(kind, path=grid.path_index, k=k, l=l)
-    return Trajectory(
-        states=run.states[0],
-        m=cfg.m,
-        problem_tag=problem.tag,
-        path_index=grid.path_index,
-    )
+    return Trajectory(states=run.states[0], m=cfg.m)
 
 
 def be_mean_multiplier(theta1: float, theta2: float, m: int) -> float:

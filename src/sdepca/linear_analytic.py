@@ -10,6 +10,8 @@ and accumulates the variance sigma(s) = (1 - exp(-2*theta1*s)) / (2*theta1).
 The integer-time chain is the AR(1) recursion X(k+1) = mu(1) X(k) + xi_k with
 xi_k ~ N(0, sigma(1)); it has a stationary law exactly when |mu(1)| < 1, while
 the continuous-time variance keeps oscillating within each block forever.
+It samples that chain by :func:`exact_sample_integer`, and the solution on
+fine increments by :func:`exact_map`, run by :func:`exact_finals_batch`.
 
 These formulas are the ground-truth oracle for every weak-error and
 invariant-measure test in the package.
@@ -23,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import BrownianGrid, steps_per_unit
-from .integrators import BlockMap, Lane, Trajectory, run_lanes
+from .brownian import steps_per_unit
+from .integrators import BlockMap, Lane, run_lanes
 
 
 @dataclass(frozen=True)
@@ -115,14 +117,6 @@ def exact_variance(params: LinearAdditiveParams, t: float) -> float:
     )
 
 
-def stationary_region(theta1: float) -> tuple[float, float]:
-    """Open interval of theta2 for which |mu(1)| < 1, at a given theta1."""
-    if theta1 <= 0.0:
-        raise ValueError(f"theta1 must be positive, got {theta1}")
-    e = math.exp(-theta1)
-    return (-theta1 * (1.0 + e) / (1.0 - e), theta1)
-
-
 def exact_sample_integer(
     params: LinearAdditiveParams, rng: np.random.Generator | int, K: int
 ) -> np.ndarray:
@@ -192,39 +186,3 @@ def exact_finals_batch(
     lane = Lane(exact_map(params), x0=[params.x0])
     (run,) = run_lanes(None, [lane], [increments.T[:, :, None]], increments.shape[0], npu, K)
     return run.finals[:, 0]
-
-
-def exact_sample_path(params: LinearAdditiveParams, grid: BrownianGrid, K: int) -> Trajectory:
-    """Solution on the fine grid, driven by the given Brownian path.
-
-    Within block k the deterministic part is anchor * mu(u) and the
-    stochastic convolution obeys I(u + dt) = exp(-theta1*dt) * I(u) + c * dB,
-    the recursion of :func:`_fine_step_weights`, the same as in
-    :func:`exact_finals_batch`.
-    """
-    if grid.dim_noise != 1:
-        raise ValueError("exact sampler requires scalar noise")
-    npu = steps_per_unit(grid.fine_step)
-    if grid.n_steps < K * npu:
-        raise ValueError(f"horizon {grid.horizon} too short for K={K} blocks")
-    dB = grid.increments[: K * npu, 0]
-    decay, weight = _fine_step_weights(params, grid.fine_step)
-    mu_by_step = np.array(
-        [mu_fraction(params, (j + 1) * grid.fine_step) for j in range(npu)]
-    )
-    states = np.empty(K * npu + 1)
-    states[0] = params.x0
-    anchor = params.x0
-    for k in range(K):
-        integral = 0.0
-        base = k * npu
-        for j in range(npu):
-            integral = decay * integral + weight * dB[base + j]
-            states[base + j + 1] = anchor * mu_by_step[j] + integral
-        anchor = states[(k + 1) * npu]
-    return Trajectory(
-        states=states[:, None],
-        m=npu,
-        problem_tag="linear-additive-exact",
-        path_index=grid.path_index,
-    )

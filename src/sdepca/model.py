@@ -50,7 +50,6 @@ class SdepcaProblem:
     diffusion: Coefficient
     initial_state: np.ndarray
     drift_jacobian_x: Optional[Coefficient] = None
-    tag: str = "custom"
     implicit_start: Optional[Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
 
     def __post_init__(self) -> None:

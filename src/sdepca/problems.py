@@ -57,7 +57,6 @@ def linear_additive(theta1: float, theta2: float, x0: float = 1.0) -> SdepcaProb
         diffusion=diffusion,
         initial_state=np.array([x0]),
         drift_jacobian_x=jacobian,
-        tag="linear-additive",
         implicit_start=implicit_start,
     )
 
@@ -112,7 +111,6 @@ def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
         diffusion=diffusion,
         initial_state=np.array([x0]),
         drift_jacobian_x=jacobian,
-        tag="cubic-multiplicative",
         implicit_start=implicit_start,
     )
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from sdepca.brownian import (
     _DRAW_TILE,
     _PIECE_STEPS,
+    BrownianGrid,
     coarsen_array,
     generate_increments,
     generate_path,
@@ -220,6 +223,20 @@ class TestBinaryDump:
         fine_step, increments = read_path(target)
         assert fine_step == grid.fine_step
         assert np.array_equal(increments, grid.increments)
+
+    def test_a_grid_reads_dim_noise_from_its_increments(self, tmp_path):
+        # dim_noise is the width of the increments, not a field that can
+        # disagree with it, so a dump's header always matches its payload
+        grid = BrownianGrid(fine_step=0.5, increments=np.array([[0.25], [-0.5]]), path_index=0)
+        assert grid.dim_noise == 1
+        assert generate_path(21, 3, 1.0, 0.5, 2).dim_noise == 2
+        with pytest.raises(TypeError):
+            dataclasses.replace(grid, dim_noise=2)
+        target = tmp_path / "path.spca"
+        write_path(grid, target)
+        fine_step, increments = read_path(target)
+        assert fine_step == 0.5
+        assert increments.tolist() == [[0.25], [-0.5]]
 
     def test_header_layout(self, tmp_path):
         grid = generate_path(0, 0, 1.0, 2.0**-2, 1)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from sdepca.brownian import read_path
+from sdepca.brownian import generate_path, read_path
 from sdepca.cli import build_parser, main
+from sdepca.integrators import BeConfig, simulate
 from sdepca.linear_analytic import LinearAdditiveParams, exact_mean, exact_variance
+from sdepca.problems import linear_additive
 
 
 def run_cli(*args):
@@ -257,6 +259,64 @@ class TestValidation:
         assert list(tmp_path.iterdir()) == [directory]
         assert list(directory.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args, runs",
+        [
+            (["weak-order", "--n-paths", "20", "--T", "1", "--phis", "cos_abs,sin_sq"], "estimate_weak_errors"),
+            (["ergodicity", "--phis", "cos_abs,sin_sq", "--n-paths", "20", "--K", "2"], "ergodic_mean_traces"),
+            (["contraction", "--n-paths", "20", "--K", "2"], "contraction_estimate"),
+            (["moments"], "exact_mean"),
+            (["check"], "probe_dissipativity"),
+            (["simulate"], "generate_path"),
+            (["simulate", "--dump-path", "{path}", "--output", "{dir}/t.csv"], "generate_path"),
+        ],
+        ids=["weak-order", "ergodicity", "contraction", "moments", "check", "simulate", "dump-path"],
+    )
+    @pytest.mark.parametrize(
+        "path, message",
+        [("{dir}", "Is a directory"), ("{dir}/missing/out.csv", "No such file or directory")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_an_output_that_cannot_be_written_is_exit_2_before_any_run(
+        self, tmp_path, monkeypatch, capsys, args, runs, path, message
+    ):
+        # every output path is checked before the run, so that a directory
+        # given to several test functions does not become files d_<phi>
+        # beside it, and no run is lost to a missing directory
+        def run(*args, **kwargs):
+            raise AssertionError(f"{runs} ran")
+
+        monkeypatch.setattr(f"sdepca.cli.{runs}", run)
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        if "{path}" not in args:
+            args = args + ["--output", "{path}"]
+        paths = {"dir": directory, "path": path.format(dir=directory)}
+        code = run_cli(*(arg.format(**paths) for arg in args))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=invalid_config")
+        assert message in err
+        assert list(tmp_path.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
+
+    def test_a_test_function_file_that_is_a_directory_is_exit_2_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def run(*args, **kwargs):
+            raise AssertionError("estimate_weak_errors ran")
+
+        monkeypatch.setattr("sdepca.cli.estimate_weak_errors", run)
+        taken = tmp_path / "w_cos_abs.csv"
+        taken.mkdir()
+        code = run_cli(
+            "weak-order", "--phis", "sin_sq,cos_abs", "--n-paths", "20", "--T", "1",
+            "--output", str(tmp_path / "w.csv"),
+        )
+        assert code == 2
+        assert f"Is a directory: '{taken}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+
     def test_an_unreadable_config_is_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("K = 1\n")
@@ -485,6 +545,21 @@ class TestSimulate:
         fine_step, increments = read_path(dump)
         assert fine_step == 0.25
         assert increments.shape == (8, 1)
+
+    def test_csv_round_trip_exact(self, tmp_path):
+        target = tmp_path / "trajectory.csv"
+        code = run_cli(
+            "simulate", "--K", "2", "--m", "4", "--fine-step", "2^-2",
+            "--master-seed", "2", "--path-index", "7", "--output", str(target),
+        )
+        assert code == 0
+        grid = generate_path(2, 7, 2.0, 2.0**-2, 1)
+        trajectory = simulate("be", linear_additive(3.0, 1.0), BeConfig(m=4), grid, 2)
+        header = target.read_text().splitlines()[0]
+        assert header == "t,x_0"
+        data = np.loadtxt(target, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(data[:, 1], trajectory.states[:, 0])
+        np.testing.assert_array_equal(data[:, 0], trajectory.times())
 
     def test_json_format_rejected(self, tmp_path):
         # a trajectory is written as csv alone, so simulate takes no --format

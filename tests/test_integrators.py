@@ -28,14 +28,7 @@ from sdepca.problems import cubic_multiplicative, linear_additive
 
 def zero_noise_grid(horizon, fine_step):
     n = int(round(horizon / fine_step))
-    return BrownianGrid(
-        fine_step=fine_step,
-        horizon=horizon,
-        dim_noise=1,
-        increments=np.zeros((n, 1)),
-        master_seed=0,
-        path_index=0,
-    )
+    return BrownianGrid(fine_step=fine_step, increments=np.zeros((n, 1)), path_index=0)
 
 
 def bisect_oracle(residual, lo, hi, tol=1e-13):
@@ -812,18 +805,6 @@ class TestLaneRunner:
 
 
 class TestTrajectory:
-    def test_csv_round_trip_exact(self, tmp_path):
-        problem = linear_additive(3.0, 1.0)
-        grid = generate_path(2, 7, 2.0, 2.0**-2, 1)
-        trajectory = simulate("be", problem, BeConfig(m=4), grid, 2)
-        target = tmp_path / "trajectory.csv"
-        trajectory.to_csv(target)
-        header = target.read_text().splitlines()[0]
-        assert header == "t,x_0"
-        data = np.loadtxt(target, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(data[:, 1], trajectory.states[:, 0])
-        np.testing.assert_array_equal(data[:, 0], trajectory.times())
-
     def test_rejects_non_finite_states(self):
         with pytest.raises(ValueError):
             Trajectory(states=np.array([[1.0], [np.inf]]), m=1)

@@ -10,10 +10,8 @@ from sdepca.linear_analytic import (
     exact_finals_batch,
     exact_mean,
     exact_sample_integer,
-    exact_sample_path,
     exact_variance,
     law,
-    stationary_region,
 )
 
 PARAMS = LinearAdditiveParams(theta1=3.0, theta2=1.0, x0=1.0)
@@ -106,6 +104,19 @@ class TestExactMoments:
         values = [exact_variance(PARAMS, t) for t in ts]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
+    def test_mean_within_a_block_solves_the_anchored_ode(self):
+        # with noise off and the anchor y = E X(k) frozen on [k, k + 1),
+        # the mean solves dx/dt = -theta1 x + theta2 y
+        from scipy.integrate import solve_ivp
+
+        for t in (0.25, 1.5, 2.75):
+            k = math.floor(t)
+            y = exact_mean(PARAMS, float(k))
+            ode = solve_ivp(
+                lambda s, x: -PARAMS.theta1 * x + PARAMS.theta2 * y, (k, t), [y], rtol=1e-12, atol=1e-14
+            )
+            assert exact_mean(PARAMS, t) == pytest.approx(ode.y[0, -1], rel=1e-9)
+
     def test_mean_decays_to_zero(self):
         assert abs(exact_mean(PARAMS, 40.0)) < 1e-15
 
@@ -126,31 +137,6 @@ class TestExactMoments:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             exact_mean(PARAMS, -0.5)
-
-
-class TestStationaryRegion:
-    def test_reference_parameters_inside(self):
-        lo, hi = stationary_region(3.0)
-        assert lo < 1.0 < hi
-        lo, hi = stationary_region(2.5)
-        assert lo < -1.0 < hi
-
-    def test_region_matches_multiplier_criterion(self):
-        for theta1 in (0.5, 2.5, 3.0, 7.0):
-            lo, hi = stationary_region(theta1)
-            for theta2, inside in [
-                (lo + 1e-6, True),
-                (hi - 1e-6, True),
-                (hi, False),
-                (lo - 1e-6, False),
-            ]:
-                mu = law(LinearAdditiveParams(theta1, theta2)).mu_one
-                assert (abs(mu) < 1.0) == inside
-
-    def test_boundary_theta2_equal_theta1(self):
-        _, hi = stationary_region(3.0)
-        assert hi == 3.0
-        assert law(LinearAdditiveParams(3.0, 3.0)).stationary_variance is None
 
 
 class _ZeroNormal:
@@ -175,36 +161,9 @@ class TestExactSamplers:
         assert abs(var - exact_variance(PARAMS, 5.0)) < 4 * var_se
 
     def test_path_sampler_zero_noise_matches_exact_mean(self):
-        n = 2**6
-        grid = generate_path(0, 0, 3.0, 1.0 / n, 1)
-        silent = type(grid)(
-            fine_step=grid.fine_step,
-            horizon=grid.horizon,
-            dim_noise=1,
-            increments=np.zeros_like(grid.increments),
-            master_seed=0,
-            path_index=0,
-        )
-        trajectory = exact_sample_path(PARAMS, silent, 3)
-        for n_step, t in enumerate(trajectory.times()):
-            assert trajectory.states[n_step, 0] == pytest.approx(
-                exact_mean(PARAMS, float(t)), rel=1e-12, abs=1e-15
-            )
-
-    def test_path_sampler_quadrature_variance(self):
-        # theta2 = 0 reduces to discretized mean reversion; the sampled
-        # variance at t=1 is within Monte Carlo error of sigma(1)
-        pure = LinearAdditiveParams(3.0, 0.0, x0=0.0)
-        n_paths = 4000
-        finals = np.empty(n_paths)
-        for i in range(n_paths):
-            grid = generate_path(55, i, 1.0, 2.0**-8, 1)
-            finals[i] = exact_sample_path(pure, grid, 1).states[-1, 0]
-        sigma = law(pure).sigma_one
-        var = finals.var(ddof=1)
-        mc_slack = 4 * var * math.sqrt(2.0 / (n_paths - 1))
-        bias_scale = 2 * 3.0 * 2.0**-8  # O(theta1 * fine_step) quadrature bias
-        assert abs(var - sigma) < sigma * bias_scale + mc_slack
+        for K in (1, 2, 3):
+            finals = exact_finals_batch(PARAMS, np.zeros((1, K * 2**6)), 2.0**-6, K)
+            assert finals[0] == pytest.approx(exact_mean(PARAMS, float(K)), rel=1e-12, abs=1e-15)
 
     def test_path_and_integer_samplers_agree_in_distribution(self):
         from scipy.stats import ks_2samp
@@ -229,14 +188,3 @@ class TestExactSamplers:
         weights = exact_finals_batch(pure, np.eye(2048), 2.0**-11, 1)
         variance = 2.0**-11 * np.sum(weights**2)
         assert variance == pytest.approx(law(pure).sigma_one, rel=1e-6)
-
-    def test_batch_finals_match_path_sampler_bitwise(self):
-        grid = generate_path(99, 0, 5.0, 2.0**-11, 1)
-        trajectory = exact_sample_path(PARAMS, grid, 5)
-        finals = exact_finals_batch(PARAMS, grid.increments[None, :, 0], 2.0**-11, 5)
-        assert trajectory.states[-1, 0] == finals[0]
-
-    def test_path_sampler_validates_grid(self):
-        grid = generate_path(0, 0, 2.0, 2.0**-3, 1)
-        with pytest.raises(ValueError):
-            exact_sample_path(PARAMS, grid, 3)  # horizon too short

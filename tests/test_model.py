@@ -225,7 +225,6 @@ class TestProblems:
 
     def test_registry_round_trip(self):
         p = make_problem("linear-additive", theta1=2.5, theta2=-1.0, x0=0.5)
-        assert p.tag == "linear-additive"
         assert p.initial_state[0] == 0.5
         with pytest.raises(KeyError):
             make_problem("unknown-problem")

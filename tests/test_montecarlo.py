@@ -17,6 +17,7 @@ from sdepca.integrators import (
 )
 from sdepca.linear_analytic import (
     LinearAdditiveParams,
+    exact_finals_batch,
     exact_mean,
     exact_sample_integer,
     exact_variance,
@@ -1028,13 +1029,13 @@ class TestReferences:
         assert Reference(problem, pair).lanes == pair
 
     def test_linear_reference_matches_path_sampler(self):
-        from sdepca.linear_analytic import exact_sample_path
-
-        grid = generate_path(44, 1, 2.0, 2.0**-8, 1)
-        reference = linear_exact_reference(LIN)
-        finals = lane_finals(None, reference.lanes[0], grid.increments[None], 2.0**-8, 2)
-        solo = exact_sample_path(LIN, grid, 2)
-        assert finals[0, 0] == solo.states[-1, 0]
+        # the reference lane fed pieces cut across the unit blocks, against
+        # exact_finals_batch on the whole lattice as one piece
+        incs = np.stack([generate_path(44, i, 2.0, 2.0**-8, 1).increments for i in range(3)])
+        lane = linear_exact_reference(LIN).lanes[0]
+        pieces = np.array_split(incs.swapaxes(0, 1), [100, 256, 300], axis=0)
+        (run,) = run_lanes(None, [lane], pieces, 3, 2**8, 2)
+        assert run.finals[:, 0].tolist() == exact_finals_batch(LIN, incs[:, :, 0], 2.0**-8, 2).tolist()
 
 
 class TestTracerContract:
