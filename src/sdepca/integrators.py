@@ -109,19 +109,6 @@ class Trajectory:
             raise ValueError("trajectory contains non-finite states")
         object.__setattr__(self, "states", states)
 
-    @property
-    def n_anchors(self) -> int:
-        return (self.states.shape[0] - 1) // self.m + 1
-
-    def anchor(self, k: int) -> np.ndarray:
-        """Block anchor Y_k, the state at integer time k."""
-        if k < 0 or k >= self.n_anchors:
-            raise IndexError(f"anchor {k} out of range (have {self.n_anchors})")
-        return self.states[k * self.m]
-
-    def anchors(self) -> np.ndarray:
-        return self.states[:: self.m][: self.n_anchors]
-
     def times(self) -> np.ndarray:
         return np.arange(self.states.shape[0]) / self.m
 
@@ -179,7 +166,8 @@ def _row_norm(res: np.ndarray) -> np.ndarray:
     """
     # a non-finite entry leaves the norm inf or NaN; fmin turns NaN into inf
     if res.shape[1] == 1:
-        return np.fmin(np.abs(res[:, 0]), np.inf)
+        norm = np.abs(res[:, 0])
+        return np.fmin(norm, np.inf, out=norm)
     scale = np.max(np.abs(res), axis=1)
     unit = res / np.where(scale > 0.0, scale, 1.0)[:, None]
     return np.fmin(scale * np.sqrt(_row_sum(unit * unit)), np.inf)
@@ -263,7 +251,7 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
     if x is rhs:  # x is written in place, and rhs is the caller's
         x = rhs.copy()
     res, rnorm = _residual(drift, x, y, delta, rhs)
-    if (rnorm <= _NEWTON_TOL).all():  # every row has converged at its start
+    if np.maximum.reduce(rnorm, initial=0.0) <= _NEWTON_TOL:  # every row converged at its start
         return x, status, rnorm
     # rows still iterating or converged; a row whose residual is not finite
     # cannot take a Newton step and has failed
@@ -572,7 +560,11 @@ def run_lanes(
             else:
                 lane_runs.append([run.lane.scheme, slice(run.lo, run.hi)])
         full = [i for i, run in enumerate(stepped[:j]) if run.states is not None]
-        levels[j] = (stepped[j - 1].hi, lane_runs, full)
+        # a row that the solve accepts is finite, since a non-finite state
+        # leaves a non-finite residual; so only a level with a split-step
+        # kick after its solve, or an explicit step, scans its states
+        scan = any(scheme != "be" for scheme, _ in lane_runs)
+        levels[j] = (stepped[j - 1].hi, lane_runs, full, scan)
     ticks = [(t, steps, *levels[len(steps)]) for t, steps in ticks]
     tick_times = [tick[0] for tick in ticks]
     # each level's implicit start, staged on the anchors at each block's start
@@ -593,7 +585,7 @@ def run_lanes(
         # a lane's step l is row l - offset of its coarsened piece
         offsets = [start // run.factor for run in stepped]
         first, last = bisect_left(tick_times, start), bisect_left(tick_times, start + length)
-        for _, steps, stop, lane_runs, full in ticks[first:last]:
+        for _, steps, stop, lane_runs, full, scan in ticks[first:last]:
             if len(steps) == 1:
                 dB = incs[0][steps[0] - offsets[0]]
             else:
@@ -612,7 +604,7 @@ def run_lanes(
                 for scheme, s in lane_runs:
                     if scheme == "ssbe":  # the diffusion kick after the implicit drift update
                         x_new[s] += _kick(diffusion, x_new[s], ya[s], dB[s])
-            if np.count_nonzero(status) or not np.isfinite(x_new).all():
+            if np.count_nonzero(status) or scan and not np.isfinite(x_new).all():
                 # a row that solved but went non-finite is recorded as "nonfinite"
                 bad = (status != _STATUS_OK) | ~np.isfinite(x_new).all(axis=1)
                 for i in np.flatnonzero(bad & alive[:stop]):
@@ -648,7 +640,7 @@ def run_lanes(
         for k in range(K):
             y = x.copy()
             if stage is not None:
-                for j, (stop, _, _) in levels.items():
+                for j, (stop, *_) in levels.items():
                     starts[j] = stage(y[:stop], delta[:stop])
             for run in mapped:
                 run.carry = np.zeros_like(run.x)

@@ -35,9 +35,12 @@ CONSTANT_DIFFUSION_LAMBDA3 = 1e-9
 def linear_additive(theta1: float, theta2: float, x0: float = 1.0) -> SdepcaProblem:
     """Scalar linear problem with additive unit noise."""
     LinearAdditiveParams(theta1, theta2, x0)
+    # 0-d arrays, not Python floats: numpy's fixed cost per operation is
+    # most of a tick's, and a Python float operand adds to it
+    minus_theta1, theta2_ = np.array(-float(theta1)), np.array(float(theta2))
 
     def drift(x, y):
-        return -theta1 * x + theta2 * y
+        return minus_theta1 * x + theta2_ * y
 
     def diffusion(x, y):
         return np.ones(np.shape(x)[:-1] + (1, 1))
@@ -67,14 +70,16 @@ def cubic_multiplicative(a: float, b: float, x0: float = 2.0) -> SdepcaProblem:
         raise ValueError(f"a and b must be finite, got {a} and {b}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
+    # 0-d arrays, not Python floats, as in linear_additive
+    ten, two, one, a_, b_ = (np.array(float(v)) for v in (10.0, 2.0, 1.0, a, b))
 
     def drift(x, y):
         # x * x * x, not x**3: numpy's pow takes a slow path for negative
         # bases, which made it most of the implicit solver's time
-        return -(x * x * x) - 10.0 * x + 2.0 * y + 1.0
+        return -(x * x * x) - ten * x + two * y + one
 
     def diffusion(x, y):
-        return (a * x + b * y)[..., None]
+        return (a_ * x + b_ * y)[..., None]
 
     def jacobian(x, y):
         return (-3.0 * x**2 - 10.0)[..., None]

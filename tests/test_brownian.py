@@ -1,10 +1,13 @@
 import dataclasses
+import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdepca import brownian
 from sdepca.brownian import (
     _DRAW_TILE,
     _PIECE_STEPS,
@@ -122,14 +125,23 @@ class TestGeneratePath:
         assert np.concatenate(pieces).tobytes() == whole.tobytes()
         assert list(increment_pieces(9, 3, 7, 0, fine_step, 2)) == []
 
-    def test_piece_arguments_are_checked_before_any_draw(self):
+    def test_piece_arguments_are_checked_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(brownian, "_FREE_RNGS", [])
         for args, message in [
             ((9, 0, 2, 8, 0.3), "power of two"),
             ((9, 0, 2, 8, 0.5, 0), "dim_noise must be positive"),
-            ((-1, 0, 2, 8, 0.5), "nonnegative"),
+            ((-1, 0, 2, 8, 0.5), "^master_seed must be a nonnegative"),
+            ((2**64, 0, 2, 8, 0.5), "^master_seed must be a nonnegative"),
+            ((9, -1, 2, 8, 0.5), "^path_index must be a nonnegative integer below 2\\^64, got -1$"),
+            ((9, 2**64 - 1, 2**64 + 1, 8, 0.5), "^path_index must be a nonnegative integer below 2\\^64, got 18446744073709551616$"),
         ]:
             with pytest.raises(ValueError, match=message):
                 increment_pieces(*args)
+        # a rejected call takes no generator from the free list
+        brownian._FREE_RNGS.append(path_rng(0, 0))
+        with pytest.raises(ValueError):
+            increment_pieces(9, 2**64 - 1, 2**64 + 1, 8, 0.5)
+        assert len(brownian._FREE_RNGS) == 1
 
     @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
     def test_streamed_blocks_straddle_the_draw_tile(self, n_paths):
@@ -155,6 +167,97 @@ class TestGeneratePath:
             for j in range(n_paths):
                 path = generate_increments(4, 10 + j, float(K), 1.0 / m, r)
                 assert joined[:, j].tobytes() == path.tobytes()
+
+
+def path_increments(master_seed, lo, hi, n_steps, fine_step, r=1):
+    """Paths lo..hi-1 over n_steps, each from a Philox generator built on
+    its key, step-major like a piece."""
+    paths = [
+        np.random.Generator(np.random.Philox(key=np.array([master_seed, i], dtype=np.uint64)))
+        .standard_normal((n_steps, r)) * math.sqrt(fine_step)
+        for i in range(lo, hi)
+    ]
+    return np.stack(paths, axis=1)
+
+
+class TestGeneratorPool:
+    """increment_pieces keys its paths' generators from a free list; every
+    piece must still equal each path's own stream."""
+
+    @pytest.fixture(autouse=True)
+    def empty_pool(self, monkeypatch):
+        monkeypatch.setattr(brownian, "_FREE_RNGS", [])
+
+    def test_generators_go_back_once_the_last_piece_is_drawn(self):
+        pieces = increment_pieces(5, 0, 3, 600, 2.0**-11)
+        assert brownian._FREE_RNGS == []
+        drawn = [next(pieces), next(pieces)]
+        assert brownian._FREE_RNGS == []
+        drawn.append(next(pieces))  # 600 = 256 + 256 + 88 steps
+        assert len(brownian._FREE_RNGS) == 3
+        assert np.concatenate(drawn).tobytes() == path_increments(5, 0, 3, 600, 2.0**-11).tobytes()
+        increment_pieces(6, 10, 12, 8, 0.5)
+        assert len(brownian._FREE_RNGS) == 1  # the next span took two
+
+    def test_a_piece_let_go_of_is_freed_before_the_next_draw(self):
+        # the runner frees each piece before it takes the next, so that a
+        # span holds one piece of noise; the iterator must not keep one
+        pieces = increment_pieces(1, 0, 4, 3 * _PIECE_STEPS, 2.0**-11)
+        first = weakref.ref(next(pieces))
+        assert first() is None
+        last = weakref.ref(list(pieces)[-1])
+        assert last() is None
+
+    def test_two_live_iterators_interleaved(self):
+        # two spans drawn in turn, each on generators of its own, over
+        # overlapping paths; a third span takes the seven they gave back
+        fine_step, n = 2.0**-11, 3 * _PIECE_STEPS
+        a = increment_pieces(7, 0, 4, n, fine_step, 2)
+        b = increment_pieces(8, 2, 5, n, fine_step, 2)
+        got_a, got_b = [], []
+        for piece_a, piece_b in zip(a, b):
+            got_a.append(piece_a)
+            got_b.append(piece_b)
+        assert len(brownian._FREE_RNGS) == 7
+        c = list(increment_pieces(9, 0, 7, n, fine_step, 2))
+        assert len(brownian._FREE_RNGS) == 7
+        assert np.concatenate(got_a).tobytes() == path_increments(7, 0, 4, n, fine_step, 2).tobytes()
+        assert np.concatenate(got_b).tobytes() == path_increments(8, 2, 5, n, fine_step, 2).tobytes()
+        assert np.concatenate(c).tobytes() == path_increments(9, 0, 7, n, fine_step, 2).tobytes()
+
+    def test_an_iterator_left_before_its_last_piece_keeps_its_generators(self):
+        fine_step, n = 2.0**-11, 2 * _PIECE_STEPS
+        left = increment_pieces(3, 0, 5, n, fine_step)
+        first = next(left)
+        # spans that run to the end in the meantime, before and after the
+        # pool holds generators
+        for seed in (4, 5, 6):
+            whole = list(increment_pieces(seed, 0, 8, n, fine_step))
+            assert np.concatenate(whole).tobytes() == path_increments(seed, 0, 8, n, fine_step).tobytes()
+        assert len(brownian._FREE_RNGS) == 8
+        rest = list(left)
+        assert np.concatenate([first, *rest]).tobytes() == path_increments(3, 0, 5, n, fine_step).tobytes()
+        assert len(brownian._FREE_RNGS) == 13
+
+    def test_a_pooled_generator_is_rekeyed_from_any_state(self):
+        # a span of another seed leaves its generators mid-stream; 32-bit
+        # and uniform draws also leave a half-used word and buffer behind
+        list(increment_pieces(11, 0, 4, 300, 2.0**-11))
+        for rng in brownian._FREE_RNGS[:2]:
+            rng.integers(0, 10, size=3, dtype=np.uint32)
+            rng.random(5)
+        pool = list(brownian._FREE_RNGS)
+        pieces = list(increment_pieces(12, 100, 104, 300, 2.0**-11))
+        assert brownian._FREE_RNGS and all(any(g is h for h in pool) for g in brownian._FREE_RNGS)
+        assert np.concatenate(pieces).tobytes() == path_increments(12, 100, 104, 300, 2.0**-11).tobytes()
+
+    def test_keys_at_the_ends_of_two_words(self):
+        top = 2**64 - 1
+        pieces = list(increment_pieces(top, top - 2, top + 1, 4, 0.25))
+        assert np.concatenate(pieces).tobytes() == path_increments(top, top - 2, top + 1, 4, 0.25).tobytes()
+        # path_rng keys a generator from the free list too, and keeps it
+        assert path_rng(top, top).random(8).tobytes() == np.random.Generator(np.random.Philox(key=[top, top])).random(8).tobytes()
+        assert len(brownian._FREE_RNGS) == 2
 
 
 class TestCoarsen:

@@ -317,6 +317,41 @@ class TestImplicitStart:
         assert status[0] == 0
         assert residual <= max(1e-12, floor)
 
+    @pytest.mark.parametrize("name", ["linear", "cubic", "sinh"])
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True)),
+            min_size=1,
+            max_size=8,
+        ),
+        delta=STEP_SIZES,
+        staged=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_the_solve_accepts_is_finite(self, name, rows, delta, staged):
+        # run_lanes scans a level of BE lanes for non-finite states only
+        # through the solve's status; that is sound if no accepted row is
+        # non-finite, whatever the anchors, the right-hand sides or a drift
+        # that overflows (the cubic's cube past 5.6e102, sinh past 710)
+        from sdepca.integrators import _fd_jacobian, _newton_batch
+
+        if name == "sinh":
+
+            def drift(x, y):
+                return -np.sinh(x) + y
+
+            jac, stage = _fd_jacobian(drift), None
+        else:
+            problem = self.PROBLEMS[name]
+            drift, jac, stage = problem.drift, problem.drift_jacobian_x, problem.implicit_start
+        y = np.array([[v] for v, _ in rows])
+        rhs = np.array([[r] for _, r in rows])
+        d = np.full((len(rows), 1), delta)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            start = stage(y, d) if staged and stage is not None else None
+            x, status, _ = _newton_batch(drift, jac, y, d, rhs, start)
+        assert np.isfinite(x[status == 0]).all()
+
     @pytest.mark.parametrize("x0", [2.0, -3.0, 1e6])
     def test_be_steps_by_hand_equal_simulate_be(self, x0):
         # from 1e6 some states sit at the rounding floor, where the solve
@@ -424,8 +459,8 @@ class TestSimulateBe:
     def test_zero_noise_anchor(self):
         problem = linear_additive(3.0, 1.0)
         trajectory = simulate("be", problem, BeConfig(m=2), zero_noise_grid(2.0, 0.5), 2)
-        assert trajectory.anchor(0)[0] == 1.0
-        assert trajectory.anchor(1)[0] == pytest.approx(0.44, abs=1e-12)
+        assert trajectory.states[0, 0] == 1.0
+        assert trajectory.states[2, 0] == pytest.approx(0.44, abs=1e-12)
 
     def test_constant_when_coefficients_vanish(self):
         problem = linear_additive(3.0, 1.0)
@@ -449,7 +484,7 @@ class TestSimulateBe:
             trajectory = simulate("be", problem, BeConfig(m=m), grid, K)
             mult = be_mean_multiplier(theta1, theta2, m)
             for k in range(K + 1):
-                assert trajectory.anchor(k)[0] == pytest.approx(mult**k, rel=1e-10)
+                assert trajectory.states[k * m, 0] == pytest.approx(mult**k, rel=1e-10)
 
     def test_mean_multiplier_first_order_consistency(self):
         # mu_delta(1) -> mu(1) at rate O(delta)
@@ -503,7 +538,7 @@ class TestSimulateEm:
         problem = linear_additive(3.0, 0.0, x0=1.0)
         m = 256
         trajectory = simulate("em", problem, BeConfig(m=m), zero_noise_grid(1.0, 1.0 / m), 1)
-        assert trajectory.anchor(1)[0] == pytest.approx(math.exp(-3.0), abs=5 * 3.0**2 / m)
+        assert trajectory.states[m, 0] == pytest.approx(math.exp(-3.0), abs=5 * 3.0**2 / m)
 
     def test_cubic_blowup_raises(self):
         problem = cubic_multiplicative(1.0, 1.0, x0=10.0)
@@ -755,6 +790,34 @@ class TestLaneRunner:
         with pytest.raises(ValueError, match="does not hold whole steps of 8"):
             run_lanes(problem, lanes, cut(0, 36, 96), n, m, K)
 
+    def test_a_kick_that_overflows_after_a_converged_solve_is_recorded_at_its_step(self):
+        # BE at factor 1 and split-step BE at factor 2: the fine ticks
+        # 0 and 2 of a block step BE alone, which the runner does not scan
+        # for non-finite states; ticks 1 and 3 step both.  Row 1's fine
+        # increment at (k=1, t=1) makes BE's kick overflow before its solve,
+        # which fails it, and split-step BE's after its solve, which
+        # converges: only the scan sees that one, at its own step l = 0
+        problem = SdepcaProblem(
+            dim_state=1,
+            dim_noise=1,
+            drift=lambda x, y: -x,
+            diffusion=lambda x, y: np.full(x.shape + (1,), 10.0),
+            drift_jacobian_x=lambda x, y: np.full(x.shape + (1,), -1.0),
+            initial_state=[1.0],
+        )
+        m, K, n = 4, 2, 3
+        fine = np.zeros((K * m, n, 1))
+        fine[m + 1, 1] = 1e308
+        be, ssbe = run_lanes(problem, [Lane("be", 1), Lane("ssbe", 2)], [fine], n, m, K)
+        assert be.failures == [(1, 1, 1, "nonfinite")]
+        assert ssbe.failures == [(1, 1, 0, "nonfinite")]
+        for run in (be, ssbe):
+            assert run.ok.tolist() == [True, False, True]
+            assert np.isfinite(run.finals[[0, 2]]).all() and np.isnan(run.finals[1]).all()
+        coarse = coarsen_array(fine.swapaxes(0, 1), 2)
+        solo = run_scheme_batch("ssbe", problem, BeConfig(m=m // 2), coarse, [1.0], K)
+        assert solo.failures == ssbe.failures
+
     def test_a_stream_that_ends_early_is_rejected(self):
         problem = cubic_multiplicative(1.0, 1.0)
         m, K, n = 8, 3, 2
@@ -808,12 +871,6 @@ class TestTrajectory:
     def test_rejects_non_finite_states(self):
         with pytest.raises(ValueError):
             Trajectory(states=np.array([[1.0], [np.inf]]), m=1)
-
-    def test_anchor_bounds(self):
-        trajectory = Trajectory(states=np.zeros((5, 1)), m=2)
-        assert trajectory.n_anchors == 3
-        with pytest.raises(IndexError):
-            trajectory.anchor(3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sdepca.brownian import generate_increments, generate_path
+from sdepca import brownian
+from sdepca.brownian import generate_increments, generate_path, increment_pieces
 from sdepca.integrators import (
     BeConfig,
     Lane,
@@ -469,6 +470,19 @@ class TestStreamedNoise:
             for phi in phis:
                 assert json.dumps(default[phi].as_dict()) == json.dumps(small[phi].as_dict())
 
+    def test_forked_workers_rekey_the_generators_they_inherit(self, monkeypatch):
+        # a forked worker starts with a copy of the parent's free list of
+        # generators, left mid-stream by a span of another seed, and keys
+        # its paths on them; an in-process run on new generators must agree
+        monkeypatch.setattr(brownian, "_FREE_RNGS", [])
+        list(increment_pieces(99, 0, 40, 300, 2.0**-11))
+        assert len(brownian._FREE_RNGS) == 40
+        args = (cubic_multiplicative(1.0, 1.0), BeConfig(m=4), 2.0, -2.0, 40, 6, 3)
+        forked = contraction_estimate(*args, n_workers=2)
+        monkeypatch.setattr(brownian, "_FREE_RNGS", [])
+        fresh = contraction_estimate(*args)
+        assert json.dumps(forked.as_dict()) == json.dumps(fresh.as_dict())
+
     @pytest.mark.parametrize(
         "n_workers, factor, dim_noise, widths",
         [
@@ -635,7 +649,7 @@ class TestErgodicTrace:
 
 def time_average(trajectory, phi):
     """(1/K) sum of phi over the anchors Y_0 .. Y_{K-1}, in index order."""
-    return _kahan_mean(phi(trajectory.anchors()[:-1]))
+    return _kahan_mean(phi(trajectory.states[:: trajectory.m][:-1]))
 
 
 class TestTimeAverage:
@@ -662,7 +676,7 @@ class TestTimeAverage:
 
         mean_sq = time_average(trajectory, sq_norm)
         target = law(LIN).stationary_variance
-        block_means = sq_norm(trajectory.anchors()[:-1]).reshape(40, 50).mean(axis=1)
+        block_means = sq_norm(trajectory.states[::m][:-1]).reshape(40, 50).mean(axis=1)
         se = block_means.std(ddof=1) / math.sqrt(40)
         assert abs(mean_sq - target) < 0.03 * target + 4 * se
 
