@@ -373,6 +373,7 @@ def _cmd_contraction(cfg: dict) -> int:
 
 def _cmd_check(cfg: dict) -> int:
     problem, kwargs = _build_problem(cfg)
+    BeConfig(m=cfg["m"])  # m < 1 is an error also where no rate reads it
     defaults = default_dissipativity(cfg["problem"], **kwargs)
     overrides = {key: cfg[key] for key in ("lambda1", "lambda2", "lambda3") if cfg[key] is not None}
     params = dataclasses.replace(defaults, **overrides)

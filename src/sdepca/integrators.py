@@ -153,11 +153,6 @@ def _fd_jacobian(drift):
     return jac
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of each row of an (n, d) array; for d = 1 the column itself."""
-    return a[:, 0] if a.shape[1] == 1 else np.add.reduce(a, axis=1)
-
-
 def _row_norm(res: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row; inf for a row with a NaN or inf entry.
 
@@ -168,9 +163,10 @@ def _row_norm(res: np.ndarray) -> np.ndarray:
     if res.shape[1] == 1:
         norm = np.abs(res[:, 0])
         return np.fmin(norm, np.inf, out=norm)
-    scale = np.max(np.abs(res), axis=1)
+    # row maxima in one pass per column of the (d, n) transpose; exact in any order
+    scale = np.maximum.reduce(np.abs(res.T, order="C"))
     unit = res / np.where(scale > 0.0, scale, 1.0)[:, None]
-    return np.fmin(scale * np.sqrt(_row_sum(unit * unit)), np.inf)
+    return np.fmin(scale * np.sqrt(np.add.reduce(unit * unit, axis=1)), np.inf)
 
 
 def _residual(drift, x, y, delta, rhs):
@@ -193,7 +189,7 @@ def _rounding_floor(drift, jac, x, y, delta, rhs):
     """
     spread = np.einsum("nij,nj->ni", np.abs(jac(x, y)), np.abs(x))
     size = np.abs(x) + np.abs(rhs) + delta * (np.abs(drift(x, y)) + spread)
-    return _ROUNDING * _row_sum(size)
+    return _ROUNDING * np.add.reduce(size, axis=1)
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,17 +212,6 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _newton_step(J: np.ndarray, delta: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Newton step (I - delta J)^-1 res of each row, ``delta`` an (n, 1) column."""
-    A = delta[:, :, None] * J
-    if res.shape[1] == 1:
-        return _solve_rows(1.0 - A, res)
-    # 0 - p, then 1 + (0 - p) on the diagonal: the bits of I - p
-    np.subtract(0.0, A, out=A)
-    A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += 1.0
-    return _solve_rows(A, res)
-
-
 def _newton_batch(drift, jac, y, delta, rhs, start=None):
     """Row-wise solve of x - delta*drift(x, y) = rhs from x = start(rhs), a
     problem's ``implicit_start`` staged on (y, delta), or from x = rhs when
@@ -238,12 +223,14 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
     residual norm is within ``_NEWTON_TOL``, or, when Newton can lower it
     no further, within its rounding floor (:func:`_rounding_floor`).
 
-    Each Newton iteration evaluates the whole batch; only the rows still
-    above the tolerance take the new iterate, so converged rows stay frozen.
-    A row whose step does not lower its residual is halved on its own, and a
-    row that cannot progress leaves the loop.  A row that leaves it above
-    its rounding floor has failed and is NaN.  Every row's arithmetic is
+    Each Newton iteration, and each halving of a step that did not lower a
+    row's residual, evaluates the whole batch; only the rows still above the
+    tolerance take the new iterate, so converged rows stay frozen, and a row
+    that cannot progress leaves the loop.  A row that leaves it above its
+    rounding floor has failed and is NaN.  Every row's arithmetic is
     elementwise, so its iterates do not depend on the rest of the batch.
+    The loop runs only for starts far from a closed-form root, such as the
+    built-ins' ``implicit_start`` at huge states, or without such a start.
     """
     n = rhs.shape[0]
     status = np.zeros(n, dtype=np.int8)
@@ -259,38 +246,26 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
 
     for _ in range(_NEWTON_MAX_ITER):
         active = open_rows & (rnorm > _NEWTON_TOL)
-        n_active = np.count_nonzero(active)
-        if not n_active:
+        if not active.any():
             break
-        # a non-finite step leaves a non-finite residual, which the halvings
-        # below cannot lower, so such a row leaves the loop
-        step = _newton_step(jac(x, y), delta, res)
+        # a non-finite Newton step (I - delta J)^-1 res leaves a non-finite
+        # residual, which no halving lowers, so its row leaves the loop
+        step = _solve_rows(np.eye(x.shape[1]) - delta[:, :, None] * jac(x, y), res)
         x_new = x - step
         r_new, rn_new = _residual(drift, x_new, y, delta, rhs)
+        # an active row whose residual did not fall halves its step; each
+        # pass evaluates the whole batch, every row at its own scale
+        scale = np.ones((n, 1))
+        for _ in range(_MAX_HALVINGS):
+            halve = active & (rn_new >= rnorm)
+            if not halve.any():
+                break
+            scale[halve] *= 0.5
+            x_new = x - scale * step
+            r_new, rn_new = _residual(drift, x_new, y, delta, rhs)
         take = active & (rn_new < rnorm)
-        n_take = np.count_nonzero(take)
-        if n_take < n_active:
-            # the rows whose residual did not fall: halve their steps
-            iw = np.flatnonzero(active & ~take)
-            xw, sw, yw, rw, rn_old = x[iw], step[iw], y[iw], rhs[iw], rnorm[iw]
-            hw = delta[iw]
-            xh, rh, rnh = x_new[iw], r_new[iw], rn_new[iw]
-            scale = np.ones((iw.size, 1))
-            for _ in range(_MAX_HALVINGS):
-                still = rnh >= rn_old
-                if not still.any():
-                    break
-                scale[still] *= 0.5
-                xh[still] = xw[still] - scale[still] * sw[still]
-                rh[still], rnh[still] = _residual(drift, xh[still], yw[still], hw[still], rw[still])
-            x_new[iw], r_new[iw], rn_new[iw] = xh, rh, rnh
-            take[iw] = rnh < rn_old
-            n_take = np.count_nonzero(take)
         # an active row that made no progress leaves the loop
         np.copyto(open_rows, take, where=active)
-        if n_take == n:
-            x, res, rnorm = x_new, r_new, rn_new
-            continue
         keep = take[:, None]
         np.copyto(x, x_new, where=keep)
         np.copyto(res, r_new, where=keep)

@@ -81,6 +81,9 @@ class DissipativityParams:
     g00_norm_sq: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("lambda1", "lambda2", "lambda3", "f00_norm_sq", "g00_norm_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("lambda1", "lambda2", "lambda3"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -245,7 +248,8 @@ def probe_dissipativity(
 
     Margins are lhs - rhs, so any positive worst margin above tolerance is a
     counterexample to the supplied constants.  A margin that is not finite
-    tests nothing, so coefficients that overflow on the ball raise.
+    tests nothing, so coefficients or constants that overflow on the ball
+    raise, naming which.
     """
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
@@ -269,16 +273,25 @@ def probe_dissipativity(
     dx_sq = np.sum(dx * dx, axis=1)
     dy_sq = np.sum(dy * dy, axis=1)
 
-    monotone_margin = np.sum(dx * (f_x1_y1 - f_x2_y1), axis=1) + params.lambda1 * dx_sq
-    anchor_margin = np.sum((f_x1_y2 - f_x1_y1) ** 2, axis=1) - params.lambda2 * dy_sq
-    diff_margin = (
-        np.sum((g_x1_y1 - g_x2_y2) ** 2, axis=(1, 2))
-        - params.lambda3 * (dx_sq + dy_sq)
-    )
+    monotone_lhs = np.sum(dx * (f_x1_y1 - f_x2_y1), axis=1)
+    anchor_lhs = np.sum((f_x1_y2 - f_x1_y1) ** 2, axis=1)
+    diff_lhs = np.sum((g_x1_y1 - g_x2_y2) ** 2, axis=(1, 2))
+    monotone_margin = monotone_lhs + params.lambda1 * dx_sq
+    anchor_margin = anchor_lhs - params.lambda2 * dy_sq
+    diff_margin = diff_lhs - params.lambda3 * (dx_sq + dy_sq)
 
-    if not all(np.all(np.isfinite(margin)) for margin in (monotone_margin, anchor_margin, diff_margin)):
+    # a margin that is not finite is the coefficients' fault when their side
+    # of it is not finite, and its constant's otherwise
+    if not all(np.all(np.isfinite(lhs)) for lhs in (monotone_lhs, anchor_lhs, diff_lhs)):
         raise ValueError(
             f"the coefficients overflow on the ball of radius {radius}: a probe margin is not finite"
+        )
+    margins = {"lambda1": monotone_margin, "lambda2": anchor_margin, "lambda3": diff_margin}
+    constants = [name for name, margin in margins.items() if not np.all(np.isfinite(margin))]
+    if constants:
+        raise ValueError(
+            f"the constants overflow on the ball of radius {radius}: "
+            f"a probe margin with {', '.join(constants)} is not finite"
         )
 
     return ProbeReport(

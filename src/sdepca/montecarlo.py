@@ -583,16 +583,20 @@ def ergodic_mean_traces(
     index i uses the same noise for every initial), so the spread directly
     measures how fast the chains forget their starting point.  Each report
     equals that of :func:`ergodic_mean_trace` with its test function alone.
-    ``n_workers`` is as in :func:`estimate_weak_errors`.
+    A scalar ``initials`` is one start, as ``x`` is in
+    :func:`contraction_estimate`.  ``n_workers`` is as in
+    :func:`estimate_weak_errors`.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     if not phis:
         raise ValueError("need at least one test function")
     _reject_repeats([phi.value for phi in phis], "test function")
-    initial_arr = np.atleast_2d(np.asarray(initials, dtype=float))
-    if initial_arr.shape[0] == 1 and problem.dim_state == 1 and len(initials) > 1:
-        initial_arr = np.asarray(initials, dtype=float)[:, None]
+    # a scalar is one start, and a flat list on a scalar problem one start each
+    initial_arr = np.asarray(initials, dtype=float)
+    if initial_arr.ndim == 1 and problem.dim_state == 1:
+        initial_arr = initial_arr[:, None]
+    initial_arr = np.atleast_2d(initial_arr)
     if not initial_arr.size:
         raise ValueError("initials must hold at least one initial value")
     anchors, failures = _chain_anchors(problem, cfg, initial_arr, K, n_paths, master_seed, n_workers)

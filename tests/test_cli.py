@@ -170,6 +170,16 @@ class TestValidation:
              "detail=test function cos_abs is repeated"),
             (["ergodicity", "--phis", "sin_sq,sin_sq", "--n-paths", "20", "--K", "2"],
              "detail=test function sin_sq is repeated"),
+            # constants that are not finite, or that overflow on the ball,
+            # were blamed on the coefficients
+            (["check", "--lambda1", "inf"], "detail=lambda1 must be finite, got inf"),
+            (["check", "--lambda2", "inf"], "detail=lambda2 must be finite, got inf"),
+            (["check", "--lambda3", "1e308"], "a probe margin with lambda3 is not finite"),
+            (["check", "--problem", "cubic-multiplicative", "--lambda1", "1e308"],
+             "a probe margin with lambda1 is not finite"),
+            # only the contraction rates read m, and they run only when the
+            # ergodicity condition holds; this exited 0
+            (["check", "--lambda1", "1", "--m", "0"], "m must be a positive integer, got 0"),
         ],
         ids=["moments-x0", "moments-theta2", "moments-theta1", "check-nan", "check-inf",
              "contraction-x", "contraction-y", "ergodicity-initial", "weak-order-subnormal",
@@ -179,7 +189,9 @@ class TestValidation:
              "check-seed-2^64", "ergodicity-seed-2^64", "simulate-index-2^64",
              "moments-grid-overflow", "moments-grid-bound", "moments-t-max-nan",
              "moments-grid-step-0", "check-probe-overflow", "simulate-m3",
-             "weak-order-repeated-phi", "ergodicity-repeated-phi"],
+             "weak-order-repeated-phi", "ergodicity-repeated-phi", "check-lambda1-inf",
+             "check-lambda2-inf", "check-lambda3-overflow", "check-cubic-lambda1-overflow",
+             "check-m0-not-ergodic"],
     )
     def test_bad_input_is_exit_2_and_writes_nothing(self, tmp_path, capsys, args, message):
         code = run_cli(*args, "--output", str(tmp_path / "out"))

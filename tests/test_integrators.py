@@ -100,6 +100,22 @@ class TestSolveImplicit:
         lapack = np.linalg.solve(A, b[..., None])[..., 0]
         assert _solve_rows(A, b).tobytes() == lapack.tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_row_norm_matches_its_row_wise_formula(self, dim):
+        # the norm takes each row's largest entry over the columns of the
+        # transpose; its bits must be those of the row-wise maximum
+        from sdepca.integrators import _row_norm
+
+        rng = np.random.default_rng(dim)
+        res = rng.standard_normal((500, dim)) * 10.0 ** rng.uniform(-300, 300, (500, dim))
+        res[:4, 0] = [np.nan, np.inf, -np.inf, 0.0]
+        res[4] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.max(np.abs(res), axis=1)
+            unit = res / np.where(scale > 0.0, scale, 1.0)[:, None]
+            expected = np.fmin(scale * np.sqrt(np.add.reduce(unit * unit, axis=1)), np.inf)
+            assert _row_norm(res).tobytes() == expected.tobytes()
+
     def test_finite_difference_jacobian_path(self):
         problem = cubic_multiplicative(1.0, 1.0)
         x = solve_implicit(problem.drift, None, np.array([0.0]), 0.1, np.array([0.0]))
@@ -124,21 +140,27 @@ class TestSolveImplicit:
                 lambda x, y: np.full_like(x, np.nan), None, np.array([0.0]), 0.5, np.array([1.0])
             )
 
-    @pytest.mark.parametrize("max_iter", [4, None])  # None: the solver's own budget
+    # None: the solver's own budget of iterations or of halvings
+    @pytest.mark.parametrize(
+        "max_iter, max_halvings", [(4, None), (None, None), (None, 2)], ids=["4", "None", "halvings-2"]
+    )
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_batch_rows_match_solo_solves(self, dim, max_iter, monkeypatch):
+    def test_batch_rows_match_solo_solves(self, dim, max_iter, max_halvings, monkeypatch):
         # The batch solve evaluates every row in every Newton iteration and
-        # freezes the converged ones; each row must still come out exactly as
-        # when it is solved alone at its own step size, one of three in the
-        # batch's per-row column.  The rows converge at iteration 0, 1 or
-        # after several; overshoot and need halvings; start NaN; overflow;
-        # end at the rounding floor from 1e30; or, with a budget of 4
-        # iterations, run out and fail.
+        # every halving, and freezes the converged ones; each row must still
+        # come out exactly as when it is solved alone at its own step size,
+        # one of three in the batch's per-row column.  The rows converge at
+        # iteration 0, 1 or after several; overshoot and need halvings; start
+        # NaN; overflow; end at the rounding floor from 1e30; with a budget
+        # of 4 iterations, run out and fail; or, with a budget of 2 halvings,
+        # overshoot further than it can halve back and fail.
         from sdepca import integrators
         from sdepca.integrators import _fd_jacobian, _newton_batch
 
         if max_iter is not None:
             monkeypatch.setattr(integrators, "_NEWTON_MAX_ITER", max_iter)
+        if max_halvings is not None:
+            monkeypatch.setattr(integrators, "_MAX_HALVINGS", max_halvings)
 
         if dim == 1:
             problem = cubic_multiplicative(1.0, 1.0)
@@ -148,7 +170,7 @@ class TestSolveImplicit:
                 ([1.0 + 1e-9], [5.0]),  # one step
                 ([5.0], [0.0]),
                 ([-3.0], [2.0]),
-                ([0.0], [1e3]),  # the first step overshoots the root near 12.3
+                ([0.0], [1e3]),  # the first step overshoots the root near 12.3; 2 halvings fail
                 ([np.nan], [0.0]),
                 ([1e200], [0.0]),  # the cube overflows
                 ([1e4], [0.0]),
@@ -164,7 +186,7 @@ class TestSolveImplicit:
                 ([0.0, 0.0], [0.0, 0.0]),
                 ([1e-9, 0.0], [0.0, 0.0]),
                 ([3.0, -2.0], [0.0, 0.0]),
-                ([0.0, 0.0], [5e3, 0.0]),
+                ([0.0, 0.0], [5e3, 0.0]),  # 2 halvings fail
                 ([np.nan, 0.0], [0.0, 0.0]),
                 ([1e200, 0.0], [0.0, 0.0]),
                 ([1e3, 1e3], [0.0, 0.0]),
@@ -187,9 +209,11 @@ class TestSolveImplicit:
                 assert status[i] == 0, i
                 assert x[i].tobytes() == solo.tobytes(), i
         assert 0 in status and 2 in status
-        if max_iter == 4:
-            assert 1 in status  # some row ran out of iterations
-        else:
+        if max_iter == 4 or max_halvings == 2:
+            assert 1 in status  # some row ran out of iterations or of halvings
+        if max_halvings == 2:
+            assert status[4 if dim == 1 else 3] == 1  # the overshooting row
+        if max_iter is None:
             assert status[-1] == 0 and resnorm[-1] > 1e-12  # the 1e30 row, at its floor
 
 

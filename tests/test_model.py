@@ -66,6 +66,16 @@ class TestConditions:
         with pytest.raises(ValueError):
             DissipativityParams(1.0, 1.0, 1.0, f00_norm_sq=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["lambda1", "lambda2", "lambda3", "f00_norm_sq", "g00_norm_sq"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_constants_must_be_finite(self, field, value):
+        values = dict(lambda1=1.0, lambda2=1.0, lambda3=1.0, f00_norm_sq=0.0, g00_norm_sq=0.0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}"):
+            DissipativityParams(**values)
+
 
 class TestContractionRates:
     def test_weakly_coupled_scalar_case(self):
@@ -206,6 +216,24 @@ class TestProbe:
         problem = cubic_multiplicative(1.0, 1.0)
         with pytest.raises(ValueError, match="^the coefficients overflow on the ball of radius"):
             probe_dissipativity(problem, cubic_multiplicative_dissipativity(1.0, 1.0), 100, radius, seed=0)
+
+    @pytest.mark.parametrize(
+        "problem, constants, named",
+        [
+            (linear_additive(3.0, 1.0), (1e308, 1.0, 1e-9), "lambda1"),
+            (linear_additive(3.0, 1.0), (3.0, 1e308, 1e-9), "lambda2"),
+            (linear_additive(3.0, 1.0), (3.0, 1.0, 1e308), "lambda3"),
+            (cubic_multiplicative(1.0, 1.0), (1e308, 4.0, 2.0), "lambda1"),
+        ],
+        ids=["linear-lambda1", "linear-lambda2", "linear-lambda3", "cubic-lambda1"],
+    )
+    def test_constants_that_overflow_on_the_ball_are_named(self, problem, constants, named):
+        # finite coefficients: the constant times a squared distance overflows
+        with pytest.raises(
+            ValueError,
+            match=f"^the constants overflow on the ball of radius 5.0: a probe margin with {named} is",
+        ):
+            probe_dissipativity(problem, params(*constants), 100, 5.0, seed=0)
 
 
 class TestProblems:

@@ -563,6 +563,16 @@ class TestErgodicTrace:
                 [TestFunction.COS_ABS], 1,
             )
 
+    @pytest.mark.parametrize("start", [0.5, np.array(0.5)], ids=["float", "0-d"])
+    def test_a_scalar_is_one_start(self, start):
+        # these raised TypeError from len() of the initials
+        args = (cubic_multiplicative(1.0, 1.0), BeConfig(m=4))
+        rest = (2, 8, [TestFunction.COS_ABS], 1)
+        scalar = ergodic_mean_traces(*args, start, *rest)[TestFunction.COS_ABS]
+        listed = ergodic_mean_traces(*args, [0.5], *rest)[TestFunction.COS_ABS]
+        assert scalar.initials == [[0.5]]
+        assert json.dumps(scalar.as_dict()) == json.dumps(listed.as_dict())
+
     def test_a_step_that_is_not_dyadic_is_rejected_naming_m(self):
         with pytest.raises(ValueError, match="^the step 1/m for m = 10 must be a power of two"):
             ergodic_mean_traces(
