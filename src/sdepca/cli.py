@@ -373,7 +373,7 @@ def _cmd_contraction(cfg: dict) -> int:
 
 def _cmd_check(cfg: dict) -> int:
     problem, kwargs = _build_problem(cfg)
-    BeConfig(m=cfg["m"])  # m < 1 is an error also where no rate reads it
+    be = BeConfig(m=cfg["m"])  # m < 1 is an error also where no rate reads it
     defaults = default_dissipativity(cfg["problem"], **kwargs)
     overrides = {key: cfg[key] for key in ("lambda1", "lambda2", "lambda3") if cfg[key] is not None}
     params = dataclasses.replace(defaults, **overrides)
@@ -392,7 +392,7 @@ def _cmd_check(cfg: dict) -> int:
         "probe": probe.to_dict(),
     }
     if ergodic:
-        result["contraction_rates"] = dataclasses.asdict(contraction_rates(params, cfg["m"]))
+        result["contraction_rates"] = dataclasses.asdict(contraction_rates(params, be.m))
     if cfg["format"] == "json":
         path.write_text(json.dumps(result, indent=2) + "\n")
     else:

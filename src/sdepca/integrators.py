@@ -163,8 +163,7 @@ def _row_norm(res: np.ndarray) -> np.ndarray:
     if res.shape[1] == 1:
         norm = np.abs(res[:, 0])
         return np.fmin(norm, np.inf, out=norm)
-    # row maxima in one pass per column of the (d, n) transpose; exact in any order
-    scale = np.maximum.reduce(np.abs(res.T, order="C"))
+    scale = np.max(np.abs(res), axis=1)
     unit = res / np.where(scale > 0.0, scale, 1.0)[:, None]
     return np.fmin(scale * np.sqrt(np.add.reduce(unit * unit, axis=1)), np.inf)
 
@@ -223,10 +222,11 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
     residual norm is within ``_NEWTON_TOL``, or, when Newton can lower it
     no further, within its rounding floor (:func:`_rounding_floor`).
 
-    Each Newton iteration, and each halving of a step that did not lower a
-    row's residual, evaluates the whole batch; only the rows still above the
-    tolerance take the new iterate, so converged rows stay frozen, and a row
-    that cannot progress leaves the loop.  A row that leaves it above its
+    Each Newton iteration evaluates the whole batch, and each halving of a
+    step that did not lower a row's residual evaluates the rows it halves;
+    only the rows still above the tolerance take the new iterate, so
+    converged rows stay frozen, and a row that cannot progress leaves the
+    loop.  A row that leaves it above its
     rounding floor has failed and is NaN.  Every row's arithmetic is
     elementwise, so its iterates do not depend on the rest of the batch.
     The loop runs only for starts far from a closed-form root, such as the
@@ -254,15 +254,15 @@ def _newton_batch(drift, jac, y, delta, rhs, start=None):
         x_new = x - step
         r_new, rn_new = _residual(drift, x_new, y, delta, rhs)
         # an active row whose residual did not fall halves its step; each
-        # pass evaluates the whole batch, every row at its own scale
+        # pass evaluates only the rows it halves, every row at its own scale
         scale = np.ones((n, 1))
         for _ in range(_MAX_HALVINGS):
-            halve = active & (rn_new >= rnorm)
-            if not halve.any():
+            halve = np.flatnonzero(active & (rn_new >= rnorm))
+            if not halve.size:
                 break
             scale[halve] *= 0.5
-            x_new = x - scale * step
-            r_new, rn_new = _residual(drift, x_new, y, delta, rhs)
+            x_new[halve] = x[halve] - scale[halve] * step[halve]
+            r_new[halve], rn_new[halve] = _residual(drift, x_new[halve], y[halve], delta[halve], rhs[halve])
         take = active & (rn_new < rnorm)
         # an active row that made no progress leaves the loop
         np.copyto(open_rows, take, where=active)

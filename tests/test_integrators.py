@@ -100,22 +100,6 @@ class TestSolveImplicit:
         lapack = np.linalg.solve(A, b[..., None])[..., 0]
         assert _solve_rows(A, b).tobytes() == lapack.tobytes()
 
-    @pytest.mark.parametrize("dim", [2, 3, 9])
-    def test_row_norm_matches_its_row_wise_formula(self, dim):
-        # the norm takes each row's largest entry over the columns of the
-        # transpose; its bits must be those of the row-wise maximum
-        from sdepca.integrators import _row_norm
-
-        rng = np.random.default_rng(dim)
-        res = rng.standard_normal((500, dim)) * 10.0 ** rng.uniform(-300, 300, (500, dim))
-        res[:4, 0] = [np.nan, np.inf, -np.inf, 0.0]
-        res[4] = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.max(np.abs(res), axis=1)
-            unit = res / np.where(scale > 0.0, scale, 1.0)[:, None]
-            expected = np.fmin(scale * np.sqrt(np.add.reduce(unit * unit, axis=1)), np.inf)
-            assert _row_norm(res).tobytes() == expected.tobytes()
-
     def test_finite_difference_jacobian_path(self):
         problem = cubic_multiplicative(1.0, 1.0)
         x = solve_implicit(problem.drift, None, np.array([0.0]), 0.1, np.array([0.0]))
@@ -146,14 +130,14 @@ class TestSolveImplicit:
     )
     @pytest.mark.parametrize("dim", [1, 2])
     def test_batch_rows_match_solo_solves(self, dim, max_iter, max_halvings, monkeypatch):
-        # The batch solve evaluates every row in every Newton iteration and
-        # every halving, and freezes the converged ones; each row must still
-        # come out exactly as when it is solved alone at its own step size,
-        # one of three in the batch's per-row column.  The rows converge at
-        # iteration 0, 1 or after several; overshoot and need halvings; start
-        # NaN; overflow; end at the rounding floor from 1e30; with a budget
-        # of 4 iterations, run out and fail; or, with a budget of 2 halvings,
-        # overshoot further than it can halve back and fail.
+        # The batch solve evaluates every row in every Newton iteration, and
+        # in each halving the rows it halves, and freezes the converged ones;
+        # each row must still come out exactly as when it is solved alone at
+        # its own step size, one of three in the batch's per-row column.  The
+        # rows converge at iteration 0, 1 or after several; overshoot and need
+        # halvings; start NaN; overflow; end at the rounding floor from 1e30;
+        # with a budget of 4 iterations, run out and fail; or, with a budget
+        # of 2 halvings, overshoot further than it can halve back and fail.
         from sdepca import integrators
         from sdepca.integrators import _fd_jacobian, _newton_batch
 
@@ -215,6 +199,28 @@ class TestSolveImplicit:
             assert status[4 if dim == 1 else 3] == 1  # the overshooting row
         if max_iter is None:
             assert status[-1] == 0 and resnorm[-1] > 1e-12  # the 1e30 row, at its floor
+
+    def test_halvings_evaluate_only_the_rows_they_halve(self, monkeypatch):
+        # One row of 51 overshoots its root and halves its step; each halving
+        # must evaluate that row alone, not the 50 rows converged at x = 0
+        from sdepca import integrators
+
+        problem = cubic_multiplicative(1.0, 1.0)
+        sizes = []
+        residual = integrators._residual
+
+        def counted(drift, x, *args):
+            sizes.append(len(x))
+            return residual(drift, x, *args)
+
+        monkeypatch.setattr(integrators, "_residual", counted)
+        y = np.zeros((51, 1))
+        y[-1] = 1e3
+        _, status, _ = integrators._newton_batch(
+            problem.drift, problem.drift_jacobian_x, y, np.full((51, 1), 0.125), np.zeros((51, 1))
+        )
+        assert not status.any()
+        assert set(sizes) == {51, 1}
 
 
 def linear_start_oracle(y, delta, rhs):
