@@ -225,20 +225,24 @@ def _build_problem(cfg: dict, name: str | None = None):
     return make_problem(name, **kwargs, **x0), kwargs
 
 
-def _check_writable(*paths: Path) -> None:
-    """Fail before any run if a file of ``paths`` is a directory or its directory is missing."""
+def _check_writable(*paths: str | Path) -> None:
+    """Fail before any run if a file of ``paths`` is a directory, named with a
+    trailing separator as given, or its directory is missing."""
     for path in paths:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if not path.parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        text = os.fspath(path)
+        if text.endswith(("/", os.sep)) or Path(text).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), text)
+        if not Path(text).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), text)
 
 
 def _output_path(cfg: dict, command: str, suffix: str = "") -> Path:
     """``--output`` or ``sdepca_<command>.<format>``, with ``_<suffix>`` after its stem, checked."""
-    base = Path(cfg["output"] or f"sdepca_{command}.{cfg.get('format', 'csv')}")
+    text = cfg["output"] or f"sdepca_{command}.{cfg.get('format', 'csv')}"
+    _check_writable(text)
+    base = Path(text)
     path = base.with_name(f"{base.stem}_{suffix}{base.suffix}") if suffix else base
-    _check_writable(base, path)
+    _check_writable(path)
     return path
 
 
@@ -425,7 +429,7 @@ def _cmd_simulate(cfg: dict) -> int:
         fine_step = be.delta
     path = _output_path(cfg, "simulate")
     if cfg["dump_path"]:
-        _check_writable(Path(cfg["dump_path"]))
+        _check_writable(cfg["dump_path"])
     try:
         grid = generate_path(
             cfg["master_seed"], cfg["path_index"], float(cfg["K"]), fine_step, problem.dim_noise

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -115,19 +115,12 @@ class Trajectory:
 
 @dataclass
 class BatchRun:
-    """Result of advancing a batch of paths; failed rows are NaN and listed."""
+    """A batch run's block anchors (K+1, n_paths, d), its states at every step
+    or None, and its failed rows, NaN from then on, as (row, k, l, kind)."""
 
-    finals: np.ndarray
-    anchors: Optional[np.ndarray] = None
-    states: Optional[np.ndarray] = None
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> np.ndarray:
-        mask = np.ones(self.finals.shape[0], dtype=bool)
-        for row, _, _, _ in self.failures:
-            mask[row] = False
-        return mask
+    anchors: np.ndarray
+    states: Optional[np.ndarray]
+    failures: list
 
 
 def _batch_coefficients(problem: SdepcaProblem):
@@ -367,26 +360,27 @@ class Lane:
     the problem's initial state.
     Several starts on the same noise are several lanes, which share each
     tick's implicit solve.
-    ``record`` selects what the lane's :class:`BatchRun` keeps: "final",
-    "anchors" or "full".
+    Every lane's :class:`BatchRun` keeps its block anchors; ``record``
+    "full" keeps every step's states too.
     """
 
     scheme: Union[str, Callable]
     factor: int = 1
     x0: Optional[np.ndarray] = None
-    record: str = "final"
+    record: str = "anchors"
 
     def __post_init__(self) -> None:
         if not isinstance(self.scheme, BlockMap) and self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.record not in ("final", "anchors", "full"):
+        if self.record not in ("anchors", "full"):
             raise ValueError(f"unknown record mode {self.record!r}")
         if int(self.factor) != self.factor or self.factor < 1:
             raise ValueError(f"factor must be a positive integer, got {self.factor}")
 
 
 class _LaneRun:
-    """A lane's rows, step size and records during :func:`run_lanes`."""
+    """A lane's rows lo..hi-1 of the runner's states, its step size and its
+    records during :func:`run_lanes`."""
 
     def __init__(self, lane: Lane, x0, n_paths: int, m: int, K: int):
         self.lane = lane
@@ -398,20 +392,13 @@ class _LaneRun:
         x0 = np.asarray(x0, dtype=float)
         d = x0.shape[-1]
         self.x0 = np.broadcast_to(x0, (n_paths, d))
-        self.anchors = self.states = None
-        if lane.record == "anchors":
-            self.anchors = np.full((K + 1, n_paths, d), np.nan)
-            self.anchors[0] = self.x0
-        elif lane.record == "full":
+        self.anchors = np.full((K + 1, n_paths, d), np.nan)
+        self.anchors[0] = self.x0
+        self.states = None
+        if lane.record == "full":
             self.states = np.full((n_paths, K * self.steps + 1, d), np.nan)
             self.states[:, 0] = self.x0
         self.failures: list[tuple[int, int, int, str]] = []
-        # a stepping lane's states are the rows lo..hi-1 of the runner's; a
-        # map lane keeps its own
-        self.lo = self.hi = 0
-        if self.maps:
-            self.x = self.x0.copy()
-            self.alive = np.ones(n_paths, dtype=bool)
 
     def increments(self, piece: np.ndarray) -> np.ndarray:
         """The lane's increments (s / factor, n_paths, r), coarsened from the
@@ -424,16 +411,6 @@ class _LaneRun:
         # contiguous fine rows
         flat = coarsen_array(piece.reshape(s, n_paths * r), self.factor)
         return flat.reshape(s // self.factor, n_paths, r)
-
-    def end_block(self, x: np.ndarray, k: int) -> None:
-        """Keep the states ``x`` at the end of block k."""
-        if self.states is not None:
-            self.states[:, (k + 1) * self.steps] = x
-        if self.anchors is not None:
-            self.anchors[k + 1] = x
-
-    def result(self, finals: np.ndarray) -> BatchRun:
-        return BatchRun(finals, self.anchors, self.states, self.failures)
 
 
 def _kick(diffusion, x, y, dB):
@@ -472,7 +449,8 @@ def run_lanes(
     lane run alone on the coarsened lattice, whatever the pieces.  Each
     piece, and the lanes' coarsened copies of it, are released before the
     next piece is taken.
-    Returns one :class:`BatchRun` per lane, in the order of ``lanes``.
+    Returns one :class:`BatchRun` per lane, in the order of ``lanes``, with
+    the lane's block anchors and, for a "full" lane, every step's states.
 
     The stepping lanes are laid out as consecutive rows ordered by factor;
     each factor must divide the next.  The lanes that step at fine tick t
@@ -481,10 +459,11 @@ def run_lanes(
     ``implicit_start`` when it has one, staged at each block's start on
     each prefix that some tick solves.  Explicit Euler has no solve to
     share, so "em" lanes do not run beside implicit ones.  The anchors are
-    frozen at each block's start.  A map lane folds each piece and advances
-    at the end of each block.  A row whose state, coefficient or
-    implicit solve goes bad is NaN from then on, and its lane records
-    (row, k, l, kind) with the lane's own block and step.
+    frozen at each block's start.  The map lanes' rows follow; a map lane
+    folds each piece and advances its rows at the end of each block.  A row
+    whose state, coefficient or implicit solve goes bad is NaN from then on,
+    and its lane records (row, k, l, kind) once, with the lane's own block
+    and step, 0 for a map lane.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -505,18 +484,30 @@ def run_lanes(
     if len(explicit) > 1:
         raise ValueError("explicit Euler lanes cannot share a run with implicit lanes")
 
-    row = 0
-    for run in stepped:
-        run.lo, run.hi = row, row + n_paths
-        row = run.hi
+    # the stepping lanes' rows come first, the map lanes' after them
+    ordered = stepped + mapped
+    for i, run in enumerate(ordered):
+        run.lo, run.hi = i * n_paths, (i + 1) * n_paths
+    x = np.concatenate([run.x0 for run in ordered])
+    delta = np.concatenate([np.full((n_paths, 1), 1.0 / run.steps) for run in ordered])
+    alive = np.ones(len(x), dtype=bool)
+    ends = np.array([run.hi for run in ordered])
     if stepped:
         drift, diffusion, jac = _batch_coefficients(problem)
-        x = np.concatenate([run.x0 for run in stepped])
-        delta = np.concatenate([np.full((n_paths, 1), 1.0 / run.steps) for run in stepped])
-    else:  # map lanes only
-        x = delta = np.empty((0, 1))
-    alive = np.ones(row, dtype=bool)
-    ends = np.array([run.hi for run in stepped])
+
+    def drop_failed(lo: int, x_new: np.ndarray, k: int, steps=(), status=None) -> None:
+        """Record each newly non-finite row of ``x_new``, the rows from ``lo``,
+        in its lane at its step (0 on a map lane), and keep failed rows NaN."""
+        live = alive[lo : lo + len(x_new)]
+        bad = ~np.isfinite(x_new).all(axis=1)  # a failed solve leaves its row NaN
+        for i in np.flatnonzero(bad & live):
+            lane = int(np.searchsorted(ends, lo + i, side="right"))
+            run = ordered[lane]
+            code = 0 if status is None else int(status[i])
+            l = steps[lane] if lane < len(steps) else 0
+            run.failures.append((lo + int(i) - run.lo, k, l, _KINDS[code or _STATUS_NON_FINITE]))
+        live &= ~bad
+        x_new[~live] = np.nan
 
     ticks = []
     for t in range(m):
@@ -581,14 +572,7 @@ def run_lanes(
                         x_new[s] += _kick(diffusion, x_new[s], ya[s], dB[s])
             if np.count_nonzero(status) or scan and not np.isfinite(x_new).all():
                 # a row that solved but went non-finite is recorded as "nonfinite"
-                bad = (status != _STATUS_OK) | ~np.isfinite(x_new).all(axis=1)
-                for i in np.flatnonzero(bad & alive[:stop]):
-                    lane = int(np.searchsorted(ends, i, side="right"))
-                    run = stepped[lane]
-                    kind = _KINDS[int(status[i]) or _STATUS_NON_FINITE]
-                    run.failures.append((int(i) - run.lo, k, steps[lane], kind))
-                alive[:stop] &= ~bad
-                x_new[~alive[:stop]] = np.nan
+                drop_failed(0, x_new, k, steps, status)
             x[:stop] = x_new
             for i in full:
                 run = stepped[i]
@@ -599,15 +583,13 @@ def run_lanes(
     def end_block(k: int) -> None:
         """Finish the map lanes and keep every lane's states at the end of block k."""
         for run in mapped:
-            x_map = run.lane.scheme.finish(run.x, run.carry)
-            bad = ~np.isfinite(x_map).all(axis=1)
-            for i in np.flatnonzero(bad & run.alive):
-                run.failures.append((int(i), k, 0, "nonfinite"))
-            run.alive &= ~bad
-            x_map[~run.alive] = np.nan
-            run.x = x_map
+            x_map = run.lane.scheme.finish(x[run.lo : run.hi], run.carry)
+            drop_failed(run.lo, x_map, k)
+            x[run.lo : run.hi] = x_map
         for run in runs:
-            run.end_block(run.x if run.maps else x[run.lo : run.hi], k)
+            run.anchors[k + 1] = x[run.lo : run.hi]
+            if run.states is not None:
+                run.states[:, (k + 1) * run.steps] = x[run.lo : run.hi]
 
     pieces = iter(pieces)
     rest = None  # what block k has not taken of the last piece
@@ -618,7 +600,7 @@ def run_lanes(
                 for j, (stop, *_) in levels.items():
                     starts[j] = stage(y[:stop], delta[:stop])
             for run in mapped:
-                run.carry = np.zeros_like(run.x)
+                run.carry = np.zeros_like(x[run.lo : run.hi])
             start = 0
             while start < m:
                 if rest is None:
@@ -632,7 +614,7 @@ def run_lanes(
                 del piece  # with rest, freed before the next piece is drawn
             end_block(k)
 
-    return [run.result(run.x if run.maps else x[run.lo : run.hi].copy()) for run in runs]
+    return [BatchRun(run.anchors, run.states, run.failures) for run in runs]
 
 
 def run_scheme_batch(
@@ -648,8 +630,8 @@ def run_scheme_batch(
 
     ``increments`` has shape (n_paths, >= K*m, r) at step size 1/m; ``x0`` is
     one start (d,) shared by all rows or per-row starts (n_paths, d).
-    ``record`` selects what is kept: "final", "anchors" (shape
-    (K+1, n_paths, d)) or "full" ((n_paths, K*m+1, d)).  A row whose state,
+    The run keeps the block anchors (K+1, n_paths, d), and with ``record``
+    "full" every step's states (n_paths, K*m+1, d) too.  A row whose state,
     coefficient or implicit solve goes bad is frozen at NaN and reported in
     ``failures`` as (row, k, l, kind); the other rows continue unaffected.
     This is :func:`run_lanes` with one lane.

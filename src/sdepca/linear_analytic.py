@@ -185,4 +185,4 @@ def exact_finals_batch(
     npu = steps_per_unit(fine_step)
     lane = Lane(exact_map(params), x0=[params.x0])
     (run,) = run_lanes(None, [lane], [increments.T[:, :, None]], increments.shape[0], npu, K)
-    return run.finals[:, 0]
+    return run.anchors[-1, :, 0]

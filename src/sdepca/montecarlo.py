@@ -211,9 +211,8 @@ def _lane_worker(
     Each path's increments are regenerated from ``(master_seed, path_index)``
     as one stream of step-major pieces, each holding whole steps of the
     widest lane, which the runner cuts at the ends of the unit blocks.
-    Returns each lane's block anchors (K+1, hi-lo, d) if it records them,
-    else its finals (hi-lo, d), and the run's failure records
-    ``(lane, path, k, l, kind)``, lane by lane.
+    Returns each lane's block anchors (K+1, hi-lo, d) and the run's failure
+    records ``(lane, path, k, l, kind)``, lane by lane.
     """
     widest = max(lane.factor for lane in lanes)
     m = steps_per_unit(fine_step)
@@ -222,7 +221,7 @@ def _lane_worker(
     records = [
         (i, lo + row, k, l, kind) for i, run in enumerate(runs) for row, k, l, kind in run.failures
     ]
-    return [run.finals if run.anchors is None else run.anchors for run in runs], records
+    return [run.anchors for run in runs], records
 
 
 def _run_lanes_in_spans(
@@ -282,7 +281,7 @@ def _chain_anchors(
     if not np.all(np.isfinite(starts)):
         raise ValueError("initial values must be finite")
     steps_per_unit(cfg.delta, f"the step 1/m for m = {cfg.m}")
-    lanes = [Lane("be", x0=start, record="anchors") for start in starts]
+    lanes = [Lane("be", x0=start) for start in starts]
     anchors, records = _run_lanes_in_spans(
         problem, lanes, K, cfg.delta, master_seed, n_paths, n_workers
     )
@@ -441,10 +440,11 @@ def estimate_weak_errors(
     simulated endpoints.
     A :class:`Reference` of two lanes also runs at twice the fine step, and
     its extrapolated values stand for E phi(X(T)) in ``mean_gaps``.  Paths
-    that fail anywhere are dropped pairwise across all step sizes, within
-    the failure budget of :func:`_count_failed`.  A BE lane's records carry
-    its step size ``delta``; a reference lane's carry its own step (1 for a
-    lane that maps whole blocks) and ``"reference": True``.
+    that fail anywhere, or on which a test function is not finite, are
+    dropped pairwise across all step sizes from that function's report,
+    within the failure budget of :func:`_count_failed`.  A BE lane's records
+    carry its step size ``delta``; a reference lane's carry its own step (1
+    for a lane that maps whole blocks) and ``"reference": True``.
 
     A span is one worker's share of the paths, ``ceil(n_paths / n_workers)``,
     capped so that the piece of noise it holds stays within 4 MiB: 2048 paths
@@ -484,31 +484,30 @@ def estimate_weak_errors(
         for lane in reference.lanes
     ] + [{"delta": delta} for delta in deltas]
     # the reference's endpoints (its lanes), then BE's at each step size
-    finals, records = _run_lanes_in_spans(
+    anchors, records = _run_lanes_in_spans(
         problem, lanes, T, fine_step, master_seed, n_paths, n_workers
     )
-    finals = np.stack(finals)
+    finals = np.stack([lane_anchors[-1] for lane_anchors in anchors])
     failure_log = [
         {"path": path, **marks[lane], "k": k, "l": l, "kind": kind}
         for lane, path, k, l, kind in records
     ]
-    ref_finals = finals[0]
-    ref_coarse = finals[1] if extrapolated else None
-    num_finals = finals[n_ref:]
     ok = np.all(np.isfinite(finals), axis=(0, 2))
-    n_failed = _count_failed(ok, failure_log)
 
     reports: dict[TestFunction, WeakErrorReport] = {}
     for phi in phis:
-        pr = phi(ref_finals[ok])
-        target = 2.0 * pr - phi(ref_coarse[ok]) if extrapolated else pr
+        # a huge state can overflow phi; _count_failed counts such a path as
+        # failed for this phi
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = phi(finals)
+        phi_ok = ok & np.all(np.isfinite(values), axis=0)
+        n_failed = _count_failed(phi_ok, failure_log)
+        values = values[:, phi_ok]
+        pr = values[0]
+        target = 2.0 * pr - values[1] if extrapolated else pr
         mean_ref = _kahan_mean(target)
-        errors = []
-        half_widths = []
-        mean_gaps = []
-        mean_gap_half_widths = []
-        for j in range(n_deltas):
-            pn = phi(num_finals[j, ok])
+        errors, half_widths, mean_gaps, mean_gap_half_widths = [], [], [], []
+        for pn in values[n_ref:]:
             mean, se = _mean_se(np.abs(pr - pn))
             errors.append(mean)
             half_widths.append(_Z95 * se)

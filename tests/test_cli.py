@@ -180,6 +180,15 @@ class TestValidation:
             # only the contraction rates read m, and they run only when the
             # ergodicity condition holds; this exited 0
             (["check", "--lambda1", "1", "--m", "0"], "m must be a positive integer, got 0"),
+            # a trailing separator names a directory: these wrote a file
+            # newdir and files sub_<phi>, "." failed on its empty name, and
+            # the dump path failed only once the noise was drawn
+            (["moments", "--output", "newdir/"], "detail=[Errno 21] Is a directory: 'newdir/'"),
+            (["weak-order", "--n-paths", "20", "--T", "1", "--output", "sub/"],
+             "detail=[Errno 21] Is a directory: 'sub/'"),
+            (["weak-order", "--n-paths", "20", "--T", "1", "--output", "."],
+             "detail=[Errno 21] Is a directory: '.'"),
+            (["simulate", "--K", "1", "--dump-path", "dump/"], "detail=[Errno 21] Is a directory: 'dump/'"),
         ],
         ids=["moments-x0", "moments-theta2", "moments-theta1", "check-nan", "check-inf",
              "contraction-x", "contraction-y", "ergodicity-initial", "weak-order-subnormal",
@@ -191,10 +200,15 @@ class TestValidation:
              "moments-grid-step-0", "check-probe-overflow", "simulate-m3",
              "weak-order-repeated-phi", "ergodicity-repeated-phi", "check-lambda1-inf",
              "check-lambda2-inf", "check-lambda3-overflow", "check-cubic-lambda1-overflow",
-             "check-m0-not-ergodic"],
+             "check-m0-not-ergodic", "moments-output-slash", "weak-order-output-slash",
+             "weak-order-output-dot", "simulate-dump-path-slash"],
     )
-    def test_bad_input_is_exit_2_and_writes_nothing(self, tmp_path, capsys, args, message):
-        code = run_cli(*args, "--output", str(tmp_path / "out"))
+    def test_bad_input_is_exit_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, args, message):
+        # relative paths name files in tmp_path, and "." names tmp_path
+        monkeypatch.chdir(tmp_path)
+        if "--output" not in args:
+            args = [*args, "--output", str(tmp_path / "out")]
+        code = run_cli(*args)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error_code=invalid_config")
@@ -499,6 +513,24 @@ class TestOptions:
         err = capsys.readouterr().err
         assert err.startswith("error_code=numerical_failure")
         assert "20 path failures out of 20 exceed the budget" in err
+
+    def test_weak_order_whose_test_function_overflows_is_exit_3(self, tmp_path, capsys):
+        # every path's endpoint is finite, but |x|^2 overflows and sin_sq is
+        # NaN; this exited 0 with a report of NaN errors and n_failed 0
+        code = run_cli(
+            "weak-order",
+            "--problem", "linear-additive",
+            "--x0", "1e300",
+            "--n-paths", "20",
+            "--T", "1",
+            "--format", "json",
+            "--output", str(tmp_path / "w.json"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error_code=numerical_failure")
+        assert "20 path failures out of 20 exceed the budget" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_ergodicity_with_every_path_failed_is_exit_3(self, tmp_path, capsys):
         code = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sdepca.brownian import BrownianGrid, coarsen_array, generate_path
 from sdepca.integrators import (
     BeConfig,
+    BlockMap,
     Lane,
     NonConvergenceError,
     NonFiniteError,
@@ -29,6 +30,13 @@ from sdepca.problems import cubic_multiplicative, linear_additive
 def zero_noise_grid(horizon, fine_step):
     n = int(round(horizon / fine_step))
     return BrownianGrid(fine_step=fine_step, increments=np.zeros((n, 1)), path_index=0)
+
+
+def ok_rows(run):
+    """Mask of the rows of a batch run that have no failure record."""
+    ok = np.ones(run.anchors.shape[1], dtype=bool)
+    ok[[row for row, _, _, _ in run.failures]] = False
+    return ok
 
 
 def bisect_oracle(residual, lo, hi, tol=1e-13):
@@ -308,7 +316,7 @@ class TestImplicitStart:
             assert 0 < len(staged) <= levels * K
             plain = run_lanes(problem, lanes, [fine.swapaxes(0, 1)], n, m, K)
             for run, ref in zip(runs, plain):
-                assert run.finals.tobytes() == ref.finals.tobytes()
+                assert run.anchors[-1].tobytes() == ref.anchors[-1].tobytes()
 
     def test_rows_the_right_hand_side_solves_return_a_copy(self):
         from sdepca.integrators import _newton_batch
@@ -613,16 +621,12 @@ class TestSimulateSsbe:
         incs = np.stack(
             [generate_path(31, i, 1.0, 2.0**-11, 1).increments for i in range(200)]
         )
-        fine = run_scheme_batch(
-            "ssbe", problem, BeConfig(m=2**11), incs, problem.initial_state, 1, record="final"
-        )
+        fine = run_scheme_batch("ssbe", problem, BeConfig(m=2**11), incs, problem.initial_state, 1)
         diffs = {}
         for m in (2**7, 2**9):
             coarse = coarsen_array(incs, 2**11 // m)
-            run = run_scheme_batch(
-                "ssbe", problem, BeConfig(m=m), coarse, problem.initial_state, 1, record="final"
-            )
-            diffs[m] = float(np.abs(fine.finals[:, 0] - run.finals[:, 0]).mean())
+            run = run_scheme_batch("ssbe", problem, BeConfig(m=m), coarse, problem.initial_state, 1)
+            diffs[m] = float(np.abs(fine.anchors[-1, :, 0] - run.anchors[-1, :, 0]).mean())
         assert diffs[2**9] < diffs[2**7]
         assert diffs[2**9] < 0.02
 
@@ -640,10 +644,10 @@ class TestBatchEngine:
         cfg = BeConfig(m=8)
         grids = [generate_path(13, i, 3.0, 2.0**-3, 1) for i in range(5)]
         increments = np.stack([g.increments for g in grids])
-        run = run_scheme_batch("be", problem, cfg, increments, problem.initial_state, 3, record="final")
+        run = run_scheme_batch("be", problem, cfg, increments, problem.initial_state, 3)
         for i, grid in enumerate(grids):
             solo = simulate("be", problem, cfg, grid, 3)
-            assert run.finals[i, 0] == solo.states[-1, 0]
+            assert run.anchors[-1, i, 0] == solo.states[-1, 0]
 
     def test_failures_are_isolated(self):
         # explicit Euler: |x0| = 10 overflows the cubic, x0 = 0.1 is stable
@@ -651,11 +655,11 @@ class TestBatchEngine:
         cfg = BeConfig(m=8)
         increments = np.zeros((3, 32, 1))
         x0 = np.array([[10.0], [0.1], [-10.0]])
-        run = run_scheme_batch("em", problem, cfg, increments, x0, 4, record="final")
+        run = run_scheme_batch("em", problem, cfg, increments, x0, 4)
         failed_rows = {row for row, _, _, _ in run.failures}
         assert failed_rows == {0, 2}
-        assert np.isfinite(run.finals[1, 0])
-        assert run.ok.tolist() == [False, True, False]
+        assert np.isfinite(run.anchors[-1, 1, 0])
+        assert ok_rows(run).tolist() == [False, True, False]
 
     def test_survivors_of_a_partly_failed_batch_match_solo_runs(self):
         problem = cubic_multiplicative(1.0, 1.0)
@@ -664,7 +668,7 @@ class TestBatchEngine:
         x0 = np.array([[2.0], [np.nan], [-1.5], [0.5]])
         for scheme in ("be", "ssbe"):
             run = run_scheme_batch(scheme, problem, cfg, increments, x0, 3, record="full")
-            assert run.ok.tolist() == [True, False, True, True]
+            assert ok_rows(run).tolist() == [True, False, True, True]
             for i in (0, 2, 3):
                 solo = run_scheme_batch(scheme, problem, cfg, increments[i : i + 1], x0[i], 3, record="full")
                 assert run.states[i].tobytes() == solo.states[0].tobytes()
@@ -708,9 +712,9 @@ class TestBatchEngine:
         runs = run_lanes(problem, lanes, [increments.swapaxes(0, 1)], n, cfg.m, K)
         for start, run in zip(x0, runs):
             solo = run_scheme_batch(scheme, problem, cfg, increments, start, K, record=record)
-            assert run.ok.tolist() == solo.ok.tolist()
-            for i in np.flatnonzero(solo.ok):
-                assert run.finals[i].tobytes() == solo.finals[i].tobytes()
+            assert ok_rows(run).tolist() == ok_rows(solo).tolist()
+            for i in np.flatnonzero(ok_rows(solo)):
+                assert run.anchors[-1, i].tobytes() == solo.anchors[-1, i].tobytes()
                 if record == "full":
                     assert run.states[i].tobytes() == solo.states[i].tobytes()
                 else:
@@ -718,8 +722,8 @@ class TestBatchEngine:
             # failures carry the lane's own row indices, in step order
             assert run.failures == solo.failures
             assert [f[1:3] for f in run.failures] == sorted(f[1:3] for f in run.failures)
-        assert not runs[1].ok.any()
-        assert runs[2].ok.tolist() == [True, False, True, False, True]
+        assert not ok_rows(runs[1]).any()
+        assert ok_rows(runs[2]).tolist() == [True, False, True, False, True]
 
     def test_anchor_record_shape(self):
         problem = linear_additive(3.0, 1.0)
@@ -766,7 +770,7 @@ class TestLaneRunner:
             solo = run_scheme_batch(
                 lane.scheme, problem, BeConfig(m=m // lane.factor), coarse, x0, K, lane.record
             )
-            assert run.finals.tobytes() == solo.finals.tobytes()
+            assert run.anchors[-1].tobytes() == solo.anchors[-1].tobytes()
             for kept in ("anchors", "states"):
                 assert np.asarray(getattr(run, kept)).tobytes() == np.asarray(getattr(solo, kept)).tobytes()
             # failures at the lane's own (k, l), not at the fine tick
@@ -807,7 +811,7 @@ class TestLaneRunner:
         ]:
             runs = run_lanes(problem, lanes, cut(*bounds), n, m, K)
             for run, ref in zip(runs, whole):
-                assert run.finals.tobytes() == ref.finals.tobytes()
+                assert run.anchors[-1].tobytes() == ref.anchors[-1].tobytes()
                 for kept in ("anchors", "states"):
                     assert np.asarray(getattr(run, kept)).tobytes() == np.asarray(getattr(ref, kept)).tobytes()
                 assert run.failures == ref.failures
@@ -842,11 +846,40 @@ class TestLaneRunner:
         assert be.failures == [(1, 1, 1, "nonfinite")]
         assert ssbe.failures == [(1, 1, 0, "nonfinite")]
         for run in (be, ssbe):
-            assert run.ok.tolist() == [True, False, True]
-            assert np.isfinite(run.finals[[0, 2]]).all() and np.isnan(run.finals[1]).all()
+            assert ok_rows(run).tolist() == [True, False, True]
+            assert np.isfinite(run.anchors[-1, [0, 2]]).all() and np.isnan(run.anchors[-1, 1]).all()
         coarse = coarsen_array(fine.swapaxes(0, 1), 2)
         solo = run_scheme_batch("ssbe", problem, BeConfig(m=m // 2), coarse, [1.0], K)
         assert solo.failures == ssbe.failures
+
+    def test_a_map_lane_that_overflows_records_each_row_once(self):
+        # a map whose block end overflows from huge starts and would turn a
+        # non-finite state back into 0, beside a BE lane on the same noise:
+        # row 3 overflows at block 0 and row 1 at block 1; each is recorded
+        # once, at step 0, and stays NaN
+        overflowing = BlockMap(
+            fold=lambda carry, piece, h: carry + 0.1 * piece.sum(axis=0),
+            finish=lambda x, carry: np.where(np.isfinite(x), 0.5 * x * np.abs(x) + carry, 0.0),
+        )
+        problem = cubic_multiplicative(1.0, 1.0)
+        m, K, n = 4, 3, 5
+        fine = np.stack([generate_path(9, i, 3.0, 1.0 / m, 1).increments for i in range(n)])
+        steps = fine.swapaxes(0, 1)
+        x0 = np.array([[0.5], [1e120], [-0.3], [-1e200], [0.1]])
+        lanes = [Lane("be", record="anchors"), Lane(overflowing, x0=x0, record="anchors")]
+        be, mapped = run_lanes(problem, lanes, [steps], n, m, K)
+        assert mapped.failures == [(3, 0, 0, "nonfinite"), (1, 1, 0, "nonfinite")]
+        assert np.isnan(mapped.anchors[1:, 3]).all() and np.isnan(mapped.anchors[2:, 1]).all()
+        assert np.isfinite(mapped.anchors[:2, 1]).all()
+        for i in (0, 2, 4):
+            (solo,) = run_lanes(
+                None, [Lane(overflowing, x0=x0[i], record="anchors")], [steps[:, i : i + 1]], 1, m, K
+            )
+            assert solo.failures == []
+            assert mapped.anchors[:, i].tobytes() == solo.anchors[:, 0].tobytes()
+        solo = run_scheme_batch("be", problem, BeConfig(m=m), fine, problem.initial_state, K)
+        assert be.anchors.tobytes() == solo.anchors.tobytes()
+        assert be.failures == solo.failures == []
 
     def test_a_stream_that_ends_early_is_rejected(self):
         problem = cubic_multiplicative(1.0, 1.0)
@@ -878,14 +911,14 @@ class TestLaneRunner:
         runs = run_lanes(problem, lanes, pieces(5, 4), n, m, K)
         assert taken == [0, 5, 10, 15]
         for run, ref in zip(runs, whole):
-            assert run.finals.tobytes() == ref.finals.tobytes()
+            assert run.anchors[-1].tobytes() == ref.anchors[-1].tobytes()
             assert np.asarray(run.states).tobytes() == np.asarray(ref.states).tobytes()
         taken.clear()
         run_lanes(problem, lanes, pieces(16, 1), n, m, K)
         assert taken == [0]
         taken.clear()
         for run in run_lanes(problem, lanes, pieces(5, 0), n, m, 0):
-            assert run.finals.tolist() == [[2.0]] * n
+            assert run.anchors[-1].tolist() == [[2.0]] * n
         assert taken == []
 
     def test_lanes_that_cannot_share_a_run_are_rejected(self):

@@ -56,7 +56,7 @@ def lane_finals(problem, lane, increments, fine_step, T):
     increments (n_paths, >= T/fine_step, r)."""
     m = round(1.0 / fine_step)
     pieces = [increments.swapaxes(0, 1)]
-    return run_lanes(problem, [lane], pieces, increments.shape[0], m, T)[0].finals
+    return run_lanes(problem, [lane], pieces, increments.shape[0], m, T)[0].anchors[-1]
 
 
 def nan_above(threshold):
@@ -266,6 +266,58 @@ class TestWeakError:
                 master_seed=5,
                 fine_step=2.0**-5,
             )
+
+    def test_a_test_function_that_overflows_everywhere_is_a_failure(self):
+        # from x0 = 1e300 every endpoint is near 5e298, where |x|^2
+        # overflows and sin(|x|^2) is NaN; this was a report of NaN errors
+        # with n_failed 0.  The paths' states are finite, so no path has a
+        # record of the run
+        params = LinearAdditiveParams(3.0, 1.0, 1e300)
+        problem = linear_additive(3.0, 1.0, x0=1e300)
+        with pytest.raises(MonteCarloFailure, match="^20 path failures out of 20 ") as info:
+            estimate_weak_errors(
+                problem,
+                linear_exact_reference(params),
+                [2.0**-3, 2.0**-4],
+                20,
+                1,
+                [TestFunction.SIN_SQ],
+                master_seed=5,
+                fine_step=2.0**-5,
+            )
+        assert info.value.failures == [{"path": p} for p in range(20)]
+
+    def test_a_test_function_that_overflows_fails_its_paths_for_it_alone(self):
+        # additive noise of 5.6e153 from 0: the endpoints are the noise
+        # scale times about N(0, 1), the largest 2.54 (path 145) and the
+        # next 2.23 over the lanes, so |x|^2 overflows past 1.34e154 on
+        # that one path.  There sin(|x|^2) is NaN and arctan(|x|) is pi/2:
+        # the path fails for sin_sq alone, within the budget of 1 in 1000
+        problem = SdepcaProblem(
+            dim_state=1,
+            dim_noise=1,
+            drift=lambda x, y: -x,
+            diffusion=lambda x, y: np.full(x.shape + (1,), 5.6e153),
+            drift_jacobian_x=lambda x, y: np.full(x.shape + (1,), -1.0),
+            initial_state=[0.0],
+        )
+        # arctan(|x|) is pi/2 on every path, so its errors are 0
+        with pytest.warns(UserWarning, match="slope undefined"):
+            reports = estimate_weak_errors(
+                problem,
+                ssbe_reference(problem),
+                [2.0**-3, 2.0**-4],
+                1000,
+                1,
+                [TestFunction.SIN_SQ, TestFunction.ATAN_ABS],
+                master_seed=5,
+                fine_step=2.0**-5,
+            )
+        assert reports[TestFunction.SIN_SQ].n_failed == 1
+        assert reports[TestFunction.ATAN_ABS].n_failed == 0
+        for report in reports.values():
+            values = report.errors + report.half_widths + report.mean_gaps + report.mean_gap_half_widths
+            assert np.isfinite(values).all()
 
     def test_failure_log_identical_across_workers(self):
         problem = nan_above(0.3)
@@ -748,7 +800,7 @@ def solo_anchors(problem, cfg, start, K, n_paths, master_seed):
             for i in range(n_paths)
         ]
     )
-    return run_scheme_batch("be", problem, cfg, incs, start, K, record="anchors").anchors
+    return run_scheme_batch("be", problem, cfg, incs, start, K).anchors
 
 
 def hand_means(values):
@@ -1059,7 +1111,7 @@ class TestReferences:
         lane = linear_exact_reference(LIN).lanes[0]
         pieces = np.array_split(incs.swapaxes(0, 1), [100, 256, 300], axis=0)
         (run,) = run_lanes(None, [lane], pieces, 3, 2**8, 2)
-        assert run.finals[:, 0].tolist() == exact_finals_batch(LIN, incs[:, :, 0], 2.0**-8, 2).tolist()
+        assert run.anchors[-1, :, 0].tolist() == exact_finals_batch(LIN, incs[:, :, 0], 2.0**-8, 2).tolist()
 
 
 class TestTracerContract:
