@@ -8,7 +8,6 @@ from .integrators import (
     BeConfig,
     NonConvergenceError,
     NonFiniteError,
-    Trajectory,
     be_mean_multiplier,
     be_step,
     simulate,

@@ -53,14 +53,6 @@ class BrownianGrid:
     increments: np.ndarray
     path_index: int
 
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def dim_noise(self) -> int:
-        return self.increments.shape[1]
-
 
 #: Generators that no live iterator of :func:`increment_pieces` holds.
 #: Philox is counter-based, so a used one set to counter 0, key
@@ -214,9 +206,8 @@ def coarsen_array(increments: np.ndarray, factor: int) -> np.ndarray:
 
 def write_path(grid: BrownianGrid, path: str | Path) -> None:
     """Dump a grid to the binary path format (little-endian f64 payload)."""
-    header = _DUMP_HEADER.pack(
-        _DUMP_MAGIC, _DUMP_VERSION, grid.fine_step, grid.n_steps, grid.dim_noise
-    )
+    n_steps, dim_noise = grid.increments.shape
+    header = _DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, grid.fine_step, n_steps, dim_noise)
     data = np.ascontiguousarray(grid.increments, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)

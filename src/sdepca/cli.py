@@ -438,10 +438,10 @@ def _cmd_simulate(cfg: dict) -> int:
         raise ValidationError(str(exc)) from None
     if cfg["dump_path"]:
         write_path(grid, cfg["dump_path"])
-    trajectory = simulate(cfg["scheme"], problem, be, grid, cfg["K"])
+    states = simulate(cfg["scheme"], problem, be, grid, cfg["K"])
     header = "t," + ",".join(f"x_{j}" for j in range(problem.dim_state))
-    write_csv(path, header, trajectory.times(), *trajectory.states.T)
-    print(f"simulate[{cfg['scheme']}]: {trajectory.states.shape[0]} states -> {path}")
+    write_csv(path, header, [n / be.m for n in range(len(states))], *states.T)
+    print(f"simulate[{cfg['scheme']}]: {len(states)} states -> {path}")
     return EXIT_OK
 
 

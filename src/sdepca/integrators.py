@@ -11,9 +11,9 @@ step size, and one damped Newton solve finds it, from the problem's
 ``implicit_start``, staged once per block, or else from the explicit part.
 
 Explicit Euler and split-step backward Euler are provided as references;
-:data:`SCHEMES` names all three.  A single path runs through
-:func:`simulate`, returning a :class:`Trajectory` of its states at the steps
-of 1/m.  Batches run through :func:`run_lanes`: a :class:`Lane` is one
+:data:`SCHEMES` names all three.  Every path runs through
+:func:`run_lanes`, a single one too: :func:`simulate` runs one lane and
+returns its states at the steps of 1/m.  A :class:`Lane` is one
 scheme at one coarsening of a fine step, over a batch of paths, and the
 runner advances any set of lanes one piece of fine noise at a time, cut at
 the ends of the unit blocks.  Lanes that step at the same fine tick share
@@ -92,25 +92,6 @@ class BeConfig:
     @property
     def delta(self) -> float:
         return 1.0 / self.m
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated path; ``states[n]`` approximates the state at t = n/m."""
-
-    states: np.ndarray
-    m: int
-
-    def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2 or states.shape[0] < 1:
-            raise ValueError("states must be a (n_steps+1, d) array")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("trajectory contains non-finite states")
-        object.__setattr__(self, "states", states)
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.states.shape[0]) / self.m
 
 
 @dataclass
@@ -442,13 +423,13 @@ def run_lanes(
     path, such as :func:`~sdepca.brownian.increment_pieces` draws, or one
     piece of a lattice already in memory.  The runner cuts them at the ends
     of the unit blocks and takes none past the K-th block's end.  Each
-    piece must hold whole steps of every stepping lane, and the pieces at
-    least K*m steps; a ``ValueError`` says when they do not.  A lane with
-    factor f steps at f/m, on the sums of each f consecutive increments of
-    a piece, which it coarsens itself; so its numbers equal those of the
-    lane run alone on the coarsened lattice, whatever the pieces.  Each
-    piece, and the lanes' coarsened copies of it, are released before the
-    next piece is taken.
+    piece must hold whole steps of every stepping lane and r = dim_noise
+    columns, and the pieces at least K*m steps; a ``ValueError`` says when
+    they do not.  A lane with factor f steps at f/m, on the sums of each f
+    consecutive increments of a piece, which it coarsens itself; so its
+    numbers equal those of the lane run alone on the coarsened lattice,
+    whatever the pieces.  Each piece, and the lanes' coarsened copies of it,
+    are released before the next piece is taken.
     Returns one :class:`BatchRun` per lane, in the order of ``lanes``, with
     the lane's block anchors and, for a "full" lane, every step's states.
 
@@ -607,6 +588,8 @@ def run_lanes(
                     rest = next(pieces, None)
                     if rest is None:
                         raise ValueError(f"the pieces hold {k * m + start} fine steps, not {K * m}")
+                    if stepped and rest.shape[2] != problem.dim_noise:
+                        raise ValueError(f"noise dimension mismatch: {rest.shape[2]} != {problem.dim_noise}")
                 piece = rest[: m - start]
                 rest = rest[m - start :] if len(rest) > len(piece) else None
                 advance(k, y, start, piece)
@@ -640,8 +623,6 @@ def run_scheme_batch(
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3:
         raise ValueError("increments must have shape (n_paths, n_steps, r)")
-    if increments.shape[2] != problem.dim_noise:
-        raise ValueError(f"noise dimension mismatch: {increments.shape[2]} != {problem.dim_noise}")
     if increments.shape[1] < K * cfg.m:
         raise ValueError(
             f"grid too short: need {K * cfg.m} steps of size 1/{cfg.m}, have {increments.shape[1]}"
@@ -652,22 +633,25 @@ def run_scheme_batch(
 
 def simulate(
     scheme: str, problem: SdepcaProblem, cfg: BeConfig, grid: BrownianGrid, K: int
-) -> Trajectory:
-    """One path of ``scheme``, one of :data:`SCHEMES`, over K unit blocks on
-    the grid coarsened to 1/m: "be" is backward Euler, "em" explicit Euler,
-    which may legitimately blow up on stiff problems, and "ssbe" split-step
-    backward Euler, the implicit drift update and then the diffusion kick."""
+) -> np.ndarray:
+    """The states (K*m+1, d) of one path of ``scheme``, one of
+    :data:`SCHEMES`, at the steps of 1/m over K unit blocks: "be" is
+    backward Euler, "em" explicit Euler, which may legitimately blow up on
+    stiff problems, and "ssbe" split-step backward Euler, the implicit drift
+    update and then the diffusion kick.  The path is one lane of
+    :func:`run_lanes` on the grid's fine increments, which the lane
+    coarsens to 1/m itself; its first failure raises."""
     fine_m = steps_per_unit(grid.fine_step)
     if fine_m % cfg.m:
         raise ValueError(
             f"grid with fine_step {grid.fine_step} is not coarsenable to delta 1/{cfg.m}"
         )
-    increments = coarsen_array(grid.increments[: K * fine_m], fine_m // cfg.m)[None]
-    run = run_scheme_batch(scheme, problem, cfg, increments, problem.initial_state, K, record="full")
+    lane = Lane(scheme, fine_m // cfg.m, record="full")
+    run = run_lanes(problem, [lane], [grid.increments[:, None]], 1, fine_m, K)[0]
     if run.failures:
         _, k, l, kind = run.failures[0]
         raise _failure_error(kind, path=grid.path_index, k=k, l=l)
-    return Trajectory(states=run.states[0], m=cfg.m)
+    return run.states[0]
 
 
 def be_mean_multiplier(theta1: float, theta2: float, m: int) -> float:

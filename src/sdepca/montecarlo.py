@@ -80,7 +80,9 @@ class TestFunction(enum.Enum):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        nrm = np.sqrt(np.sum(x * x, axis=-1))
+        # |x| squares no entry, so it is finite for every finite state; a
+        # state of NaN, as a failed path leaves, gives NaN
+        nrm = np.abs(x[..., 0]) if x.shape[-1] == 1 else np.hypot.reduce(np.abs(x), axis=-1)
         if self is TestFunction.SIN_SQ:
             return np.sin(nrm**2)
         if self is TestFunction.COS_ABS:
@@ -152,32 +154,35 @@ def _reject_repeats(values: list, what: str) -> None:
             raise ValueError(f"{what} {value} is repeated")
 
 
-def _count_failed(ok: np.ndarray, failures: list) -> int:
+def _count_failed(ok: np.ndarray, failures: list, mark: dict) -> int:
     """Number of failed paths, those False in ``ok``, within the failure budget.
 
     Raises :class:`MonteCarloFailure` with ``failures``, the run's failure
     records, once more than ``_MAX_FAILURE_FRACTION`` of the paths failed.
-    A failed path with no record, such as one whose observable overflowed,
-    is logged by its index alone.
+    A failed path with no record, one whose observable was not finite, is
+    logged by its index and ``mark``, such as the test function's name.
     """
     n_failed = int(ok.size - np.count_nonzero(ok))
     if n_failed > _MAX_FAILURE_FRACTION * ok.size:
         logged = {e["path"] for e in failures}
-        unlogged = [{"path": int(p)} for p in np.flatnonzero(~ok) if p not in logged]
+        unlogged = [{"path": int(p), **mark} for p in np.flatnonzero(~ok) if p not in logged]
         # by path, so the log does not depend on the spans
         raise MonteCarloFailure(sorted(failures + unlogged, key=lambda e: e["path"]), ok.size)
     return n_failed
 
 
-def _path_means(values: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndarray, int]:
+def _path_means(
+    values: np.ndarray, failures: list, mark: dict
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Means and standard errors over the paths, the last axis of ``values``.
 
     A path with any non-finite entry is dropped from every mean.  Returns
     ``(means, standard_errors, n_failed)``; ``failures`` are the run's
-    failure records for :func:`_count_failed`.
+    failure records and ``mark`` that of a path without one, for
+    :func:`_count_failed`.
     """
     ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
-    n_failed = _count_failed(ok, failures)
+    n_failed = _count_failed(ok, failures, mark)
     means, ses = _mean_se(values[..., ok])
     return means, ses, n_failed
 
@@ -344,8 +349,9 @@ class WeakErrorReport(_Report):
     ``mean_gap_half_widths`` from the signed per-path differences and
     ``mean_gap_slope`` its own log-log fit.  It is the pure weak error only
     if the reference's own weak bias is small against the scheme's: far
-    below the Monte Carlo error for the linear sampler (see
-    :func:`~sdepca.linear_analytic.exact_finals_batch`), O(h^2) for the
+    below the Monte Carlo error for the exact linear solution (see
+    :func:`linear_exact_reference` and
+    :func:`~sdepca.linear_analytic.exact_map`), O(h^2) for the
     extrapolated split-step reference (see :func:`ssbe_reference`).
     """
 
@@ -501,7 +507,7 @@ def estimate_weak_errors(
         with np.errstate(over="ignore", invalid="ignore"):
             values = phi(finals)
         phi_ok = ok & np.all(np.isfinite(values), axis=0)
-        n_failed = _count_failed(phi_ok, failure_log)
+        n_failed = _count_failed(phi_ok, failure_log, {"phi": phi.value})
         values = values[:, phi_ok]
         pr = values[0]
         target = 2.0 * pr - values[1] if extrapolated else pr
@@ -605,7 +611,7 @@ def ergodic_mean_traces(
         with np.errstate(over="ignore", invalid="ignore"):
             values = phi(anchors)
         # (initial, k, path)
-        traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures)
+        traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures, {"phi": phi.value})
         spread = traces.max(axis=0) - traces.min(axis=0)
         pooled = np.sqrt(2.0 * np.mean(ses**2, axis=0))
         reports[phi] = ErgodicityReport(
@@ -688,7 +694,7 @@ def contraction_estimate(
     with np.errstate(over="ignore", invalid="ignore"):
         diff = anchors[:, 0] - anchors[:, 1]
         sq_diffs = np.sum(diff * diff, axis=-1)
-    msd, ses, n_failed = _path_means(sq_diffs, failures)
+    msd, ses, n_failed = _path_means(sq_diffs, failures, {})
     hw = _Z95 * ses
 
     usable = np.flatnonzero(np.isfinite(msd) & (msd > _DECAY_FLOOR))
@@ -765,7 +771,7 @@ def moment_estimate(
     # a huge state overflows the power; _path_means counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.sum(anchors[:, 0] ** 2, axis=-1) ** p
-    moments, ses, n_failed = _path_means(powers, failures)
+    moments, ses, n_failed = _path_means(powers, failures, {})
     hw = _Z95 * ses
 
     window_start = K - K // 2

@@ -331,8 +331,6 @@ class TestBinaryDump:
         # dim_noise is the width of the increments, not a field that can
         # disagree with it, so a dump's header always matches its payload
         grid = BrownianGrid(fine_step=0.5, increments=np.array([[0.25], [-0.5]]), path_index=0)
-        assert grid.dim_noise == 1
-        assert generate_path(21, 3, 1.0, 0.5, 2).dim_noise == 2
         with pytest.raises(TypeError):
             dataclasses.replace(grid, dim_noise=2)
         target = tmp_path / "path.spca"
@@ -340,6 +338,10 @@ class TestBinaryDump:
         fine_step, increments = read_path(target)
         assert fine_step == 0.5
         assert increments.tolist() == [[0.25], [-0.5]]
+        wide = generate_path(21, 3, 1.0, 0.5, 2)
+        write_path(wide, target)
+        assert read_path(target)[1].tobytes() == wide.increments.tobytes()
+        assert read_path(target)[1].shape == (2, 2)
 
     def test_header_layout(self, tmp_path):
         grid = generate_path(0, 0, 1.0, 2.0**-2, 1)

@@ -529,8 +529,28 @@ class TestOptions:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error_code=numerical_failure")
-        assert "20 path failures out of 20 exceed the budget" in err
+        assert "20 path failures out of 20 exceed the budget; first: {'path': 0, 'phi': 'sin_sq'}" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_weak_order_of_bounded_test_functions_from_a_huge_start(self, tmp_path):
+        # |x| of an endpoint near 5e298 is finite, so cos_abs and atan_abs
+        # are too; they failed every path when |x| was taken from |x|^2.
+        # arctan(|x|) is pi/2 on every path, so its errors are 0
+        with pytest.warns(UserWarning, match="slope undefined"):
+            code = run_cli(
+                "weak-order",
+                "--problem", "linear-additive",
+                "--x0", "1e300",
+                "--n-paths", "20",
+                "--T", "1",
+                "--phis", "cos_abs,atan_abs",
+                "--format", "json",
+                "--output", str(tmp_path / "w.json"),
+            )
+        assert code == 0
+        for phi in ("cos_abs", "atan_abs"):
+            report = json.loads((tmp_path / f"w_{phi}.json").read_text())
+            assert report["n_failed"] == 0
 
     def test_ergodicity_with_every_path_failed_is_exit_3(self, tmp_path, capsys):
         code = run_cli(
@@ -598,12 +618,12 @@ class TestSimulate:
         )
         assert code == 0
         grid = generate_path(2, 7, 2.0, 2.0**-2, 1)
-        trajectory = simulate("be", linear_additive(3.0, 1.0), BeConfig(m=4), grid, 2)
+        states = simulate("be", linear_additive(3.0, 1.0), BeConfig(m=4), grid, 2)
         header = target.read_text().splitlines()[0]
         assert header == "t,x_0"
         data = np.loadtxt(target, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(data[:, 1], trajectory.states[:, 0])
-        np.testing.assert_array_equal(data[:, 0], trajectory.times())
+        np.testing.assert_array_equal(data[:, 1], states[:, 0])
+        np.testing.assert_array_equal(data[:, 0], np.arange(9) / 4)
 
     def test_json_format_rejected(self, tmp_path):
         # a trajectory is written as csv alone, so simulate takes no --format

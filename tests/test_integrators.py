@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from sdepca.brownian import BrownianGrid, coarsen_array, generate_path
 from sdepca.integrators import (
+    SCHEMES,
     BeConfig,
     BlockMap,
     Lane,
     NonConvergenceError,
     NonFiniteError,
-    Trajectory,
     be_mean_multiplier,
     be_step,
     run_lanes,
@@ -397,7 +397,7 @@ class TestImplicitStart:
         problem = cubic_multiplicative(1.0, 1.0, x0=x0)
         cfg, K = BeConfig(m=8), 3
         grid = generate_path(31, 2, float(K), cfg.delta)
-        trajectory = simulate("be", problem, cfg, grid, K)
+        simulated = simulate("be", problem, cfg, grid, K)
         x = problem.initial_state
         states = [x]
         for n in range(K * cfg.m):
@@ -405,7 +405,7 @@ class TestImplicitStart:
                 y = x
             x = be_step(problem, cfg, x, y, grid.increments[n])
             states.append(x)
-        assert np.array(states).tobytes() == trajectory.states.tobytes()
+        assert np.array(states).tobytes() == simulated.tobytes()
 
     def test_starts_meet_the_criterion_5_oracles(self):
         # Criterion 5 checks be_step against a hand-written closed form and
@@ -494,11 +494,15 @@ class TestBeStep:
 
 
 class TestSimulateBe:
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            BeConfig(m=0)
+
     def test_zero_noise_anchor(self):
         problem = linear_additive(3.0, 1.0)
-        trajectory = simulate("be", problem, BeConfig(m=2), zero_noise_grid(2.0, 0.5), 2)
-        assert trajectory.states[0, 0] == 1.0
-        assert trajectory.states[2, 0] == pytest.approx(0.44, abs=1e-12)
+        states = simulate("be", problem, BeConfig(m=2), zero_noise_grid(2.0, 0.5), 2)
+        assert states[0, 0] == 1.0
+        assert states[2, 0] == pytest.approx(0.44, abs=1e-12)
 
     def test_constant_when_coefficients_vanish(self):
         problem = linear_additive(3.0, 1.0)
@@ -510,8 +514,8 @@ class TestSimulateBe:
             initial_state=[2.5],
         )
         grid = generate_path(5, 0, 3.0, 2.0**-3, 1)
-        trajectory = simulate("be", frozen, BeConfig(m=8), grid, 3)
-        assert np.all(trajectory.states == 2.5)
+        states = simulate("be", frozen, BeConfig(m=8), grid, 3)
+        assert np.all(states == 2.5)
 
     def test_mean_multiplier_law(self):
         # zero-noise anchors follow x0 * mu_delta(1)^k
@@ -519,10 +523,10 @@ class TestSimulateBe:
             problem = linear_additive(theta1, theta2, x0=1.0)
             K = 6
             grid = zero_noise_grid(float(K), 1.0 / m)
-            trajectory = simulate("be", problem, BeConfig(m=m), grid, K)
+            states = simulate("be", problem, BeConfig(m=m), grid, K)
             mult = be_mean_multiplier(theta1, theta2, m)
             for k in range(K + 1):
-                assert trajectory.states[k * m, 0] == pytest.approx(mult**k, rel=1e-10)
+                assert states[k * m, 0] == pytest.approx(mult**k, rel=1e-10)
 
     def test_mean_multiplier_first_order_consistency(self):
         # mu_delta(1) -> mu(1) at rate O(delta)
@@ -551,6 +555,14 @@ class TestSimulateBe:
         with pytest.raises(ValueError):
             simulate("be", problem, BeConfig(m=2), grid, 4)
 
+    def test_a_grid_of_the_wrong_noise_width_is_rejected(self):
+        # a lane's kick would broadcast one noise column over two, or two
+        # over one, so the runner checks each piece's width
+        problem = linear_additive(3.0, 1.0)
+        grid = BrownianGrid(fine_step=0.5, increments=np.zeros((4, 2)), path_index=0)
+        with pytest.raises(ValueError, match="^noise dimension mismatch: 2 != 1$"):
+            simulate("be", problem, BeConfig(m=2), grid, 2)
+
     def test_unknown_scheme_rejected(self):
         problem = linear_additive(3.0, 1.0)
         with pytest.raises(ValueError, match="^unknown scheme 'rk4'"):
@@ -568,15 +580,15 @@ class TestSimulateEm:
             initial_state=[0.0],
         )
         grid = generate_path(8, 1, 2.0, 2.0**-2, 1)
-        trajectory = simulate("em", pure, BeConfig(m=4), grid, 2)
+        states = simulate("em", pure, BeConfig(m=4), grid, 2)
         expected = np.concatenate([[0.0], np.cumsum(grid.increments[:, 0])])
-        np.testing.assert_allclose(trajectory.states[:, 0], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(states[:, 0], expected, rtol=0, atol=1e-15)
 
     def test_matches_exact_decay_at_small_step(self):
         problem = linear_additive(3.0, 0.0, x0=1.0)
         m = 256
-        trajectory = simulate("em", problem, BeConfig(m=m), zero_noise_grid(1.0, 1.0 / m), 1)
-        assert trajectory.states[m, 0] == pytest.approx(math.exp(-3.0), abs=5 * 3.0**2 / m)
+        states = simulate("em", problem, BeConfig(m=m), zero_noise_grid(1.0, 1.0 / m), 1)
+        assert states[m, 0] == pytest.approx(math.exp(-3.0), abs=5 * 3.0**2 / m)
 
     def test_cubic_blowup_raises(self):
         problem = cubic_multiplicative(1.0, 1.0, x0=10.0)
@@ -595,7 +607,7 @@ class TestSimulateSsbe:
         cfg = BeConfig(m=4)
         t_be = simulate("be", problem, cfg, grid, 2)
         t_ssbe = simulate("ssbe", problem, cfg, grid, 2)
-        np.testing.assert_allclose(t_be.states, t_ssbe.states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t_be, t_ssbe, rtol=0, atol=1e-12)
 
     def test_zero_drift_reduces_to_explicit(self):
         problem = cubic_multiplicative(1.0, 0.0)
@@ -610,7 +622,7 @@ class TestSimulateSsbe:
         cfg = BeConfig(m=4)
         t_ssbe = simulate("ssbe", pure, cfg, grid, 2)
         t_em = simulate("em", pure, cfg, grid, 2)
-        np.testing.assert_allclose(t_ssbe.states, t_em.states, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(t_ssbe, t_em, rtol=0, atol=1e-14)
 
     def test_self_convergence_on_cubic(self):
         # anchor(1) at coarse steps vs the 2^-11 run on the same 200 paths:
@@ -631,6 +643,52 @@ class TestSimulateSsbe:
         assert diffs[2**9] < 0.02
 
 
+class TestSimulateIsOneLane:
+    """simulate steps one lane of run_lanes on the grid's fine increments.
+    The reference is the route it replaced: the grid coarsened whole to 1/m
+    by coarsen_array and run at factor 1 by run_scheme_batch."""
+
+    PROBLEMS = {
+        "linear": linear_additive(3.0, 1.0),
+        "cubic": cubic_multiplicative(1.0, 1.0),
+        "cubic-1e6": cubic_multiplicative(1.0, 1.0, x0=1e6),
+    }
+
+    @staticmethod
+    def outcomes(scheme, problem, factor):
+        """simulate's and the reference's states as bytes, or (path, k, l)
+        of their first failure, over K = 3 blocks at m = 8 on a grid of
+        step 1/(8 factor)."""
+        cfg, K = BeConfig(m=8), 3
+        grid = generate_path(19, 4, float(K), 1.0 / (8 * factor))
+        try:
+            got = simulate(scheme, problem, cfg, grid, K).tobytes()
+        except NonFiniteError as err:
+            got = (err.path_index, err.k, err.l)
+        increments = coarsen_array(grid.increments[: K * 8 * factor], factor)[None]
+        run = run_scheme_batch(scheme, problem, cfg, increments, problem.initial_state, K, record="full")
+        want = run.states[0].tobytes()
+        if run.failures:
+            _, k, l, kind = run.failures[0]
+            assert kind == "nonfinite"
+            want = (grid.path_index, k, l)
+        return got, want
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name", ["linear", "cubic"])
+    def test_states_equal_the_coarsened_grid_run(self, name, scheme, factor):
+        # explicit Euler on the cubic problem at factor 1 blows up at block
+        # 1, step 0, so that case compares the failure
+        got, want = self.outcomes(scheme, self.PROBLEMS[name], factor)
+        assert got == want
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    def test_an_explicit_blowup_fails_where_the_coarsened_grid_run_does(self, factor):
+        got, want = self.outcomes("em", self.PROBLEMS["cubic-1e6"], factor)
+        assert got == want == (4, 0, 3)
+
+
 class TestBatchEngine:
     def test_a_start_of_the_wrong_width_is_rejected(self):
         # one noise column would drive a 2-column chain of the d = 1 problem
@@ -647,7 +705,7 @@ class TestBatchEngine:
         run = run_scheme_batch("be", problem, cfg, increments, problem.initial_state, 3)
         for i, grid in enumerate(grids):
             solo = simulate("be", problem, cfg, grid, 3)
-            assert run.anchors[-1, i, 0] == solo.states[-1, 0]
+            assert run.anchors[-1, i, 0] == solo[-1, 0]
 
     def test_failures_are_isolated(self):
         # explicit Euler: |x0| = 10 overflows the cubic, x0 = 0.1 is stable
@@ -929,12 +987,3 @@ class TestLaneRunner:
         with pytest.raises(ValueError, match="explicit"):
             run_lanes(problem, [Lane("be", 2), Lane("em", 2)], pieces, 2, 12, 1)
 
-
-class TestTrajectory:
-    def test_rejects_non_finite_states(self):
-        with pytest.raises(ValueError):
-            Trajectory(states=np.array([[1.0], [np.inf]]), m=1)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BeConfig(m=0)

@@ -10,7 +10,6 @@ from sdepca.brownian import generate_increments, generate_path, increment_pieces
 from sdepca.integrators import (
     BeConfig,
     Lane,
-    Trajectory,
     be_mean_multiplier,
     run_lanes,
     run_scheme_batch,
@@ -92,6 +91,27 @@ class TestTestFunctions:
     def test_lookup_by_tag(self):
         assert TestFunction("cos_abs") is TestFunction.COS_ABS
 
+    def test_huge_and_tiny_states(self):
+        # |x| squares no entry: the square of 5e298 overflowed, which read
+        # cos_abs as NaN, and that of 1e-200 underflowed, which read atan_abs
+        # as 0
+        assert TestFunction.COS_ABS(np.array([5e298])) == math.cos(5e298)
+        assert math.cos(5e298) == pytest.approx(-0.41082, abs=1e-5)
+        assert TestFunction.ATAN_ABS(np.array([-1e-200])) == 1e-200
+        wide = np.array([[3e200, 4e200], [3e-200, -4e-200]])
+        assert TestFunction.COS_ABS(wide[0]) == math.cos(math.hypot(3e200, 4e200))
+        assert math.hypot(3e200, 4e200) == pytest.approx(5e200, rel=1e-15)
+        assert TestFunction.ATAN_ABS(wide)[1] == pytest.approx(5e-200, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_failed_state_is_nan_for_every_function(self, d):
+        batch = np.ones((3, d))
+        batch[1] = np.nan
+        for phi in TestFunction:
+            values = phi(batch)
+            assert np.isnan(values[1])
+            assert np.isfinite(values[[0, 2]]).all()
+
     def test_all_bounded(self):
         xs = np.linspace(-100, 100, 2001)[:, None]
         for phi in TestFunction:
@@ -164,13 +184,13 @@ class TestWeakError:
         )[phi]
         grids = [generate_path(6, i, 1.0, 2.0**-6, 1) for i in range(8)]
         target = np.mean([
-            2.0 * phi(simulate("ssbe", problem, BeConfig(m=64), g, 1).states[-1])
-            - phi(simulate("ssbe", problem, BeConfig(m=32), g, 1).states[-1])
+            2.0 * phi(simulate("ssbe", problem, BeConfig(m=64), g, 1)[-1])
+            - phi(simulate("ssbe", problem, BeConfig(m=32), g, 1)[-1])
             for g in grids
         ])
         for m, gap in zip((8, 16), report.mean_gaps):
             scheme = np.mean(
-                [phi(simulate("be", problem, BeConfig(m=m), g, 1).states[-1]) for g in grids]
+                [phi(simulate("be", problem, BeConfig(m=m), g, 1)[-1]) for g in grids]
             )
             assert gap == pytest.approx(abs(target - scheme), rel=1e-12, abs=1e-15)
 
@@ -285,7 +305,7 @@ class TestWeakError:
                 master_seed=5,
                 fine_step=2.0**-5,
             )
-        assert info.value.failures == [{"path": p} for p in range(20)]
+        assert info.value.failures == [{"path": p, "phi": "sin_sq"} for p in range(20)]
 
     def test_a_test_function_that_overflows_fails_its_paths_for_it_alone(self):
         # additive noise of 5.6e153 from 0: the endpoints are the noise
@@ -709,19 +729,20 @@ class TestErgodicTrace:
         assert len(lines) == 5
 
 
-def time_average(trajectory, phi):
-    """(1/K) sum of phi over the anchors Y_0 .. Y_{K-1}, in index order."""
-    return _kahan_mean(phi(trajectory.states[:: trajectory.m][:-1]))
+def time_average(states, m, phi):
+    """(1/K) sum of phi over the anchors Y_0 .. Y_{K-1} of the states at the
+    steps of 1/m, in index order."""
+    return _kahan_mean(phi(states[::m][:-1]))
 
 
 class TestTimeAverage:
     def test_constant_trajectory(self):
-        trajectory = Trajectory(states=np.full((9, 1), 2.0), m=2)
-        assert time_average(trajectory, TestFunction.ATAN_ABS) == pytest.approx(math.atan(2.0))
+        states = np.full((9, 1), 2.0)
+        assert time_average(states, 2, TestFunction.ATAN_ABS) == pytest.approx(math.atan(2.0))
 
     def test_single_block_returns_phi_x0(self):
-        trajectory = Trajectory(states=np.array([[3.0], [0.0], [0.7]]), m=2)
-        assert time_average(trajectory, TestFunction.COS_ABS) == pytest.approx(math.cos(3.0))
+        states = np.array([[3.0], [0.0], [0.7]])
+        assert time_average(states, 2, TestFunction.COS_ABS) == pytest.approx(math.cos(3.0))
 
     def test_long_run_second_moment_near_stationary(self):
         # ergodic theorem on one long run: the time average of |x|^2 lands on
@@ -731,14 +752,14 @@ class TestTimeAverage:
         problem = linear_additive(3.0, 1.0)
         m, K = 64, 2000
         grid = generate_path(77, 0, float(K), 1.0 / m, 1)
-        trajectory = simulate("be", problem, BeConfig(m=m), grid, K)
+        states = simulate("be", problem, BeConfig(m=m), grid, K)
 
         def sq_norm(x):
             return np.sum(x * x, axis=-1)
 
-        mean_sq = time_average(trajectory, sq_norm)
+        mean_sq = time_average(states, m, sq_norm)
         target = law(LIN).stationary_variance
-        block_means = sq_norm(trajectory.states[::m][:-1]).reshape(40, 50).mean(axis=1)
+        block_means = sq_norm(states[::m][:-1]).reshape(40, 50).mean(axis=1)
         se = block_means.std(ddof=1) / math.sqrt(40)
         assert abs(mean_sq - target) < 0.03 * target + 4 * se
 
@@ -942,6 +963,19 @@ class TestChainFailureBudget:
             assert any(a[0] == b[0] and a[1:3] < b[1:3] and a[3] > b[3] for a, b in zip(keys, keys[1:]))
 
 
+    def test_a_test_function_that_overflows_is_named_in_the_log(self):
+        # every state of the chains from 1e300 is finite, so no path has a
+        # record of the run, but |x|^2 overflows: sin_sq is NaN on every
+        # path and names itself in the log; moment logs the path alone
+        problem = linear_additive(3.0, 1.0, x0=1e300)
+        with pytest.raises(MonteCarloFailure, match="^10 path failures out of 10 ") as info:
+            ergodic_mean_trace(problem, BeConfig(m=4), [1e300], 2, 10, TestFunction.SIN_SQ, 5)
+        assert info.value.failures == [{"path": p, "phi": "sin_sq"} for p in range(10)]
+        with pytest.raises(MonteCarloFailure, match="^10 path failures out of 10 ") as info:
+            moment_estimate(problem, BeConfig(m=4), 1, 10, 2, 5)
+        assert info.value.failures == [{"path": p} for p in range(10)]
+
+
 class TestMomentEstimate:
     def test_frozen_dynamics_constant_moment(self):
         frozen = SdepcaProblem(
@@ -1066,7 +1100,7 @@ class TestReferences:
         reference = ssbe_reference(problem)
         finals = lane_finals(problem, reference.lanes[0], grid.increments[None], 2.0**-6, 2)
         solo = simulate("ssbe", problem, BeConfig(m=64), grid, 2)
-        assert finals[0, 0] == solo.states[-1, 0]
+        assert finals[0, 0] == solo[-1, 0]
 
     def test_ssbe_reference_extrapolates_over_h_and_2h(self):
         problem = cubic_multiplicative(1.0, 1.0)
@@ -1075,8 +1109,8 @@ class TestReferences:
         incs = grid.increments[None]
         fine = lane_finals(problem, reference.lanes[0], incs, 2.0**-6, 2)
         coarse = lane_finals(problem, reference.lanes[1], incs, 2.0**-6, 2)
-        x_h = simulate("ssbe", problem, BeConfig(m=64), grid, 2).states[-1]
-        x_2h = simulate("ssbe", problem, BeConfig(m=32), grid, 2).states[-1]
+        x_h = simulate("ssbe", problem, BeConfig(m=64), grid, 2)[-1]
+        x_2h = simulate("ssbe", problem, BeConfig(m=32), grid, 2)[-1]
         for phi in TestFunction:
             got = (2.0 * phi(fine) - phi(coarse))[0]
             assert got == 2.0 * phi(x_h) - phi(x_2h)
