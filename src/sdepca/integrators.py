@@ -646,7 +646,12 @@ def simulate(
         raise ValueError(
             f"grid with fine_step {grid.fine_step} is not coarsenable to delta 1/{cfg.m}"
         )
-    lane = Lane(scheme, fine_m // cfg.m, record="full")
+    factor = fine_m // cfg.m
+    if len(grid.increments) < K * fine_m:
+        raise ValueError(
+            f"grid too short: need {K * cfg.m} steps of size 1/{cfg.m}, have {len(grid.increments) // factor}"
+        )
+    lane = Lane(scheme, factor, record="full")
     run = run_lanes(problem, [lane], [grid.increments[:, None]], 1, fine_m, K)[0]
     if run.failures:
         _, k, l, kind = run.failures[0]

@@ -82,7 +82,7 @@ class TestFunction(enum.Enum):
         x = np.asarray(x, dtype=float)
         # |x| squares no entry, so it is finite for every finite state; a
         # state of NaN, as a failed path leaves, gives NaN
-        nrm = np.abs(x[..., 0]) if x.shape[-1] == 1 else np.hypot.reduce(np.abs(x), axis=-1)
+        nrm = np.hypot.reduce(np.abs(x), axis=-1)
         if self is TestFunction.SIN_SQ:
             return np.sin(nrm**2)
         if self is TestFunction.COS_ABS:
@@ -154,17 +154,18 @@ def _reject_repeats(values: list, what: str) -> None:
             raise ValueError(f"{what} {value} is repeated")
 
 
-def _count_failed(ok: np.ndarray, failures: list, mark: dict) -> int:
+def _count_failed(ok: np.ndarray, failures: list, phi: str | None = None) -> int:
     """Number of failed paths, those False in ``ok``, within the failure budget.
 
     Raises :class:`MonteCarloFailure` with ``failures``, the run's failure
     records, once more than ``_MAX_FAILURE_FRACTION`` of the paths failed.
     A failed path with no record, one whose observable was not finite, is
-    logged by its index and ``mark``, such as the test function's name.
+    logged by its index, and by the name ``phi`` of its test function if set.
     """
     n_failed = int(ok.size - np.count_nonzero(ok))
     if n_failed > _MAX_FAILURE_FRACTION * ok.size:
         logged = {e["path"] for e in failures}
+        mark = {} if phi is None else {"phi": phi}
         unlogged = [{"path": int(p), **mark} for p in np.flatnonzero(~ok) if p not in logged]
         # by path, so the log does not depend on the spans
         raise MonteCarloFailure(sorted(failures + unlogged, key=lambda e: e["path"]), ok.size)
@@ -172,17 +173,17 @@ def _count_failed(ok: np.ndarray, failures: list, mark: dict) -> int:
 
 
 def _path_means(
-    values: np.ndarray, failures: list, mark: dict
+    values: np.ndarray, failures: list, phi: str | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Means and standard errors over the paths, the last axis of ``values``.
 
     A path with any non-finite entry is dropped from every mean.  Returns
     ``(means, standard_errors, n_failed)``; ``failures`` are the run's
-    failure records and ``mark`` that of a path without one, for
+    failure records and ``phi`` the test function's name, for
     :func:`_count_failed`.
     """
     ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
-    n_failed = _count_failed(ok, failures, mark)
+    n_failed = _count_failed(ok, failures, phi)
     means, ses = _mean_se(values[..., ok])
     return means, ses, n_failed
 
@@ -507,7 +508,7 @@ def estimate_weak_errors(
         with np.errstate(over="ignore", invalid="ignore"):
             values = phi(finals)
         phi_ok = ok & np.all(np.isfinite(values), axis=0)
-        n_failed = _count_failed(phi_ok, failure_log, {"phi": phi.value})
+        n_failed = _count_failed(phi_ok, failure_log, phi.value)
         values = values[:, phi_ok]
         pr = values[0]
         target = 2.0 * pr - values[1] if extrapolated else pr
@@ -611,7 +612,7 @@ def ergodic_mean_traces(
         with np.errstate(over="ignore", invalid="ignore"):
             values = phi(anchors)
         # (initial, k, path)
-        traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures, {"phi": phi.value})
+        traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures, phi.value)
         spread = traces.max(axis=0) - traces.min(axis=0)
         pooled = np.sqrt(2.0 * np.mean(ses**2, axis=0))
         reports[phi] = ErgodicityReport(
@@ -694,7 +695,7 @@ def contraction_estimate(
     with np.errstate(over="ignore", invalid="ignore"):
         diff = anchors[:, 0] - anchors[:, 1]
         sq_diffs = np.sum(diff * diff, axis=-1)
-    msd, ses, n_failed = _path_means(sq_diffs, failures, {})
+    msd, ses, n_failed = _path_means(sq_diffs, failures)
     hw = _Z95 * ses
 
     usable = np.flatnonzero(np.isfinite(msd) & (msd > _DECAY_FLOOR))
@@ -771,7 +772,7 @@ def moment_estimate(
     # a huge state overflows the power; _path_means counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.sum(anchors[:, 0] ** 2, axis=-1) ** p
-    moments, ses, n_failed = _path_means(powers, failures, {})
+    moments, ses, n_failed = _path_means(powers, failures)
     hw = _Z95 * ses
 
     window_start = K - K // 2

@@ -552,7 +552,7 @@ class TestSimulateBe:
     def test_horizon_too_short_rejected(self):
         problem = linear_additive(3.0, 1.0)
         grid = generate_path(0, 0, 2.0, 0.5, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grid too short: need 8 steps of size 1/2, have 4$"):
             simulate("be", problem, BeConfig(m=2), grid, 4)
 
     def test_a_grid_of_the_wrong_noise_width_is_rejected(self):
