@@ -25,6 +25,7 @@ merged run, a batched run and a per-path run agree bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -86,8 +87,10 @@ class BeConfig:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        # an integral float such as 16.0 is stored as the int 16
+        if not isinstance(self.m, numbers.Real) or not float(self.m).is_integer() or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
 
     @property
     def delta(self) -> float:

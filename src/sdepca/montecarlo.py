@@ -8,8 +8,8 @@ paths: the weak-error reference steps on the fine lattice and backward Euler
 at each step size on an exact coarsening of the same increments; the chain
 estimators run one BE lane per start on the same noise.  Per-path
 quantities are computed independently of how paths are grouped into
-batches, and reductions run in path-index order with compensated summation,
-so results are bit-identical for any worker count.
+batches, and every mean sums contiguous rows of paths in path-index order
+with numpy's pairwise sum, so results are bit-identical for any worker count.
 
 Expectations are estimated by plain sample means with normal-approximation
 95% confidence half-widths (1.96 * sd / sqrt(N)); path counts are >= 1000 in
@@ -121,30 +121,24 @@ EXAMPLE2_ERGODIC_PHIS = (
 )
 
 
-def _kahan_mean(values: np.ndarray):
-    """Compensated mean over the last axis, in index order; order-fixed for
-    reproducibility.
+def _mean(values: np.ndarray):
+    """Mean over the last axis: each row's first entry plus numpy's pairwise
+    sum of the offsets from it, on a C-contiguous copy.
 
-    One recurrence serves a 1-D sample, on Python floats, and a grid of
-    samples, on arrays of all its entries at once, with the same bits.
+    On contiguous rows numpy sums each row as it sums that row alone, so the
+    mean does not depend on the layout of ``values``, on masks or on spans.
+    The offsets keep a row of equal entries exact.
     """
-    total = comp = 0.0
-    terms = values.tolist() if values.ndim == 1 else np.moveaxis(values, -1, 0)
-    for v in terms:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / values.shape[-1]
+    first = values[..., :1]
+    offsets = np.ascontiguousarray(values - first)
+    return first[..., 0] + np.add.reduce(offsets, axis=-1) / values.shape[-1]
 
 
 def _mean_se(values: np.ndarray):
-    """Means and standard errors over the last axis: floats for a 1-D sample."""
-    mean = _kahan_mean(values)
-    n = values.shape[-1]
+    """Means and standard errors over the last axis."""
+    mean = _mean(values)
     dev = values - np.expand_dims(mean, -1)
-    se = np.sqrt(_kahan_mean(dev**2) * n / (n - 1) / n)
-    return mean, se if values.ndim > 1 else float(se)
+    return mean, np.sqrt(_mean(dev**2) / (values.shape[-1] - 1))
 
 
 def _reject_repeats(values: list, what: str) -> None:
@@ -154,14 +148,18 @@ def _reject_repeats(values: list, what: str) -> None:
             raise ValueError(f"{what} {value} is repeated")
 
 
-def _count_failed(ok: np.ndarray, failures: list, phi: str | None = None) -> int:
-    """Number of failed paths, those False in ``ok``, within the failure budget.
+def _finite_paths(
+    values: np.ndarray, failures: list, phi: str | None = None
+) -> tuple[np.ndarray, int]:
+    """The paths, the last axis of ``values``, whose entries are all finite,
+    and the number of failed paths, those with a non-finite entry.
 
     Raises :class:`MonteCarloFailure` with ``failures``, the run's failure
     records, once more than ``_MAX_FAILURE_FRACTION`` of the paths failed.
     A failed path with no record, one whose observable was not finite, is
     logged by its index, and by the name ``phi`` of its test function if set.
     """
+    ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
     n_failed = int(ok.size - np.count_nonzero(ok))
     if n_failed > _MAX_FAILURE_FRACTION * ok.size:
         logged = {e["path"] for e in failures}
@@ -169,23 +167,7 @@ def _count_failed(ok: np.ndarray, failures: list, phi: str | None = None) -> int
         unlogged = [{"path": int(p), **mark} for p in np.flatnonzero(~ok) if p not in logged]
         # by path, so the log does not depend on the spans
         raise MonteCarloFailure(sorted(failures + unlogged, key=lambda e: e["path"]), ok.size)
-    return n_failed
-
-
-def _path_means(
-    values: np.ndarray, failures: list, phi: str | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Means and standard errors over the paths, the last axis of ``values``.
-
-    A path with any non-finite entry is dropped from every mean.  Returns
-    ``(means, standard_errors, n_failed)``; ``failures`` are the run's
-    failure records and ``phi`` the test function's name, for
-    :func:`_count_failed`.
-    """
-    ok = np.all(np.isfinite(values), axis=tuple(range(values.ndim - 1)))
-    n_failed = _count_failed(ok, failures, phi)
-    means, ses = _mean_se(values[..., ok])
-    return means, ses, n_failed
+    return values[..., ok], n_failed
 
 
 #: The span worker of a forked pool process, set by its initializer; it
@@ -254,6 +236,8 @@ def _run_lanes_in_spans(
         raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
         raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
+    if not isinstance(K, numbers.Integral):
+        raise ValueError(f"K must be an integer, got {K!r}")
     path_bytes = 8 * problem.dim_noise * piece_steps(max(lane.factor for lane in lanes))
     width = min(-(-n_paths // n_workers), max(1, _SPAN_NOISE_BYTES // path_bytes))
     spans = [(i, min(i + width, n_paths)) for i in range(0, n_paths, width)]
@@ -316,8 +300,8 @@ def fit_order(deltas: Sequence[float], errors: Sequence[float]) -> tuple[float, 
     errors = np.asarray(errors, dtype=float)
     if len(set(deltas.tolist())) < 2 or len(deltas) != len(errors):
         raise ValueError(f"need (delta, error) pairs at two distinct deltas, got {deltas.tolist()}")
-    if np.any(deltas <= 0.0) or np.any(errors <= 0.0):
-        raise ValueError("deltas and errors must be strictly positive")
+    if not np.all((deltas > 0.0) & (deltas < np.inf) & (errors > 0.0) & (errors < np.inf)):
+        raise ValueError("deltas and errors must be finite and strictly positive")
     slope, intercept, _ = _fit_line(np.log(deltas), np.log(errors))
     return slope, intercept
 
@@ -449,7 +433,7 @@ def estimate_weak_errors(
     its extrapolated values stand for E phi(X(T)) in ``mean_gaps``.  Paths
     that fail anywhere, or on which a test function is not finite, are
     dropped pairwise across all step sizes from that function's report,
-    within the failure budget of :func:`_count_failed`.  A BE lane's records
+    within the failure budget of :func:`_finite_paths`.  A BE lane's records
     carry its step size ``delta``; a reference lane's carry its own step (1
     for a lane that maps whole blocks) and ``"reference": True``.
 
@@ -479,9 +463,7 @@ def estimate_weak_errors(
             raise ValueError(f"step size {d} must exceed the fine step {fine_step}")
         factors.append(fine_m // m)
 
-    n_deltas = len(deltas)
     n_ref = len(reference.lanes)
-    extrapolated = n_ref == 2
     lanes = [*reference.lanes, *(Lane("be", factor) for factor in factors)]
     marks = [
         {
@@ -499,46 +481,37 @@ def estimate_weak_errors(
         {"path": path, **marks[lane], "k": k, "l": l, "kind": kind}
         for lane, path, k, l, kind in records
     ]
-    ok = np.all(np.isfinite(finals), axis=(0, 2))
 
     reports: dict[TestFunction, WeakErrorReport] = {}
     for phi in phis:
-        # a huge state can overflow phi; _count_failed counts such a path as
-        # failed for this phi
+        # a failed path's endpoints are NaN, and a huge state can overflow
+        # phi; _finite_paths drops both from this phi's report
         with np.errstate(over="ignore", invalid="ignore"):
-            values = phi(finals)
-        phi_ok = ok & np.all(np.isfinite(values), axis=0)
-        n_failed = _count_failed(phi_ok, failure_log, phi.value)
-        values = values[:, phi_ok]
-        pr = values[0]
-        target = 2.0 * pr - values[1] if extrapolated else pr
-        mean_ref = _kahan_mean(target)
-        errors, half_widths, mean_gaps, mean_gap_half_widths = [], [], [], []
-        for pn in values[n_ref:]:
-            mean, se = _mean_se(np.abs(pr - pn))
-            errors.append(mean)
-            half_widths.append(_Z95 * se)
-            mean_gaps.append(abs(mean_ref - _kahan_mean(pn)))
-            mean_gap_half_widths.append(_Z95 * _mean_se(target - pn)[1])
+            values, n_failed = _finite_paths(phi(finals), failure_log, phi.value)
+        pr, pn = values[0], values[n_ref:]
+        target = 2.0 * pr - values[1] if n_ref == 2 else pr
+        errors, ses = _mean_se(np.abs(pr - pn))
+        mean_gaps = np.abs(_mean(target) - _mean(pn))
+        gap_ses = _mean_se(target - pn)[1]
 
         slope = intercept = None
-        if n_deltas >= 2 and all(e > 0.0 for e in errors):
+        if len(deltas) >= 2 and np.all(errors > 0.0):
             slope, intercept = fit_order(deltas, errors)
         else:
             warnings.warn("weak-error slope undefined (need >= 2 step sizes with positive errors)")
         gap_slope = None
-        if n_deltas >= 2 and all(g > 0.0 for g in mean_gaps):
+        if len(deltas) >= 2 and np.all(mean_gaps > 0.0):
             gap_slope, _ = fit_order(deltas, mean_gaps)
 
         reports[phi] = WeakErrorReport(
             deltas=deltas,
-            errors=errors,
-            half_widths=half_widths,
+            errors=errors.tolist(),
+            half_widths=(_Z95 * ses).tolist(),
             n_paths=n_paths,
             fitted_slope=slope,
             fitted_intercept=intercept,
-            mean_gaps=mean_gaps,
-            mean_gap_half_widths=mean_gap_half_widths,
+            mean_gaps=mean_gaps.tolist(),
+            mean_gap_half_widths=(_Z95 * gap_ses).tolist(),
             mean_gap_slope=gap_slope,
             n_failed=n_failed,
             phi=phi.value,
@@ -608,11 +581,12 @@ def ergodic_mean_traces(
     anchors, failures = _chain_anchors(problem, cfg, initial_arr, K, n_paths, master_seed, n_workers)
     reports = {}
     for phi in phis:
-        # a huge state overflows phi; _path_means counts such a path as failed
+        # a huge state overflows phi; _finite_paths counts such a path as failed
         with np.errstate(over="ignore", invalid="ignore"):
             values = phi(anchors)
         # (initial, k, path)
-        traces, ses, n_failed = _path_means(values.transpose(1, 0, 2), failures, phi.value)
+        values, n_failed = _finite_paths(values.transpose(1, 0, 2), failures, phi.value)
+        traces, ses = _mean_se(values)
         spread = traces.max(axis=0) - traces.min(axis=0)
         pooled = np.sqrt(2.0 * np.mean(ses**2, axis=0))
         reports[phi] = ErgodicityReport(
@@ -691,11 +665,12 @@ def contraction_estimate(
     anchors, failures = _chain_anchors(
         problem, cfg, np.stack([x_arr, y_arr]), K, n_paths, master_seed, n_workers
     )
-    # a huge state overflows the square; _path_means counts such a path as failed
+    # a huge state overflows the square; _finite_paths counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
         diff = anchors[:, 0] - anchors[:, 1]
         sq_diffs = np.sum(diff * diff, axis=-1)
-    msd, ses, n_failed = _path_means(sq_diffs, failures)
+    sq_diffs, n_failed = _finite_paths(sq_diffs, failures)
+    msd, ses = _mean_se(sq_diffs)
     hw = _Z95 * ses
 
     usable = np.flatnonzero(np.isfinite(msd) & (msd > _DECAY_FLOOR))
@@ -769,10 +744,11 @@ def moment_estimate(
     anchors, failures = _chain_anchors(
         problem, cfg, [problem.initial_state], K, n_paths, master_seed, n_workers
     )
-    # a huge state overflows the power; _path_means counts such a path as failed
+    # a huge state overflows the power; _finite_paths counts such a path as failed
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.sum(anchors[:, 0] ** 2, axis=-1) ** p
-    moments, ses, n_failed = _path_means(powers, failures)
+    powers, n_failed = _finite_paths(powers, failures)
+    moments, ses = _mean_se(powers)
     hw = _Z95 * ses
 
     window_start = K - K // 2
@@ -811,7 +787,7 @@ def check_recursion_bound(
     delta: float,
     m: int,
 ) -> RecursionBoundReport:
-    """Check the block recursion bound along a nonnegative sequence.
+    """Check the block recursion bound along a finite, nonnegative sequence.
 
     Hypothesis at index n = k*m+l+1:  z[n] <= (1 - alpha*delta) z[n-1]
     + beta*delta z[k*m] + gamma*delta.  Wherever the hypothesis has held at
@@ -832,8 +808,8 @@ def check_recursion_bound(
     if m < 1:
         raise ValueError("m must be >= 1")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("sequence must be nonnegative")
+    if not np.all((z >= 0.0) & (z < np.inf)):
+        raise ValueError("sequence must be finite and nonnegative")
 
     tol = 1e-9 * max(1.0, float(np.max(z, initial=0.0)), gamma / alpha)
     ratio = beta / alpha

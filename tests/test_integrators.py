@@ -498,6 +498,18 @@ class TestSimulateBe:
         with pytest.raises(ValueError):
             BeConfig(m=0)
 
+    @pytest.mark.parametrize("m", [2.5, 0.0, math.nan, math.inf, np.float64(math.inf), "4"])
+    def test_an_m_that_is_not_a_positive_integer_is_rejected(self, m):
+        # 2.5 was accepted and failed later, in coarsening
+        with pytest.raises(ValueError, match="^m must be a positive integer, got"):
+            BeConfig(m=m)
+
+    @pytest.mark.parametrize("m", [16.0, np.float64(16.0), np.int64(16)])
+    def test_an_integral_m_is_stored_as_an_int(self, m):
+        # 16.0 was accepted and run_scheme_batch then raised a TypeError
+        cfg = BeConfig(m=m)
+        assert cfg.m == 16 and type(cfg.m) is int
+
     def test_zero_noise_anchor(self):
         problem = linear_additive(3.0, 1.0)
         states = simulate("be", problem, BeConfig(m=2), zero_noise_grid(2.0, 0.5), 2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdepca import brownian
 from sdepca.brownian import generate_increments, generate_path, increment_pieces
@@ -27,8 +29,8 @@ from sdepca.model import SdepcaProblem
 from sdepca.montecarlo import (
     MonteCarloFailure,
     TestFunction,
-    _kahan_mean,
     _lane_worker,
+    _mean,
     _mean_se,
     check_recursion_bound,
     contraction_estimate,
@@ -144,6 +146,20 @@ class TestFitOrder:
             fit_order([0.5, 0.25], [0.1, 0.0])
         with pytest.raises(ValueError):
             fit_order([0.5, -0.25], [0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "deltas, errors",
+        [
+            ([0.1, 0.2], [math.nan, 1.0]),
+            ([0.1, 0.2], [math.inf, 1.0]),
+            ([0.1, math.inf], [0.5, 1.0]),
+            ([math.nan, 0.2], [0.5, 1.0]),
+        ],
+    )
+    def test_non_finite_pairs_are_rejected(self, deltas, errors):
+        # these returned (nan, nan), the inf error with a RuntimeWarning
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            fit_order(deltas, errors)
 
     @pytest.mark.parametrize("deltas", [[0.5, 0.5], [0.25, 0.25, 0.25]])
     def test_one_distinct_delta_is_rejected(self, deltas):
@@ -625,6 +641,28 @@ class TestSpanArguments:
         with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
             estimate(**{name: value})
 
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda K: ergodic_mean_traces(
+                linear_additive(3.0, 1.0), BeConfig(m=4), [0.0, 1.0], K, n_paths=8,
+                phis=[TestFunction.COS_ABS], master_seed=1,
+            ),
+            lambda K: contraction_estimate(
+                linear_additive(3.0, 1.0), BeConfig(m=4), 1.0, -1.0, n_paths=8, K=K, master_seed=1
+            ),
+            lambda K: moment_estimate(
+                linear_additive(3.0, 1.0), BeConfig(m=4), 1, n_paths=8, K=K, master_seed=1
+            ),
+        ],
+        ids=["ergodic", "contraction", "moment"],
+    )
+    @pytest.mark.parametrize("K", [2.5, 2.0, math.nan])
+    def test_a_block_count_that_is_not_an_integer_is_rejected(self, estimate, K):
+        # 2.5 raised a TypeError from inside the runner
+        with pytest.raises(ValueError, match=f"^K must be an integer, got {K!r}"):
+            estimate(K)
+
 
 class TestErgodicTrace:
     def test_a_start_of_the_wrong_width_is_rejected(self):
@@ -731,8 +769,8 @@ class TestErgodicTrace:
 
 def time_average(states, m, phi):
     """(1/K) sum of phi over the anchors Y_0 .. Y_{K-1} of the states at the
-    steps of 1/m, in index order."""
-    return _kahan_mean(phi(states[::m][:-1]))
+    steps of 1/m."""
+    return _mean(phi(states[::m][:-1]))
 
 
 class TestTimeAverage:
@@ -883,6 +921,52 @@ class TestStackedStartsMatchSoloRuns:
             "n_paths": n,
             "n_failed": 0,
         }
+
+
+class TestMean:
+    """Every mean sums contiguous rows of paths, so a masked or transposed
+    grid gives, byte for byte, what each of its rows gives alone: the
+    worker-count invariance of every report rests on this."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 31), st.integers(3, 700)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]),
+    )
+    def test_a_masked_or_transposed_grid_sums_as_its_rows_alone(self, shape, seed, scale):
+        rng = np.random.default_rng(seed)
+        a, b, n = shape
+        # path-major, as a grid masked on its path axis is; an offset keeps
+        # the rows from summing to about 0
+        grid = scale * (rng.standard_normal((n, a, b)) + 2.0).transpose(1, 2, 0)
+        keep = rng.random(n) < 0.9
+        keep[:2] = True
+        for values in (grid, grid[..., keep], grid.transpose(1, 0, 2)[..., keep]):
+            means, ses = _mean_se(values)
+            alone = [_mean_se(np.array(values[idx])) for idx in np.ndindex(values.shape[:-1])]
+            together = np.stack([means.ravel(), ses.ravel()], axis=1)
+            assert together.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("value", [0.1, -3.7e-5, 5e-324, 1e300])
+    def test_a_row_of_equal_entries_is_exact(self, value):
+        means, ses = _mean_se(np.full((3, 1001), value))
+        assert means.tolist() == [value] * 3
+        assert ses.tolist() == [0.0] * 3
+
+    def test_every_chain_report_starts_exact(self):
+        # every path starts at the same state, so the k = 0 entry is that
+        # state's value with a standard error of exactly 0
+        problem, cfg = cubic_multiplicative(1.0, 1.0, x0=0.3), BeConfig(m=4)
+        ergodic = ergodic_mean_trace(problem, cfg, [-1.5, 0.25], 3, 37, TestFunction.SIN_SQ, 5)
+        starts = TestFunction.SIN_SQ(np.array([[-1.5], [0.25]]))
+        assert [trace[0] for trace in ergodic.traces] == starts.tolist()
+        assert [se[0] for se in ergodic.standard_errors] == [0.0, 0.0]
+        assert ergodic.spread[0] == starts[0] - starts[1]
+        contraction = contraction_estimate(problem, cfg, 1.5, -0.5, 37, 3, master_seed=5)
+        assert (contraction.mean_sq_diffs[0], contraction.half_widths[0]) == (4.0, 0.0)
+        moment = moment_estimate(problem, cfg, 2, 37, 3, master_seed=5)
+        assert (moment.moments[0], moment.half_widths[0]) == ((0.3**2) ** 2, 0.0)
 
 
 class TestEmptySample:
@@ -1056,6 +1140,13 @@ class TestRecursionBound:
             check_recursion_bound(np.zeros(4), 8.0, 1.0, 0.5, 0.25, 2)  # alpha*delta >= 1
         with pytest.raises(ValueError):
             check_recursion_bound(np.array([-1.0, 0.0]), 2.0, 1.0, 0.5, 0.25, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sequence_is_rejected(self, bad):
+        # a NaN compares false and an inf makes the tolerance infinite, so
+        # this passed with ok=True and no hypothesis failure
+        with pytest.raises(ValueError, match="^sequence must be finite and nonnegative"):
+            check_recursion_bound([1.0, bad, 0.5], 2.0, 1.0, 0.5, 0.125, 8)
 
 
 class TestWeakOrderSupplementary:
